@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModulationParams
+from .engine import ModulationParams, uk_matrix
 from .errors import ConfigurationError
 
 
@@ -26,16 +26,6 @@ def fold_quasienergy(eps: np.ndarray | float):
     """Fold into the spectral first Brillouin zone (-0.5, 0.5]."""
     folded = -((-np.asarray(eps) + 0.5) % 1.0 - 0.5)
     return folded if np.ndim(eps) else float(folded)
-
-
-def uk_matrix(params: ModulationParams, q: float) -> np.ndarray:
-    """2x2 quasimomentum-space block of the roundtrip operator."""
-    alpha = np.cos(q + params.phi_h)
-    beta = np.cos(q + params.phi_v)
-    c, s = np.cos(params.theta / 2), np.sin(params.theta / 2)
-    eh = np.exp(1j * params.gamma * alpha)
-    ev = np.exp(1j * params.gamma * beta)
-    return np.array([[eh * c, -eh * s], [ev * s, ev * c]])
 
 
 def _angle_terms(params: ModulationParams, q):

@@ -41,7 +41,9 @@ def classical_walk_distribution(n: int) -> ClassicalDistribution:
         raise ConfigurationError("step count must be >= 0")
     prob = np.zeros(2 * n + 1)
     for m in range(-n, n + 1, 2):
-        prob[m + n] = comb(n, (n + m) // 2) / 2.0**n
+        # int / int true division is correctly rounded and never
+        # overflows; a float 2.0**n would for n >= 1024
+        prob[m + n] = comb(n, (n + m) // 2) / (1 << n)
     return ClassicalDistribution(n, prob)
 
 

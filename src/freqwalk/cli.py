@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bands, baselines, gates, twoqubit
 from .engine import ModulationParams, evolve
-from .errors import FreqwalkError
+from .errors import ConfigurationError, FreqwalkError
 from .lattice import (
     LatticeConfig,
     Polarization,
@@ -311,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         run(cfg, args.out)
     except (FreqwalkError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, ConfigurationError) else 2
     return 0
 
 

@@ -1,8 +1,11 @@
 """The roundtrip step operator U = T R(theta) and its two engines.
 
-`spectral` multiplies each polarization by the unimodular symbol
-exp(i Gamma cos(q + phi_p)) on the FFT quasimomentum grid (exactly
-unitary, periodic boundary, O(N log N)).  `direct` convolves with the
+The walk conserves quasimomentum, so one roundtrip is the 2x2 block
+U(q) = T(q) R(theta) of `uk_matrix`, the only definition of the
+operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
+unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
+steps and transforms back once per step for the boundary monitor and the
+recorders.  `direct` rotates in position space and convolves with the
 truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary,
 amplitudes pushed past the edge are dropped and the leak reported).  The
 two share no numerics and cross-validate each other.
@@ -11,7 +14,7 @@ two share no numerics and cross-validate each other.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +57,20 @@ class ModulationParams:
 Schedule = list[ModulationParams]
 
 IDENTITY = ModulationParams(gamma=0.0)
+
+
+def uk_matrix(params: ModulationParams, q) -> np.ndarray:
+    """2x2 quasimomentum-space block of the roundtrip operator,
+    U(q) = diag(e^{i Gamma cos(q + phi_H)}, e^{i Gamma cos(q + phi_V)}) R(theta).
+
+    Broadcasts over an array of q: the result then has shape (2, 2, n).
+    """
+    alpha = np.cos(q + params.phi_h)
+    beta = np.cos(q + params.phi_v)
+    c, s = np.cos(params.theta / 2), np.sin(params.theta / 2)
+    eh = np.exp(1j * params.gamma * alpha)
+    ev = np.exp(1j * params.gamma * beta)
+    return np.array([[eh * c, -eh * s], [ev * s, ev * c]])
 
 
 @dataclass(frozen=True)
@@ -140,40 +157,71 @@ def apply_translation_direct(
     return state.with_amp(amp, norm_leak=leak)
 
 
-def _spectral_phases(
+def _q_grid(n_sites: int) -> np.ndarray:
+    """Quasimomenta of the FFT bins: ifft row k carries e^{+i q_k m}."""
+    return 2 * np.pi * np.fft.fftfreq(n_sites)
+
+
+def _apply_blocks(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """U(q) b(q) at every grid point, for (2, 2, N) blocks and (2, N)
+    q-space amplitudes."""
+    return u[:, 0] * b[0] + u[:, 1] * b[1]
+
+
+def _roundtrip_spectral(
     state: LatticeState, params: ModulationParams
-) -> tuple[np.ndarray, np.ndarray]:
-    q = 2 * np.pi * np.fft.fftfreq(state.config.n_sites)
-    return (
-        np.exp(1j * params.gamma * np.cos(q + params.phi_h)),
-        np.exp(1j * params.gamma * np.cos(q + params.phi_v)),
-    )
+) -> LatticeState:
+    u = uk_matrix(params, _q_grid(state.config.n_sites))
+    b = np.fft.ifft(state.amp, axis=1)
+    return state.with_amp(np.fft.fft(_apply_blocks(u, b), axis=1))
 
 
 def apply_translation_spectral(
     state: LatticeState, params: ModulationParams
 ) -> LatticeState:
-    """Exactly unitary translation: phase multiplication on the FFT grid.
+    """Exactly unitary translation: the roundtrip block with theta = 0,
+    a phase multiplication on the FFT grid.
 
     Periodic (circular) boundary semantics.
     """
-    ph, pv = _spectral_phases(state, params)
-    amp = np.empty_like(state.amp)
-    amp[0] = np.fft.fft(np.fft.ifft(state.amp[0]) * ph)
-    amp[1] = np.fft.fft(np.fft.ifft(state.amp[1]) * pv)
-    return state.with_amp(amp)
+    return _roundtrip_spectral(state, replace(params, theta=0.0))
 
 
 def step(
     state: LatticeState, params: ModulationParams, engine: str = "spectral"
 ) -> LatticeState:
     """One roundtrip: coin rotation, then polarization-dependent translation."""
-    rotated = apply_rotation(state, params.theta)
     if engine == "spectral":
-        return apply_translation_spectral(rotated, params)
+        return _roundtrip_spectral(state, params)
     if engine == "direct":
-        return apply_translation_direct(rotated, params)
+        return apply_translation_direct(apply_rotation(state, params.theta), params)
     raise ConfigurationError(f"unknown engine {engine!r}")
+
+
+def _walk(state: LatticeState, schedule: Schedule, engine: str):
+    """Yield the state after each roundtrip of the schedule.
+
+    The spectral engine carries the q-space amplitudes from step to step,
+    builds each distinct block U(q) once (and drops it after its last
+    use), and transforms back to position space once per step.
+    """
+    if engine != "spectral":
+        for params in schedule:
+            state = step(state, params, engine)
+            yield state
+        return
+    q = _q_grid(state.config.n_sites)
+    last_use = {params: i for i, params in enumerate(schedule)}
+    blocks: dict[ModulationParams, np.ndarray] = {}
+    b = np.fft.ifft(state.amp, axis=1)
+    for i, params in enumerate(schedule):
+        u = blocks.get(params)
+        if u is None:
+            u = blocks[params] = uk_matrix(params, q)
+        if last_use[params] == i:
+            del blocks[params]
+        b = _apply_blocks(u, b)
+        yield state.with_amp(np.fft.fft(b, axis=1))
 
 
 @dataclass
@@ -234,8 +282,7 @@ def evolve(
         traj.records.append(rec)
 
     snapshot(0, state)
-    for i, params in enumerate(schedule, start=1):
-        state = step(state, params, engine)
+    for i, state in enumerate(_walk(state, schedule, engine), start=1):
         mass = boundary_mass(state)
         if mass > boundary_tol:
             raise BoundaryLeakError(i, mass)

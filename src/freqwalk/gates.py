@@ -133,6 +133,8 @@ def state_fidelity(psi_o: np.ndarray, psi_t: np.ndarray) -> float:
 
 
 def _gate_lattice(delta: float) -> LatticeConfig:
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ConfigurationError(f"delta must be positive and finite, got {delta}")
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     return LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
 

@@ -28,6 +28,11 @@ class TestClassical:
         assert d.prob.sum() == pytest.approx(1.0, abs=1e-12)
         assert d.diffusion_distance() == pytest.approx(np.sqrt(n), abs=1e-10)
 
+    def test_past_float_power_range(self):
+        # 2**1100 is beyond the largest double
+        d = classical_walk_distribution(1100)
+        assert d.diffusion_distance() == pytest.approx(np.sqrt(1100), abs=1e-12)
+
     def test_parity_zeros(self):
         d = classical_walk_distribution(5)
         assert all(d.prob[m + 5] == 0.0 for m in range(-5, 6) if (m + 5) % 2)

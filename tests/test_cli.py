@@ -43,6 +43,24 @@ class TestConfigHandling:
         eps = {float(r[1]) for r in rows} | {float(r[2]) for r in rows}
         assert all(abs(abs(e) - 0.125) < 1e-12 for e in eps)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["band", "--gamma", "1", "--n-k", "8"],
+         ["gate", "--gate-name", "Q"],
+         ["evolve", "--gamma", "nan", "--steps", "1", "--half-width", "8"],
+         ["cnot", "--sequence", "foo", "--delta", "20"]],
+    )
+    def test_configuration_error_in_run_exits_1(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("delta", ["0", "-5", "inf", "nan"])
+    def test_bad_delta_named(self, delta, tmp_path, capsys):
+        argv = ["gate", "--gate-name", "X", "--delta", delta]
+        assert main(argv + ["--out", str(tmp_path / "g.json")]) == 1
+        assert "delta" in capsys.readouterr().err
+
 
 class TestBandCommand:
     def test_csv_layout_and_monotone_q(self, tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk import Polarization as P
 from freqwalk.bessel import bessel_j
+from freqwalk.engine import BOUNDARY_TOL
 
 FIG2 = dict(theta=-np.pi / 2, phi_h=0.0, phi_v=3 * np.pi / 4)
 
@@ -16,6 +17,36 @@ def random_interior_state(cfg, rng, support=20):
     amp[:, lo:hi] = rng.normal(size=(2, hi - lo)) + 1j * rng.normal(size=(2, hi - lo))
     amp /= np.linalg.norm(amp)
     return fw.LatticeState(cfg, amp)
+
+
+def reference_step(state, params):
+    """One spectral roundtrip built from its parts: position-space coin
+    rotation, then ifft / phase / fft on each polarization row."""
+    rotated = fw.apply_rotation(state, params.theta)
+    q = 2 * np.pi * np.fft.fftfreq(state.config.n_sites)
+    amp = np.empty_like(state.amp)
+    for row, phi in ((0, params.phi_h), (1, params.phi_v)):
+        phase = np.exp(1j * params.gamma * np.cos(q + phi))
+        amp[row] = np.fft.fft(np.fft.ifft(rotated.amp[row]) * phase)
+    return state.with_amp(amp)
+
+
+modulations = st.builds(
+    fw.ModulationParams,
+    gamma=st.floats(0.0, 3 * np.pi),
+    phi_h=st.floats(-np.pi, np.pi),
+    phi_v=st.floats(-np.pi, np.pi),
+    theta=st.floats(-np.pi, np.pi),
+)
+
+
+@st.composite
+def schedules(draw):
+    """0-30 steps drawn from a pool of 1-3 distinct parameter sets."""
+    pool = draw(st.lists(modulations, min_size=1, max_size=3, unique=True))
+    n_steps = draw(st.integers(0, 30))
+    picks = st.integers(0, len(pool) - 1)
+    return [pool[draw(picks)] for _ in range(n_steps)]
 
 
 class TestKernel:
@@ -231,3 +262,32 @@ class TestEvolve:
         assert np.allclose(
             a.records[-1]["state"].amp, b.records[-1]["state"].amp, atol=1e-15
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        schedule=schedules(),
+        half_width=st.integers(15, 150),
+        seed=st.integers(0, 2**31),
+    )
+    def test_spectral_matches_reference_steps(self, schedule, half_width, seed):
+        cfg = fw.LatticeConfig(half_width)
+        s0 = random_interior_state(cfg, np.random.default_rng(seed), support=8)
+        expected, leak = [s0], None
+        for i, params in enumerate(schedule, start=1):
+            s = reference_step(expected[-1], params)
+            mass = fw.boundary_mass(s)
+            assume(abs(mass - BOUNDARY_TOL) > 1e-9)  # no knife-edge aborts
+            if mass > BOUNDARY_TOL:
+                leak = (i, mass)
+                break
+            expected.append(s)
+        if leak is not None:
+            with pytest.raises(fw.BoundaryLeakError) as err:
+                fw.evolve(s0, schedule, record=("state",))
+            assert err.value.step == leak[0]
+            assert err.value.mass == pytest.approx(leak[1], abs=1e-12)
+            return
+        traj = fw.evolve(s0, schedule, record=("state",))
+        assert traj.steps == list(range(len(schedule) + 1))
+        for rec, ref in zip(traj.records, expected):
+            assert np.max(np.abs(rec["state"].amp - ref.amp)) < 1e-12
