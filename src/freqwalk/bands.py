@@ -59,41 +59,49 @@ class BandPoint:
     spinor_minus: np.ndarray
 
 
-def _eigh_sorted(params: ModulationParams, q: float):
-    """Eigenpairs of the quasimomentum block, labeled by the sign of the
-    SU(2) part of the eigenphase (the +delta / -delta convention above)."""
-    m = uk_matrix(params, q)
-    vals, vecs = np.linalg.eig(m)
-    a_sum, _ = _angle_terms(params, q)
-    mu = vals * np.exp(-1j * a_sum)  # e^{+-i delta}, delta in [0, pi]
-    order = np.argsort(-np.angle(mu * np.exp(1j * 1e-15)))  # +delta first
-    vals, vecs = vals[order], vecs[:, order]
-    return vals, [_fix_phase(vecs[:, 0]), _fix_phase(vecs[:, 1])]
+def _eig_sorted(params: ModulationParams, qs: np.ndarray):
+    """Eigenpairs of the quasimomentum blocks at each q of `qs`, labeled
+    by the sign of the SU(2) part of the eigenphase (the +delta / -delta
+    convention above).  Returns eigenvalues (n, 2) and spinors (n, 2, 2),
+    spinors[i, 0] of branch + and spinors[i, 1] of branch -, each with
+    its largest component real positive."""
+    vals, vecs = np.linalg.eig(np.moveaxis(uk_matrix(params, qs), -1, 0))
+    a_sum, _ = _angle_terms(params, qs)
+    mu = vals * np.exp(-1j * a_sum)[:, None]  # e^{+-i delta}, delta in [0, pi]
+    ang = np.angle(mu * np.exp(1j * 1e-15))  # +delta first
+    vals, spinors = _swap_branches(vals, np.swapaxes(vecs, 1, 2), ang[:, 1] > ang[:, 0])
+    k = np.argmax(np.abs(spinors), axis=2)[..., None]
+    return vals, spinors * np.exp(-1j * np.angle(np.take_along_axis(spinors, k, 2)))
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    return v * np.exp(-1j * np.angle(v[k]))
+def _eig_sorted_at(params: ModulationParams, q: float):
+    """`_eig_sorted` at one quasimomentum: eigenvalues (2,), spinors (2, 2)."""
+    vals, spinors = _eig_sorted(params, np.array([float(q)]))
+    return vals[0], spinors[0]
 
 
-def _nz(v: np.ndarray) -> float:
-    return float(abs(v[0]) ** 2 - abs(v[1]) ** 2)
+def _swap_branches(vals: np.ndarray, spinors: np.ndarray, swap: np.ndarray):
+    """Exchange the + and - labels at the points where `swap` is set."""
+    return (
+        np.where(swap[:, None], vals[:, ::-1], vals),
+        np.where(swap[:, None, None], spinors[:, ::-1], spinors),
+    )
+
+
+def _band_points(qs: np.ndarray, vals: np.ndarray, spinors: np.ndarray) -> list:
+    eps = fold_quasienergy(np.angle(vals) / (2 * np.pi) * -1.0)
+    nz = np.abs(spinors[..., 0]) ** 2 - np.abs(spinors[..., 1]) ** 2
+    return [
+        BandPoint(q, e[0], e[1], n[0], n[1], s[0], s[1])
+        for q, e, n, s in zip(qs.tolist(), eps.tolist(), nz.tolist(), spinors)
+    ]
 
 
 def quasienergy_numeric(params: ModulationParams, q: float) -> BandPoint:
     """Diagonalize the quasimomentum block; the independent route to the
     band data (energies, spinors, polarization projections)."""
-    vals, (vp, vm) = _eigh_sorted(params, q)
-    eps = fold_quasienergy(np.angle(vals) / (2 * np.pi) * -1.0)
-    return BandPoint(
-        q=float(q),
-        eps_plus=float(eps[0]),
-        eps_minus=float(eps[1]),
-        nz_plus=_nz(vp),
-        nz_minus=_nz(vm),
-        spinor_plus=vp,
-        spinor_minus=vm,
-    )
+    qs = np.array([float(q)])
+    return _band_points(qs, *_eig_sorted(params, qs))[0]
 
 
 @dataclass(frozen=True)
@@ -114,31 +122,23 @@ def band_grid(params: ModulationParams, n_k: int) -> BandGrid:
     """Sample both branches on a uniform q grid over [-pi, pi).
 
     Branch labels are kept continuous in q by spinor-overlap tracking,
-    which keeps each curve smooth through folds and avoided crossings.
+    which keeps each curve smooth through folds and avoided crossings:
+    point i takes the labels whose + spinor overlaps the + spinor of point
+    i - 1 most.  The two spinors of a 2x2 unitary are orthonormal, so
+    |<p+,c+>| = |<p-,c->| and |<p+,c->| = |<p-,c+>|.  Whether the raw
+    labels of two adjacent points disagree is therefore decided by their
+    raw spinors alone, and a point's labels are swapped exactly when the
+    cumulative XOR of those decisions up to it is set.
     """
     if n_k < 16:
         raise ConfigurationError("n_k must be >= 16")
     qs = -np.pi + 2 * np.pi * np.arange(n_k) / n_k
-    points: list[BandPoint] = []
-    prev: BandPoint | None = None
-    for q in qs:
-        pt = quasienergy_numeric(params, q)
-        if prev is not None:
-            keep = abs(np.vdot(prev.spinor_plus, pt.spinor_plus)) ** 2
-            swap = abs(np.vdot(prev.spinor_plus, pt.spinor_minus)) ** 2
-            if swap > keep:
-                pt = BandPoint(
-                    q=pt.q,
-                    eps_plus=pt.eps_minus,
-                    eps_minus=pt.eps_plus,
-                    nz_plus=pt.nz_minus,
-                    nz_minus=pt.nz_plus,
-                    spinor_plus=pt.spinor_minus,
-                    spinor_minus=pt.spinor_plus,
-                )
-        points.append(pt)
-        prev = pt
-    return BandGrid(params, points)
+    vals, spinors = _eig_sorted(params, qs)
+    prev, plus, minus = spinors[:-1, 0].conj(), spinors[1:, 0], spinors[1:, 1]
+    keep = np.abs((prev * plus).sum(axis=1)) ** 2
+    swap = np.abs((prev * minus).sum(axis=1)) ** 2
+    swapped = np.logical_xor.accumulate(np.concatenate([[False], swap > keep]))
+    return BandGrid(params, _band_points(qs, *_swap_branches(vals, spinors, swapped)))
 
 
 def eigen_spinor(params: ModulationParams, q: float, branch: str) -> np.ndarray:
@@ -149,7 +149,7 @@ def eigen_spinor(params: ModulationParams, q: float, branch: str) -> np.ndarray:
     """
     if branch not in ("+", "-"):
         raise ConfigurationError(f"branch must be '+' or '-', got {branch!r}")
-    vals, (vp, vm) = _eigh_sorted(params, q)
+    vals, (vp, vm) = _eig_sorted_at(params, q)
     if abs(np.angle(vals[0] / vals[1])) < 1e-10:
         raise ConfigurationError(f"degenerate quasienergies at q={q}")
     return vp if branch == "+" else vm
@@ -164,7 +164,7 @@ def group_velocity(
     spin = eigen_spinor(params, q, branch)
 
     def matched_eigenvalue(qq: float) -> complex:
-        vals, vecs = _eigh_sorted(params, qq)
+        vals, vecs = _eig_sorted_at(params, qq)
         overlaps = [abs(np.vdot(spin, v)) ** 2 for v in vecs]
         if abs(overlaps[0] - overlaps[1]) < 0.1:
             raise ConfigurationError(

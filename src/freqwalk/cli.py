@@ -70,6 +70,7 @@ _DEFAULTS = {
 }
 
 _ANGLE_FIELDS = ("theta", "phi_h", "phi_v", "q", "rz_phi", "phi1", "phi2")
+_NUMBER_FIELDS = {"steps": int, "half_width": int, "n_k": int, "delta": float}
 _REQUIRED = {
     "band": ("gamma",),
     "evolve": ("gamma",),
@@ -78,6 +79,21 @@ _REQUIRED = {
     "prepare": ("phi1", "phi2"),
     "cnot": (),
 }
+
+
+def _number(key: str, value, kind: type):
+    """`value` as an int or a float, or a ConfigurationError naming `key`
+    (a config file can hold any JSON value where a number belongs)."""
+    number = None
+    if not isinstance(value, bool):
+        try:
+            number = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if number is None or (kind is int and isinstance(value, float) and number != value):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {what}, got {value!r}")
+    return number
 
 
 def load_config(args: argparse.Namespace) -> dict:
@@ -101,10 +117,15 @@ def load_config(args: argparse.Namespace) -> dict:
             cfg[key] = parse_angle(cfg[key])
     if "gamma" in cfg:
         cfg["gamma"] = parse_angle_list(cfg["gamma"])
+    for key, kind in _NUMBER_FIELDS.items():
+        cfg[key] = _number(key, cfg[key], kind)
     for key in _REQUIRED[args.command]:
         if key not in cfg or cfg[key] is None:
             raise FreqwalkError(f"missing required field {key!r}")
     return cfg
+
+
+_CSV_BLOCK_ROWS = 4096  # rows per formatted block: bounds the temporary strings
 
 
 def _fmt(x: float) -> str:
@@ -118,13 +139,22 @@ def _metadata(cfg: dict) -> dict:
     return {"tool": "freqwalk", "version": _VERSION, "config": echo}
 
 
-def _write_csv(out: io.TextIOBase, cfg: dict, header: list[str], rows) -> None:
+def _write_csv(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
+    """Head lines, then the rows in blocks: each block is one %-format of
+    a repeated row template (%.17g per numeric column, %s per text
+    column), which gives the bytes of `_fmt` cell by cell."""
     meta = _metadata(cfg)
     out.write(f"# tool={meta['tool']} version={meta['version']}\n")
     out.write(f"# config={json.dumps(meta['config'], sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+    row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+    width = len(columns)
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+        cells = [None] * (width * len(block[0]))
+        for j, values in enumerate(block):
+            cells[j::width] = values
+        out.write(row * len(block[0]) % tuple(cells))
 
 
 def _params(cfg: dict, gamma: float) -> ModulationParams:
@@ -134,15 +164,15 @@ def _params(cfg: dict, gamma: float) -> ModulationParams:
 
 
 def run_band(cfg: dict):
-    grid = bands.band_grid(_params(cfg, cfg["gamma"][0]), int(cfg["n_k"]))
-    rows = [
-        (p.q, p.eps_plus, p.eps_minus, p.nz_plus, p.nz_minus) for p in grid.points
-    ]
-    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], rows
+    grid = bands.band_grid(_params(cfg, cfg["gamma"][0]), cfg["n_k"])
+    table = np.array(
+        [(p.q, p.eps_plus, p.eps_minus, p.nz_plus, p.nz_minus) for p in grid.points]
+    )
+    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], list(table.T)
 
 
 def run_evolve(cfg: dict):
-    lat = LatticeConfig(half_width=int(cfg["half_width"]))
+    lat = LatticeConfig(half_width=cfg["half_width"])
     if cfg.get("delta") and cfg.get("use_gaussian"):
         spec = WavepacketSpec(delta=cfg["delta"], q=cfg["q"], spin=(1.0, 0.0))
         state = make_gaussian(spec, lat)
@@ -151,30 +181,25 @@ def run_evolve(cfg: dict):
     traj = evolve(
         state,
         _params(cfg, cfg["gamma"][0]),
-        n_steps=int(cfg["steps"]),
+        n_steps=cfg["steps"],
         engine=cfg["engine"],
         record=("prob",),
     )
-    sites = lat.sites
-    rows = [
-        (rec["step"], int(m), p)
-        for rec in traj.records
-        for m, p in zip(sites, rec["prob"])
-    ]
-    return ["step", "m", "prob"], rows
+    prob = traj.series("prob")  # (steps + 1, N)
+    step = np.repeat(np.asarray(traj.steps, dtype=np.int64), lat.n_sites)
+    m = np.tile(lat.sites, len(traj.records))
+    return ["step", "m", "prob"], [step, m, prob.ravel()]
 
 
 def run_diffusion(cfg: dict):
-    n = int(cfg["steps"])
-    rows = []
-    cls = [
-        classical.diffusion_distance()
-        for classical in (baselines.classical_walk_distribution(i) for i in range(1, n + 1))
+    n = cfg["steps"]
+    curves = [
+        ("classical", [baselines.classical_walk_distribution(i).diffusion_distance()
+                       for i in range(1, n + 1)]),
+        ("dtqw", baselines.dtqw_diffusion(n)),
     ]
-    rows += [(i + 1, "classical", v) for i, v in enumerate(cls)]
-    rows += [(i + 1, "dtqw", v) for i, v in enumerate(baselines.dtqw_diffusion(n))]
     for gamma in cfg["gamma"]:
-        lat = LatticeConfig(half_width=int(cfg["half_width"]))
+        lat = LatticeConfig(half_width=cfg["half_width"])
         state = make_single_site(0, Polarization.H, lat)
         traj = evolve(
             state,
@@ -183,11 +208,12 @@ def run_diffusion(cfg: dict):
             engine=cfg["engine"],
             record=("diffusion",),
         )
-        label = f"synthetic:{_fmt(gamma)}"
-        rows += [
-            (rec["step"], label, rec["diffusion"]) for rec in traj.records[1:]
-        ]
-    return ["step", "model", "M"], rows
+        curves.append((f"synthetic:{_fmt(gamma)}", traj.series("diffusion")[1:]))
+    lengths = [len(values) for _, values in curves]
+    step = np.concatenate([np.arange(1, k + 1, dtype=np.int64) for k in lengths])
+    model = np.repeat(np.array([label for label, _ in curves], dtype=object), lengths)
+    values = np.concatenate([np.asarray(v, dtype=float) for _, v in curves])
+    return ["step", "model", "M"], [step, model, values]
 
 
 def _matrix_json(u: np.ndarray) -> dict:
@@ -246,14 +272,14 @@ def run(cfg: dict, out_path: str | None) -> None:
     fmt = cfg["format"]
     buffer = io.StringIO()
     if cfg["experiment"] in _TABULAR:
-        header, rows = _TABULAR[cfg["experiment"]](cfg)
+        header, columns = _TABULAR[cfg["experiment"]](cfg)
         if fmt == "csv":
-            _write_csv(buffer, cfg, header, rows)
+            _write_csv(buffer, cfg, header, columns)
         else:
             doc = {
                 "metadata": _metadata(cfg),
                 "columns": header,
-                "rows": [list(r) for r in rows],
+                "rows": [list(r) for r in zip(*(c.tolist() for c in columns))],
             }
             json.dump(doc, buffer, sort_keys=True, indent=1)
             buffer.write("\n")

@@ -127,6 +127,41 @@ def apply_rotation(state: LatticeState, theta: float) -> LatticeState:
     return state.with_amp(amp)
 
 
+def _direct_kernels(
+    params: ModulationParams, tol: float = KERNEL_TOL
+) -> tuple[TranslationKernel, TranslationKernel]:
+    """The H-row and V-row kernels of the direct translation."""
+    base_lmax = translation_kernel(params.gamma, params.phi_h, tol).lmax
+    # a few guard orders past the tolerance cutoff: the Bessel tail
+    # decays super-exponentially there, so this buys ~4 extra digits
+    # of agreement with the exact (spectral) translation for free
+    return tuple(
+        _build_kernel(params.gamma, phi, base_lmax + 8)
+        for phi in (params.phi_h, params.phi_v)
+    )
+
+
+def _convolve_direct(
+    state: LatticeState, kernels: tuple[TranslationKernel, TranslationKernel]
+) -> LatticeState:
+    """Convolve each polarization row with its kernel, open boundary."""
+    edge = boundary_mass(state)
+    if edge > 1e-9:
+        warnings.warn(
+            f"boundary mass {edge:.2e} before direct translation", stacklevel=3
+        )
+    n = state.config.n_sites
+    amp = np.empty_like(state.amp)
+    leak = 0.0
+    for row, kern in enumerate(kernels):
+        full = np.convolve(state.amp[row], kern.coeffs, mode="full")
+        amp[row] = full[kern.lmax : kern.lmax + n]
+        leak += float((np.abs(full) ** 2).sum() - (np.abs(amp[row]) ** 2).sum())
+    if leak > 1e-6:
+        warnings.warn(f"norm leak {leak:.2e} past lattice edge", stacklevel=3)
+    return state.with_amp(amp, norm_leak=leak)
+
+
 def apply_translation_direct(
     state: LatticeState, params: ModulationParams, tol: float = KERNEL_TOL
 ) -> LatticeState:
@@ -135,26 +170,7 @@ def apply_translation_direct(
     The norm lost past the lattice edge is recorded in the result's
     meta["norm_leak"]; a leak above 1e-6 additionally raises a warning.
     """
-    edge = boundary_mass(state)
-    if edge > 1e-9:
-        warnings.warn(
-            f"boundary mass {edge:.2e} before direct translation", stacklevel=2
-        )
-    n = state.config.n_sites
-    amp = np.empty_like(state.amp)
-    leak = 0.0
-    base_lmax = translation_kernel(params.gamma, params.phi_h, tol).lmax
-    for row, phi in ((0, params.phi_h), (1, params.phi_v)):
-        # a few guard orders past the tolerance cutoff: the Bessel tail
-        # decays super-exponentially there, so this buys ~4 extra digits
-        # of agreement with the exact (spectral) translation for free
-        kern = _build_kernel(params.gamma, phi, base_lmax + 8)
-        full = np.convolve(state.amp[row], kern.coeffs, mode="full")
-        amp[row] = full[kern.lmax : kern.lmax + n]
-        leak += float((np.abs(full) ** 2).sum() - (np.abs(amp[row]) ** 2).sum())
-    if leak > 1e-6:
-        warnings.warn(f"norm leak {leak:.2e} past lattice edge", stacklevel=2)
-    return state.with_amp(amp, norm_leak=leak)
+    return _convolve_direct(state, _direct_kernels(params, tol))
 
 
 def _q_grid(n_sites: int) -> np.ndarray:
@@ -198,28 +214,39 @@ def step(
     raise ConfigurationError(f"unknown engine {engine!r}")
 
 
+def _per_step(schedule: Schedule, build):
+    """Yield (params, build(params)) for each roundtrip of the schedule,
+    building once per distinct parameter set and dropping the result
+    after its last use, so an all-distinct schedule holds one at a time."""
+    last_use = {params: i for i, params in enumerate(schedule)}
+    built: dict = {}
+    for i, params in enumerate(schedule):
+        op = built.get(params)
+        if op is None:
+            op = built[params] = build(params)
+        if last_use[params] == i:
+            del built[params]
+        yield params, op
+
+
 def _walk(state: LatticeState, schedule: Schedule, engine: str):
     """Yield the state after each roundtrip of the schedule.
 
-    The spectral engine carries the q-space amplitudes from step to step,
-    builds each distinct block U(q) once (and drops it after its last
-    use), and transforms back to position space once per step.
+    Each engine builds its operator once per distinct parameter set: the
+    direct engine its two kernels, the spectral engine the block U(q).
+    The spectral engine carries the q-space amplitudes from step to step
+    and transforms back to position space once per step.
     """
-    if engine != "spectral":
-        for params in schedule:
-            state = step(state, params, engine)
+    if engine == "direct":
+        for params, kernels in _per_step(schedule, _direct_kernels):
+            state = _convolve_direct(apply_rotation(state, params.theta), kernels)
             yield state
         return
+    if engine != "spectral":
+        raise ConfigurationError(f"unknown engine {engine!r}")
     q = _q_grid(state.config.n_sites)
-    last_use = {params: i for i, params in enumerate(schedule)}
-    blocks: dict[ModulationParams, np.ndarray] = {}
     b = np.fft.ifft(state.amp, axis=1)
-    for i, params in enumerate(schedule):
-        u = blocks.get(params)
-        if u is None:
-            u = blocks[params] = uk_matrix(params, q)
-        if last_use[params] == i:
-            del blocks[params]
+    for _, u in _per_step(schedule, lambda params: uk_matrix(params, q)):
         b = _apply_blocks(u, b)
         yield state.with_amp(np.fft.fft(b, axis=1))
 

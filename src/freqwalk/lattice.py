@@ -32,13 +32,10 @@ class LatticeConfig:
     """
 
     half_width: int
-    boundary: str = "periodic"  # or "truncated"
 
     def __post_init__(self):
         if self.half_width < 1:
             raise ConfigurationError("half_width must be >= 1")
-        if self.boundary not in ("periodic", "truncated"):
-            raise ConfigurationError(f"unknown boundary {self.boundary!r}")
 
     @property
     def n_sites(self) -> int:

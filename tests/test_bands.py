@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import freqwalk as fw
 
@@ -155,3 +159,58 @@ class TestGroupVelocity:
         )
         shift = fw.centroid(fw.step(wp, p)) - fw.centroid(wp)
         assert shift == pytest.approx(-v, rel=0.02)
+
+
+def circular_gap(a, b):
+    """Distance between two quasienergies on the folded zone."""
+    return abs((a - b + 0.5) % 1.0 - 0.5)
+
+
+def tracked_band_loop(p, n_k):
+    """Per-q reference for band_grid: diagonalize point by point and swap
+    the labels of a point whose - spinor overlaps the previous point's +
+    spinor more than its + spinor does.  Also returns the smallest gap
+    between the two overlaps, where a decision is knife-edge."""
+    qs = -np.pi + 2 * np.pi * np.arange(n_k) / n_k
+    points, margin = [], np.inf
+    for q in qs:
+        pt = fw.quasienergy_numeric(p, q)
+        if points:
+            keep = abs(np.vdot(points[-1].spinor_plus, pt.spinor_plus)) ** 2
+            swap = abs(np.vdot(points[-1].spinor_plus, pt.spinor_minus)) ** 2
+            margin = min(margin, abs(keep - swap))
+            if swap > keep:
+                pt = dataclasses.replace(
+                    pt, eps_plus=pt.eps_minus, eps_minus=pt.eps_plus,
+                    nz_plus=pt.nz_minus, nz_minus=pt.nz_plus,
+                    spinor_plus=pt.spinor_minus, spinor_minus=pt.spinor_plus,
+                )
+        points.append(pt)
+    return points, margin
+
+
+class TestBandGridBatched:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gamma=st.floats(0.0, 4 * np.pi),
+        theta=st.floats(-np.pi, np.pi),
+        phi_h=st.floats(-np.pi, np.pi),
+        phi_v=st.floats(-np.pi, np.pi),
+    )
+    def test_matches_per_q_loop(self, gamma, theta, phi_h, phi_v):
+        p = fw.ModulationParams(gamma=gamma, phi_h=phi_h, phi_v=phi_v, theta=theta)
+        expected, margin = tracked_band_loop(p, 64)
+        assume(margin >= 1e-9)  # the two overlaps tie: either label is right
+        # at (near-)degenerate quasienergies the spinors are undefined
+        # (eigen_spinor raises there) and round-off picks them
+        assume(min(circular_gap(r.eps_plus, r.eps_minus) for r in expected) >= 1e-4)
+        grid = fw.band_grid(p, 64)
+        assert len(grid.points) == len(expected)
+        for got, ref in zip(grid.points, expected):
+            assert got.q == ref.q
+            for key in ("eps_plus", "eps_minus"):
+                assert circular_gap(getattr(got, key), getattr(ref, key)) < 1e-12
+            assert got.nz_plus == pytest.approx(ref.nz_plus, abs=1e-12)
+            assert got.nz_minus == pytest.approx(ref.nz_minus, abs=1e-12)
+            assert np.max(np.abs(got.spinor_plus - ref.spinor_plus)) < 1e-12
+            assert np.max(np.abs(got.spinor_minus - ref.spinor_minus)) < 1e-12

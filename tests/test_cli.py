@@ -1,8 +1,13 @@
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freqwalk import cli
 from freqwalk.cli import main, parse_angle
 
 
@@ -54,6 +59,24 @@ class TestConfigHandling:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,config,field",
+        [(["band"], {"n_k": "abc", "gamma": "1pi"}, "n_k"),
+         (["band"], {"n_k": 16.5, "gamma": "1pi"}, "n_k"),
+         (["gate", "--gate-name", "X"], {"delta": "abc"}, "delta"),
+         (["gate", "--gate-name", "X"], {"delta": [200]}, "delta"),
+         (["evolve"], {"steps": "ten", "gamma": "1pi"}, "steps"),
+         (["evolve"], {"half_width": None, "gamma": "1pi"}, "half_width"),
+         (["diffusion"], {"steps": True, "gamma": "1pi"}, "steps")],
+    )
+    def test_config_field_types(self, argv, config, field, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("delta", ["0", "-5", "inf", "nan"])
     def test_bad_delta_named(self, delta, tmp_path, capsys):
@@ -165,3 +188,51 @@ class TestReportCommands:
         assert doc["report"]["max_abs_error"] < 1e-3
         re0 = np.array(doc["report"]["reconstructed"]["re"])
         assert re0.shape == (4, 4)
+
+
+def reference_csv_rows(columns) -> str:
+    """The per-cell formatter the block writer must reproduce byte for byte."""
+    lines = []
+    for i in range(len(columns[0])):
+        cells = (c[i] for c in columns)
+        lines.append(
+            ",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in cells)
+            + "\n"
+        )
+    return "".join(lines)
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, float("inf"), -float("inf")]
+)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+COLUMN_KINDS = {
+    "float": (FLOATS, np.float64),
+    "int": (INT64, np.int64),
+    "text": (st.text(max_size=10), object),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    n_rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        cells, dtype = COLUMN_KINDS[kind]
+        values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(values, dtype=dtype))
+    return columns
+
+
+class TestWriteCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(columns=csv_tables(), block_rows=st.integers(1, 5))
+    def test_matches_per_cell_formatter(self, columns, block_rows):
+        header = [f"c{j}" for j in range(len(columns))]
+        out = io.StringIO()
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+            cli._write_csv(out, {"experiment": "band"}, header, columns)
+        *head, body = out.getvalue().split("\n", 3)
+        assert head[2] == ",".join(header)
+        assert body == reference_csv_rows(columns)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk import Polarization as P
+from freqwalk import engine
 from freqwalk.bessel import bessel_j
 from freqwalk.engine import BOUNDARY_TOL
 
@@ -291,3 +292,34 @@ class TestEvolve:
         assert traj.steps == list(range(len(schedule) + 1))
         for rec, ref in zip(traj.records, expected):
             assert np.max(np.abs(rec["state"].amp - ref.amp)) < 1e-12
+
+
+class TestDirectKernelCache:
+    def test_kernels_built_once_per_params(self, monkeypatch):
+        calls = []
+        original = engine.bessel_j_sequence
+
+        def counted(lmax, x):
+            calls.append(lmax)
+            return original(lmax, x)
+
+        monkeypatch.setattr(engine, "bessel_j_sequence", counted)
+        s = fw.make_single_site(0, P.H, fw.LatticeConfig(100))
+        params = fw.ModulationParams(gamma=1.0, **FIG2)
+        fw.evolve(s, params, n_steps=1, engine="direct")
+        one_step = len(calls)
+        calls.clear()
+        fw.evolve(s, params, n_steps=20, engine="direct")
+        assert len(calls) == one_step > 0
+
+    def test_schedule_matches_direct_steps_bitwise(self):
+        cfg = fw.LatticeConfig(80)
+        s = random_interior_state(cfg, np.random.default_rng(5), support=8)
+        a = fw.ModulationParams(gamma=1.0, **FIG2)
+        b = fw.ModulationParams(gamma=2.5, phi_h=0.3, phi_v=-1.1, theta=0.7)
+        schedule = [a, b, a, a, b, fw.ModulationParams(gamma=0.0), b]
+        traj = fw.evolve(s, schedule, engine="direct", record=("state",))
+        expected = s
+        for params, rec in zip(schedule, traj.records[1:]):
+            expected = fw.step(expected, params, "direct")
+            assert np.array_equal(rec["state"].amp, expected.amp)
