@@ -35,9 +35,16 @@ except PackageNotFoundError:  # running from a source tree
     _VERSION = "unknown"
 
 
+def _scalar(value):
+    """`value` if it is a number or a string (not a bool), else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"not a number or string: {value!r}")
+    return value
+
+
 def parse_angle(text) -> float:
     """Float radians, or a multiple of pi via a 'pi' suffix."""
-    if isinstance(text, (int, float)):
+    if not isinstance(_scalar(text), str):
         return float(text)
     t = text.strip().lower()
     if t.endswith("pi"):
@@ -48,11 +55,30 @@ def parse_angle(text) -> float:
 
 
 def parse_angle_list(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    if isinstance(text, list):
-        return [parse_angle(t) for t in text]
-    return [parse_angle(t) for t in str(text).split(",")]
+    """One angle, a list of angles, or a comma separated string of them."""
+    text = text.split(",") if isinstance(text, str) else text
+    text = text if isinstance(text, list) else [text]
+    if not text:
+        raise ValueError("no angle given")
+    return [parse_angle(t) for t in text]
+
+
+def _integer(value) -> int:
+    number = int(_scalar(value))
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"not integral: {value!r}")
+    return number
+
+
+def _check(valid):
+    """A conversion that keeps a value for which `valid` holds."""
+
+    def check(value):
+        if not valid(value):
+            raise ValueError(f"invalid value {value!r}")
+        return value
+
+    return check
 
 
 _DEFAULTS = {
@@ -61,16 +87,31 @@ _DEFAULTS = {
     "phi_v": 3 * np.pi / 4,
     "steps": 100,
     "half_width": 300,
-    "delta": 200.0,
-    "q": 2 * np.pi / 3,
+    "delta": gates.DEFAULT_DELTA,
+    "q": gates.DEFAULT_Q_STAR,
     "engine": "spectral",
     "n_k": 1024,
     "format": "csv",
     "sequence": ["path_x", "cnot", "path_x"],
 }
 
-_ANGLE_FIELDS = ("theta", "phi_h", "phi_v", "q", "rz_phi", "phi1", "phi2")
-_NUMBER_FIELDS = {"steps": int, "half_width": int, "n_k": int, "delta": float}
+# each typed field: its conversion (a ValueError or OverflowError for a
+# value of the wrong type) and what a valid value is, for the message
+_FIELDS = {
+    **dict.fromkeys(
+        ("theta", "phi_h", "phi_v", "q", "rz_phi", "phi1", "phi2"), (parse_angle, "an angle")
+    ),
+    "gamma": (parse_angle_list, "an angle or a list of angles"),
+    **dict.fromkeys(("steps", "half_width", "n_k"), (_integer, "an integer")),
+    "delta": (lambda value: float(_scalar(value)), "a number"),
+    "engine": (_check(lambda v: v in ("spectral", "direct")), "spectral or direct"),
+    "format": (_check(lambda v: v in ("csv", "json")), "csv or json"),
+    "gate_name": (_check(lambda v: isinstance(v, str)), "a gate name"),
+    "sequence": (
+        _check(lambda v: isinstance(v, list) and all(isinstance(op, str) for op in v)),
+        "a list of two-qubit op names",
+    ),
+}
 _REQUIRED = {
     "band": ("gamma",),
     "evolve": ("gamma",),
@@ -79,21 +120,6 @@ _REQUIRED = {
     "prepare": ("phi1", "phi2"),
     "cnot": (),
 }
-
-
-def _number(key: str, value, kind: type):
-    """`value` as an int or a float, or a ConfigurationError naming `key`
-    (a config file can hold any JSON value where a number belongs)."""
-    number = None
-    if not isinstance(value, bool):
-        try:
-            number = kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if number is None or (kind is int and isinstance(value, float) and number != value):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{key} must be {what}, got {value!r}")
-    return number
 
 
 def load_config(args: argparse.Namespace) -> dict:
@@ -112,15 +138,15 @@ def load_config(args: argparse.Namespace) -> dict:
             continue
         cfg[key] = value
     cfg["experiment"] = args.command
-    for key in _ANGLE_FIELDS:
-        if key in cfg and cfg[key] is not None:
-            cfg[key] = parse_angle(cfg[key])
-    if "gamma" in cfg:
-        cfg["gamma"] = parse_angle_list(cfg["gamma"])
-    for key, kind in _NUMBER_FIELDS.items():
-        cfg[key] = _number(key, cfg[key], kind)
+    for key, (convert, what) in _FIELDS.items():
+        if key not in cfg:
+            continue
+        try:
+            cfg[key] = convert(cfg[key])
+        except (ValueError, OverflowError):
+            raise ConfigurationError(f"{key} must be {what}, got {cfg[key]!r}") from None
     for key in _REQUIRED[args.command]:
-        if key not in cfg or cfg[key] is None:
+        if key not in cfg:
             raise FreqwalkError(f"missing required field {key!r}")
     return cfg
 

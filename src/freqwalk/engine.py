@@ -184,14 +184,6 @@ def _apply_blocks(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u[:, 0] * b[0] + u[:, 1] * b[1]
 
 
-def _roundtrip_spectral(
-    state: LatticeState, params: ModulationParams
-) -> LatticeState:
-    u = uk_matrix(params, _q_grid(state.config.n_sites))
-    b = np.fft.ifft(state.amp, axis=1)
-    return state.with_amp(np.fft.fft(_apply_blocks(u, b), axis=1))
-
-
 def apply_translation_spectral(
     state: LatticeState, params: ModulationParams
 ) -> LatticeState:
@@ -200,18 +192,14 @@ def apply_translation_spectral(
 
     Periodic (circular) boundary semantics.
     """
-    return _roundtrip_spectral(state, replace(params, theta=0.0))
+    return step(state, replace(params, theta=0.0))
 
 
 def step(
     state: LatticeState, params: ModulationParams, engine: str = "spectral"
 ) -> LatticeState:
     """One roundtrip: coin rotation, then polarization-dependent translation."""
-    if engine == "spectral":
-        return _roundtrip_spectral(state, params)
-    if engine == "direct":
-        return apply_translation_direct(apply_rotation(state, params.theta), params)
-    raise ConfigurationError(f"unknown engine {engine!r}")
+    return next(_walk(state, [params], engine))
 
 
 def _per_step(schedule: Schedule, build):

@@ -132,16 +132,29 @@ def state_fidelity(psi_o: np.ndarray, psi_t: np.ndarray) -> float:
     return float(abs(np.vdot(psi_o, psi_t)) ** 2)
 
 
-def _gate_lattice(delta: float) -> LatticeConfig:
+def _drive(
+    spin, schedule: Schedule, delta: float, q_star: float, engine: str
+) -> tuple[LatticeState, LatticeState]:
+    """The Gaussian packet with the given spin at q_star, and the state
+    after one `step` per roundtrip of the schedule."""
     if not (delta > 0 and math.isfinite(delta)):
         raise ConfigurationError(f"delta must be positive and finite, got {delta}")
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
-    return LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
-
-
-def _packet(spin, delta: float, q_star: float, cfg: LatticeConfig) -> LatticeState:
+    cfg = LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
     spec = WavepacketSpec(delta=delta, q=q_star, spin=(spin[0], spin[1]))
-    return make_gaussian(spec, cfg)
+    packet = state = make_gaussian(spec, cfg)
+    for params in schedule:
+        state = step(state, params, engine)
+    return packet, state
+
+
+def _column(
+    spin, schedule: Schedule, delta: float, q_star: float, engine: str
+) -> np.ndarray:
+    """Raw q* projection of the output over the input packet's norm there."""
+    packet, out = _drive(spin, schedule, delta, q_star, engine)
+    scale = np.linalg.norm(spin_projection_at_q(packet, q_star, normalized=False))
+    return spin_projection_at_q(out, q_star, normalized=False) / scale
 
 
 def execute_gate_lattice(
@@ -152,8 +165,7 @@ def execute_gate_lattice(
 ) -> np.ndarray:
     """Run one gate roundtrip on a narrowband wavepacket and read out the
     spin at the working quasimomentum (normalized)."""
-    cfg = _gate_lattice(delta)
-    out = step(_packet(input_spin, delta, solved.q_star, cfg), solved.params, engine)
+    _, out = _drive(input_spin, [solved.params], delta, solved.q_star, engine)
     return spin_projection_at_q(out, solved.q_star)
 
 
@@ -176,15 +188,10 @@ def reconstruct_matrix(
     projection magnitude, gives one column with inter-column phase
     intact (the roundtrip block acts pointwise in q).
     """
-    cfg = _gate_lattice(delta)
-    cols = []
-    for spin in ((1.0, 0.0), (0.0, 1.0)):
-        packet = _packet(spin, delta, solved.q_star, cfg)
-        scale = np.linalg.norm(
-            spin_projection_at_q(packet, solved.q_star, normalized=False)
-        )
-        out = step(packet, solved.params, engine)
-        cols.append(spin_projection_at_q(out, solved.q_star, normalized=False) / scale)
+    cols = [
+        _column(spin, [solved.params], delta, solved.q_star, engine)
+        for spin in ((1.0, 0.0), (0.0, 1.0))
+    ]
     u_o = np.column_stack(cols)
     target = solved.spec.target
     col_f = tuple(
@@ -246,10 +253,7 @@ def run_preparation(
 ) -> tuple[np.ndarray, float]:
     """Drive an |H> wavepacket through the 4-gate schedule and compare
     the read-out spin with the target |phi1, phi2>."""
-    _, solved = prepare_state_sequence(phi1, phi2, q_star)
-    cfg = _gate_lattice(delta)
-    state = _packet((1.0, 0.0), delta, q_star, cfg)
-    for s in solved:
-        state = step(state, s.params, engine)
-    psi_o = spin_projection_at_q(state, q_star)
+    schedule, _ = prepare_state_sequence(phi1, phi2, q_star)
+    _, out = _drive((1.0, 0.0), schedule, delta, q_star, engine)
+    psi_o = spin_projection_at_q(out, q_star)
     return psi_o, state_fidelity(psi_o, qubit_state(phi1, phi2))

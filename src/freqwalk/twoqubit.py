@@ -3,7 +3,9 @@
 Basis ordering |path, pol>: |0H>, |0V>, |1H>, |1V>.  The lattice
 realization carries one synthetic frequency lattice per path; a CNOT is
 one roundtrip with X-gate modulation on path 1 and an idle roundtrip on
-path 0, and the path-X is a swap of the two lattices.
+path 0.  A basis wavepacket occupies one path at a time and the path-X
+moves it to the other path, so only the lattice that holds it is
+stepped; the other lattice carries nothing.
 """
 
 from __future__ import annotations
@@ -12,17 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import IDENTITY, step
+from .engine import IDENTITY
 from .errors import ConfigurationError
-from .gates import (
-    DEFAULT_DELTA,
-    DEFAULT_Q_STAR,
-    _gate_lattice,
-    _packet,
-    solve_modulation,
-    table_gate,
-)
-from .lattice import LatticeState, spin_projection_at_q
+from .gates import DEFAULT_DELTA, DEFAULT_Q_STAR, _column, solve_modulation, table_gate
 
 BASIS = ("0H", "0V", "1H", "1V")
 
@@ -69,35 +63,20 @@ def execute_two_qubit_lattice(
     (0H, 0V, 1H, 1V) of q* projections with common normalization."""
     if basis_index not in range(4):
         raise ConfigurationError("basis index must be 0..3")
-    cfg = _gate_lattice(delta)
     path, pol = divmod(basis_index, 2)
-    spin = (1.0, 0.0) if pol == 0 else (0.0, 1.0)
-    packet = _packet(spin, delta, q_star, cfg)
-    scale = np.linalg.norm(spin_projection_at_q(packet, q_star, normalized=False))
-    empty = packet.with_amp(np.zeros_like(packet.amp))
-    lattices: list[LatticeState] = [empty, empty]
-    lattices[path] = packet
-
     x_params = solve_modulation(table_gate("X"), q_star).params
+    schedule = []
     for op in ops:
         if op == "path_x":
-            lattices = [lattices[1], lattices[0]]
+            path = 1 - path
         elif op == "cnot":
-            lattices = [
-                step(lattices[0], IDENTITY, engine),
-                step(lattices[1], x_params, engine),
-            ]
+            schedule.append(x_params if path else IDENTITY)
         else:
             raise ConfigurationError(f"unknown two-qubit op {op!r}")
-
-    out = np.empty(4, dtype=complex)
-    for p in (0, 1):
-        out[2 * p : 2 * p + 2] = (
-            spin_projection_at_q(lattices[p], q_star, normalized=False)
-            if np.any(lattices[p].amp)
-            else 0.0
-        )
-    return out / scale
+    spin = (1.0, 0.0) if pol == 0 else (0.0, 1.0)
+    out = np.zeros(4, dtype=complex)
+    out[2 * path : 2 * path + 2] = _column(spin, schedule, delta, q_star, engine)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -68,7 +71,18 @@ class TestConfigHandling:
          (["gate", "--gate-name", "X"], {"delta": [200]}, "delta"),
          (["evolve"], {"steps": "ten", "gamma": "1pi"}, "steps"),
          (["evolve"], {"half_width": None, "gamma": "1pi"}, "half_width"),
-         (["diffusion"], {"steps": True, "gamma": "1pi"}, "steps")],
+         (["diffusion"], {"steps": True, "gamma": "1pi"}, "steps"),
+         (["band"], {"theta": [1], "gamma": "1pi"}, "theta"),
+         (["band"], {"theta": None, "gamma": "1pi"}, "theta"),
+         (["prepare", "--phi2", "0"], {"phi1": True}, "phi1"),
+         (["band"], {"gamma": [1, None]}, "gamma"),
+         (["band"], {"gamma": []}, "gamma"),
+         (["gate", "--gate-name", "Rz"], {"rz_phi": {"a": 1}}, "rz_phi"),
+         (["gate"], {"gate_name": [1]}, "gate_name"),
+         (["cnot"], {"sequence": 5}, "sequence"),
+         (["cnot"], {"sequence": [["cnot"]]}, "sequence"),
+         (["band", "--gamma", "1"], {"format": "xml"}, "format"),
+         (["band", "--gamma", "1"], {"engine": "bogus"}, "engine")],
     )
     def test_config_field_types(self, argv, config, field, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -236,3 +250,96 @@ class TestWriteCsv:
         *head, body = out.getvalue().split("\n", 3)
         assert head[2] == ",".join(header)
         assert body == reference_csv_rows(columns)
+
+
+# CLI fuzzing.  A draw picks a command and gives each field it uses a
+# value, by flag or in the --config file; half the draws then break one
+# field, and some break the command line or the config file itself.  The
+# sizes stay small (n_k <= 64, steps <= 5, half_width <= 120, delta <= 20)
+# so every draw runs in milliseconds.
+ANGLES = st.sampled_from(["0", "1.5", "-2", "pi", "-pi", "0.5pi", "3pi"]) | st.floats(-10, 10)
+OPS = st.lists(st.sampled_from(["cnot", "path_x"]), max_size=3)
+GOOD = {
+    "gamma": st.lists(st.sampled_from(["0", "0.06pi", "pi", "3pi"]) | st.floats(0, 10),
+                      min_size=1, max_size=3),
+    **{key: ANGLES for key in ("theta", "phi_h", "phi_v", "q", "rz_phi", "phi1", "phi2")},
+    "n_k": st.integers(16, 64),
+    "steps": st.integers(0, 5),
+    "half_width": st.integers(1, 120),
+    "delta": st.floats(0.5, 20),
+    "gate_name": st.sampled_from(["X", "Y", "Z", "H", "Rz"]),
+    "sequence": OPS,
+    "format": st.sampled_from(["csv", "json"]),
+    "engine": st.sampled_from(["spectral", "direct"]),
+    "use_gaussian": st.booleans(),  # config only: it has no flag
+}
+JUNK = st.one_of(  # no digits in the text, which could spell a large size
+    st.none(), st.booleans(), st.text(alphabet="xyz ,.-\n\x00é", max_size=4),
+    st.lists(st.sampled_from([None, 1, "x", "cnot"]), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+    st.sampled_from([float("nan"), float("inf"), -1.5, 0, -3]),
+)
+BAD = {
+    **{key: JUNK | st.sampled_from(["", "abc", "nan", "pipi", "1e999"])
+       for key in GOOD if key not in ("use_gaussian", "gate_name", "sequence")},
+    "gamma": JUNK | st.just([]) | st.sampled_from(["1,,2", "-1"]),
+    "gate_name": JUNK | st.sampled_from(["Q", ""]),
+    "sequence": JUNK | st.lists(st.sampled_from(["cnot", "foo"]), min_size=1, max_size=2),
+}
+COMMANDS = ["band", "evolve", "diffusion", "gate", "prepare", "cnot"]
+REQUIRED = {"band": ["gamma"], "evolve": ["gamma"], "diffusion": ["gamma"],
+            "gate": ["gate_name"], "prepare": ["phi1", "phi2"], "cnot": []}
+SIZES = ["n_k", "steps", "half_width", "delta"]  # the defaults would run large
+
+
+def _flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@st.composite
+def cli_invocations(draw):
+    """An argv list and the bytes of a --config file."""
+    command = draw(st.sampled_from(COMMANDS))
+    extra = draw(st.lists(st.sampled_from(sorted(GOOD)), max_size=4, unique=True))
+    values = {key: draw(GOOD[key]) for key in SIZES + REQUIRED[command] + extra}
+    broken = draw(st.none() | st.sampled_from(sorted(BAD)))
+    if broken is not None:
+        values[broken] = draw(BAD[broken])
+    argv, config = [command], {}
+    for key, value in values.items():
+        # a flag carries text: other broken values go into the config
+        in_config = key == "use_gaussian" or (key == broken and not isinstance(value, str))
+        if in_config or draw(st.booleans()):
+            config[key] = value
+            continue
+        flag, text = "--" + key.replace("_", "-"), _flag_text(value)
+        argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    text = json.dumps(config).encode()
+    mangle = draw(st.sampled_from(["none"] * 6 + ["command", "flag", "config"]))
+    if mangle == "command":
+        argv[0] = "bogus"
+    elif mangle == "flag":
+        argv.append("--bogus")
+    elif mangle == "config":  # not a JSON object, or not UTF-8
+        text = draw(st.sampled_from([b"", b"[1, 2]", b"5", b"{", b"null", b"\xff"]))
+    return argv, text
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(invocation=cli_invocations())
+    def test_exit_contract(self, invocation):
+        argv, config = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "cfg.json")
+            path.write_bytes(config)
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv + ["--config", str(path)])
+                except SystemExit as e:  # argparse usage errors
+                    code = e.code
+        assert code in (0, 1, 2)
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == (0 if code == 0 else 1), err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freqwalk as fw
+from freqwalk import gates
 from freqwalk.twoqubit import reconstruct_4x4, sequence_matrix
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
@@ -89,3 +90,27 @@ class TestReconstruction:
             ops = list(rng.choice(["cnot", "path_x"], size=rng.integers(1, 5)))
             report = reconstruct_4x4(ops, delta=200.0)
             assert report.max_abs_error < 1e-3
+
+
+class TestLatticeWork:
+    """A basis packet sits on one path, so only its lattice is stepped:
+    one roundtrip per CNOT, none per path-X."""
+
+    @pytest.mark.parametrize(
+        "ops",
+        [[], ["path_x"], ["cnot"], ["path_x", "cnot", "path_x"], ["path_x", "cnot"],
+         ["cnot", "cnot"], ["cnot", "path_x", "cnot"]],
+    )
+    def test_one_step_per_cnot(self, ops, monkeypatch):
+        calls = []
+        real_step = gates.step
+        monkeypatch.setattr(
+            gates, "step", lambda *args: calls.append(args) or real_step(*args)
+        )
+        for i in range(4):
+            calls.clear()
+            fw.execute_two_qubit_lattice(ops, i, delta=20.0)
+            assert len(calls) == ops.count("cnot")
+        calls.clear()
+        reconstruct_4x4(ops, delta=20.0)
+        assert len(calls) == 4 * ops.count("cnot")
