@@ -147,9 +147,17 @@ def return_probability(state: LatticeState, ref: LatticeState) -> float:
 
 
 def boundary_mass(state: LatticeState, margin: int = EDGE_MARGIN) -> float:
-    """Probability within `margin` sites of either lattice edge."""
-    p = probability_distribution(state)
-    return float(p[:margin].sum() + p[-margin:].sum())
+    """Probability within `margin` sites of either lattice edge.
+
+    Reads only the edge columns.  A lattice of at most 2*margin sites is
+    all boundary, so its mass is the total probability.
+    """
+    n = state.config.n_sites
+    if n <= 2 * margin:
+        return float(probability_distribution(state).sum())
+    left = (np.abs(state.amp[:, :margin]) ** 2).sum(axis=0)
+    right = (np.abs(state.amp[:, n - margin :]) ** 2).sum(axis=0)
+    return float(left.sum() + right.sum())
 
 
 def spin_projection_at_q(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqwalk import cli
+from freqwalk.baselines import classical_walk_distribution
 from freqwalk.cli import main, parse_angle
 
 
@@ -142,6 +143,19 @@ class TestEvolveCommand:
         )
         assert code == 2
 
+    def test_small_lattice_boundary_mass_is_a_probability(self, tmp_path, capsys):
+        # 5 sites, all within EDGE_MARGIN of an edge: each counts once
+        code = main(
+            ["evolve", "--gamma", "1", "--steps", "1", "--half-width", "2",
+             "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        mass = float(errors[0].split("boundary mass ")[1].split()[0])
+        assert 0 < mass <= 1
+
 
 class TestDiffusionCommand:
     def test_model_list(self, tmp_path):
@@ -161,6 +175,17 @@ class TestDiffusionCommand:
         assert sum(1 for m in models if m.startswith("synthetic:")) == 2
         by_model = {m: [r for r in rows if r[1] == m] for m in models}
         assert all(len(v) == 20 for v in by_model.values())
+
+    def test_classical_curve_is_sqrt_n(self):
+        n = 300
+        cfg = dict(cli._DEFAULTS, steps=n, gamma=[0.0], half_width=10)
+        _, (step, model, values) = cli.run_diffusion(cfg)
+        classical = values[model == "classical"]
+        assert np.array_equal(step[model == "classical"], np.arange(1, n + 1))
+        assert np.array_equal(classical, np.sqrt(np.arange(1, n + 1)))
+        binomial = [classical_walk_distribution(i).diffusion_distance()
+                    for i in range(1, n + 1)]
+        assert np.max(np.abs(classical - binomial)) < 1e-12
 
 
 class TestReportCommands:

@@ -323,3 +323,76 @@ class TestDirectKernelCache:
         for params, rec in zip(schedule, traj.records[1:]):
             expected = fw.step(expected, params, "direct")
             assert np.array_equal(rec["state"].amp, expected.amp)
+
+
+def whole_lattice_direct(state, kernels, theta):
+    """The direct roundtrip over every site: rotate the whole lattice,
+    convolve each row in full and keep the n on-lattice outputs; the leak
+    is the difference of the two sums."""
+    rotated = fw.apply_rotation(state, theta).amp
+    n = state.config.n_sites
+    amp = np.empty_like(rotated)
+    leak = 0.0
+    for row, kern in enumerate(kernels):
+        full = np.convolve(rotated[row], kern.coeffs, mode="full")
+        amp[row] = full[kern.lmax : kern.lmax + n]
+        leak += float((np.abs(full) ** 2).sum() - (np.abs(amp[row]) ** 2).sum())
+    return amp, leak
+
+
+@st.composite
+def sparse_states(draw):
+    """Lattices of 3-801 sites holding 0-3 segments of random amplitude:
+    empty, single sites, gapped supports, and segments that touch or run
+    past either edge, on the H row, the V row or both."""
+    cfg = fw.LatticeConfig(draw(st.one_of(st.integers(1, 12), st.integers(1, 400))))
+    n = cfg.n_sites
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    amp = np.zeros((2, n), dtype=complex)
+    for _ in range(draw(st.integers(0, 3))):
+        width = draw(st.integers(1, 40))
+        start = draw(st.integers(1 - width, n - 1))
+        lo, hi = max(0, start), min(n, start + width)
+        rows = draw(st.sampled_from([[0], [1], [0, 1]]))
+        amp[rows, lo:hi] = rng.normal(size=(len(rows), hi - lo)) + 1j * rng.normal(
+            size=(len(rows), hi - lo)
+        )
+    if amp.any():
+        amp /= np.linalg.norm(amp)
+    return fw.LatticeState(cfg, amp)
+
+
+class TestDirectWindow:
+    """The direct engine works only on the occupied window; its states must
+    be bitwise those of the whole-lattice convolution."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        state=sparse_states(),
+        params=st.builds(
+            fw.ModulationParams,
+            gamma=st.floats(0.0, 30 * np.pi),
+            phi_h=st.floats(-np.pi, np.pi),
+            phi_v=st.floats(-np.pi, np.pi),
+            theta=st.floats(-4 * np.pi, 4 * np.pi),
+        ),
+        n_steps=st.integers(1, 3),
+    )
+    def test_matches_whole_lattice(self, state, params, n_steps):
+        kernels = engine._direct_kernels(params)
+        expected, leak = whole_lattice_direct(state, kernels, params.theta)
+
+        out = engine._convolve_direct(state, kernels, params.theta)
+        assert np.array_equal(out.amp, expected)
+        assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
+
+        out = fw.step(state, params, "direct")
+        assert np.array_equal(out.amp, expected)
+        assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
+
+        traj = fw.evolve(state, params, n_steps=n_steps, engine="direct",
+                         record=("state",), boundary_tol=np.inf)
+        for rec in traj.records[1:]:
+            assert np.array_equal(rec["state"].amp, expected)
+            expected, _ = whole_lattice_direct(rec["state"], kernels, params.theta)

@@ -124,3 +124,24 @@ def test_constructors_always_unit_norm(delta, q, ang, ph):
                          fw.LatticeConfig(128))
     assert abs(s.norm() - 1.0) < 1e-12
     assert fw.probability_distribution(s).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    half_width=st.integers(1, 30),
+    margin=st.integers(1, 12),
+    seed=st.integers(0, 2**31),
+    scale=st.floats(0.0, 1e3),
+)
+def test_boundary_mass_reads_edges(half_width, margin, seed, scale):
+    cfg = fw.LatticeConfig(half_width)
+    rng = np.random.default_rng(seed)
+    amp = scale * (rng.normal(size=(2, cfg.n_sites)) + 1j * rng.normal(size=(2, cfg.n_sites)))
+    s = fw.LatticeState(cfg, amp)
+    p = fw.probability_distribution(s)
+    mass = fw.boundary_mass(s, margin)
+    if cfg.n_sites > 2 * margin:
+        assert mass == float(p[:margin].sum() + p[-margin:].sum())
+    else:  # the whole lattice is boundary; no site counts twice
+        assert mass == float(p.sum())
+    assert mass <= s.norm() ** 2 * (1 + 1e-12)
