@@ -13,21 +13,18 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
+import warnings
 from importlib.metadata import PackageNotFoundError, version
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bands, baselines, gates, twoqubit
-from .engine import ModulationParams, evolve
+from .engine import ModulationParams, evolve, translation_kernel
 from .errors import ConfigurationError, FreqwalkError
-from .lattice import (
-    LatticeConfig,
-    Polarization,
-    WavepacketSpec,
-    make_gaussian,
-    make_single_site,
-)
+from .lattice import EDGE_MARGIN, LatticeConfig, Polarization, make_single_site
 
 try:
     _VERSION = version("freqwalk")
@@ -54,15 +51,6 @@ def parse_angle(text) -> float:
     return float(t)
 
 
-def parse_angle_list(text) -> list[float]:
-    """One angle, a list of angles, or a comma separated string of them."""
-    text = text.split(",") if isinstance(text, str) else text
-    text = text if isinstance(text, list) else [text]
-    if not text:
-        raise ValueError("no angle given")
-    return [parse_angle(t) for t in text]
-
-
 def _integer(value) -> int:
     number = int(_scalar(value))
     if isinstance(value, float) and number != value:
@@ -81,106 +69,146 @@ def _check(valid):
     return check
 
 
-_DEFAULTS = {
-    "theta": -np.pi / 2,
-    "phi_h": 0.0,
-    "phi_v": 3 * np.pi / 4,
-    "steps": 100,
-    "half_width": 300,
-    "delta": gates.DEFAULT_DELTA,
-    "q": gates.DEFAULT_Q_STAR,
-    "engine": "spectral",
-    "n_k": 1024,
-    "format": "csv",
-    "sequence": ["path_x", "cnot", "path_x"],
-}
+def _list_of(convert):
+    """A conversion of one value, a list or a comma separated string to a non-empty list."""
 
-# each typed field: its conversion (a ValueError or OverflowError for a
-# value of the wrong type) and what a valid value is, for the message
-_FIELDS = {
-    **dict.fromkeys(
-        ("theta", "phi_h", "phi_v", "q", "rz_phi", "phi1", "phi2"), (parse_angle, "an angle")
-    ),
-    "gamma": (parse_angle_list, "an angle or a list of angles"),
-    **dict.fromkeys(("steps", "half_width", "n_k"), (_integer, "an integer")),
-    "delta": (lambda value: float(_scalar(value)), "a number"),
-    "engine": (_check(lambda v: v in ("spectral", "direct")), "spectral or direct"),
-    "format": (_check(lambda v: v in ("csv", "json")), "csv or json"),
-    "gate_name": (_check(lambda v: isinstance(v, str)), "a gate name"),
-    "sequence": (
-        _check(lambda v: isinstance(v, list) and all(isinstance(op, str) for op in v)),
-        "a list of two-qubit op names",
-    ),
-}
-_REQUIRED = {
-    "band": ("gamma",),
-    "evolve": ("gamma",),
-    "diffusion": ("gamma",),
-    "gate": ("gate_name",),
-    "prepare": ("phi1", "phi2"),
-    "cnot": (),
+    def convert_list(value):
+        items = value.split(",") if isinstance(value, str) else value
+        items = items if isinstance(items, list) else [items]
+        if not items:
+            raise ValueError("empty list")
+        return [convert(item) for item in items]
+
+    return convert_list
+
+
+_text = _check(lambda v: isinstance(v, str))
+
+
+class Field(NamedTuple):
+    """One settable value: flag --<name, "_" as "-">, or config key <name>."""
+
+    convert: Callable  # raises ValueError or OverflowError for a bad value
+    what: str  # what a valid value is, for the error message and --help
+    default: object = None  # None: unset unless given
+    required_by: tuple[str, ...] = ()
+
+
+FIELDS = {
+    "gamma": Field(_list_of(parse_angle), "an angle or a list of angles",
+                   required_by=("band", "evolve", "diffusion")),
+    "theta": Field(parse_angle, "an angle", -np.pi / 2),
+    "phi_h": Field(parse_angle, "an angle", 0.0),
+    "phi_v": Field(parse_angle, "an angle", 3 * np.pi / 4),
+    "q": Field(parse_angle, "an angle", gates.DEFAULT_Q_STAR),
+    "rz_phi": Field(parse_angle, "an angle"),
+    "phi1": Field(parse_angle, "an angle", required_by=("prepare",)),
+    "phi2": Field(parse_angle, "an angle", required_by=("prepare",)),
+    "steps": Field(_integer, "an integer", 100),
+    "half_width": Field(_integer, "an integer", 300),
+    "n_k": Field(_integer, "an integer", 1024),
+    "delta": Field(lambda value: float(_scalar(value)), "a number", gates.DEFAULT_DELTA),
+    "engine": Field(_check(lambda v: v in ("spectral", "direct")), "spectral or direct",
+                    "spectral"),
+    "format": Field(_check(lambda v: v in ("csv", "json")), "csv or json", "csv"),
+    "gate_name": Field(_text, "a gate name", required_by=("gate",)),
+    "sequence": Field(_list_of(_text), "a list of two-qubit op names",
+                      ["path_x", "cnot", "path_x"]),
 }
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    """The table defaults, then the --config file, then the flags, each
+    value converted by its field; an unknown key or a bad value is a
+    ConfigurationError that names it."""
+    given = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise FreqwalkError(f"malformed config JSON: {e}") from e
-        if not isinstance(loaded, dict):
-            raise FreqwalkError("config must be a JSON object")
-        cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out") or value is None:
-            continue
-        cfg[key] = value
-    cfg["experiment"] = args.command
-    for key, (convert, what) in _FIELDS.items():
-        if key not in cfg:
-            continue
         try:
-            cfg[key] = convert(cfg[key])
-        except (ValueError, OverflowError):
-            raise ConfigurationError(f"{key} must be {what}, got {cfg[key]!r}") from None
-    for key in _REQUIRED[args.command]:
-        if key not in cfg:
-            raise FreqwalkError(f"missing required field {key!r}")
+            with open(args.config) as fh:
+                given = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ConfigurationError(f"cannot read config {args.config}: {e}") from None
+        if not isinstance(given, dict):
+            raise ConfigurationError("config must be a JSON object")
+        for key in given:
+            if key not in FIELDS:
+                raise ConfigurationError(f"unknown config key {key!r}")
+    given.update((k, v) for k, v in vars(args).items() if k in FIELDS and v is not None)
+    cfg = {key: f.default for key, f in FIELDS.items() if f.default is not None}
+    cfg.update(given)
+    for key, f in FIELDS.items():
+        if key in cfg:
+            try:
+                cfg[key] = f.convert(cfg[key])
+            except (ValueError, OverflowError):
+                raise ConfigurationError(f"{key} must be {f.what}, got {cfg[key]!r}") from None
+        elif args.command in f.required_by:
+            raise ConfigurationError(f"missing required field {key!r}")
+    if args.command in ("evolve", "diffusion") and "half_width" not in given:
+        cfg["half_width"] = _walk_half_width(cfg)
+    cfg["experiment"] = args.command
     return cfg
+
+
+def _walk_half_width(cfg: dict) -> int:
+    """The default half_width of a walk: steps * lmax + EDGE_MARGIN + 1 (lmax
+    of the widest kernel; `_params` first rejects a NaN gamma, on which the
+    kernel search never ends), rounded up until N = 2 * half_width + 1 has no
+    prime factor above 7 (a fast FFT size): until N (< 3**64) divides 105**64."""
+    lmax = max(translation_kernel(_params(cfg, g).gamma, 0.0).lmax for g in cfg["gamma"])
+    half_width = max(cfg["steps"], 0) * lmax + EDGE_MARGIN + 1
+    while pow(105, 64, 2 * half_width + 1):
+        half_width += 1
+    return half_width
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per formatted block: bounds the temporary strings
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _metadata(cfg: dict) -> dict:
-    echo = {
-        k: v for k, v in sorted(cfg.items()) if v is not None
-    }
-    return {"tool": "freqwalk", "version": _VERSION, "config": echo}
+    return {"tool": "freqwalk", "version": _VERSION, "config": cfg}
 
 
-def _write_csv(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
-    """Head lines, then the rows in blocks: each block is one %-format of
-    a repeated row template (%.17g per numeric column, %s per text
-    column), which gives the bytes of `_fmt` cell by cell."""
-    meta = _metadata(cfg)
-    out.write(f"# tool={meta['tool']} version={meta['version']}\n")
-    out.write(f"# config={json.dumps(meta['config'], sort_keys=True)}\n")
-    out.write(",".join(header) + "\n")
-    row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+def _write_rows(out: io.TextIOBase, row: str, sep: str, columns) -> None:
+    """The rows joined by `sep`, in blocks: each block is one %-format of
+    the repeated row template `row`, one cell per column."""
     width = len(columns)
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
         cells = [None] * (width * len(block[0]))
         for j, values in enumerate(block):
             cells[j::width] = values
-        out.write(row * len(block[0]) % tuple(cells))
+        out.write((sep if start else "") + sep.join([row] * len(block[0])) % tuple(cells))
+
+
+def _write_csv(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
+    """Head lines, then the rows: %.17g per numeric column and %s per text
+    column, which gives the bytes of format(cell, ".17g") cell by cell."""
+    out.write(f"# tool=freqwalk version={_VERSION}\n")
+    out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
+    out.write(",".join(header) + "\n")
+    row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
+    _write_rows(out, row, "", columns)
+
+
+def _json_cells(column: np.ndarray) -> np.ndarray:
+    """`column`, or its cells as JSON text where %s would not write them
+    as `json` does: text, and the non-finite floats (NaN, Infinity)."""
+    if column.dtype != object and np.isfinite(column).all():
+        return column
+    return np.array([json.dumps(v) for v in column.tolist()], dtype=object)
+
+
+def _write_json(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
+    """The bytes of `json.dump(doc, sort_keys=True, indent=1)` and a
+    newline, with the rows (the last key) written from one row template."""
+    doc = {"metadata": _metadata(cfg), "columns": header, "rows": []}
+    out.write(json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")])  # to "rows": [
+    if len(columns[0]):
+        row = "\n  [\n" + ",\n".join(["   %s"] * len(columns)) + "\n  ]"
+        _write_rows(out, row, ",", [_json_cells(c) for c in columns])
+        out.write("\n ")
+    out.write("]\n}\n")
 
 
 def _params(cfg: dict, gamma: float) -> ModulationParams:
@@ -197,20 +225,15 @@ def run_band(cfg: dict):
     return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], list(table.T)
 
 
-def run_evolve(cfg: dict):
+def _walk_from_origin(cfg: dict, params: ModulationParams, record: str):
+    """The lattice and the trajectory of a walk from |0, H>."""
     lat = LatticeConfig(half_width=cfg["half_width"])
-    if cfg.get("delta") and cfg.get("use_gaussian"):
-        spec = WavepacketSpec(delta=cfg["delta"], q=cfg["q"], spin=(1.0, 0.0))
-        state = make_gaussian(spec, lat)
-    else:
-        state = make_single_site(0, Polarization.H, lat)
-    traj = evolve(
-        state,
-        _params(cfg, cfg["gamma"][0]),
-        n_steps=cfg["steps"],
-        engine=cfg["engine"],
-        record=("prob",),
-    )
+    state = make_single_site(0, Polarization.H, lat)
+    return lat, evolve(state, params, cfg["steps"], engine=cfg["engine"], record=(record,))
+
+
+def run_evolve(cfg: dict):
+    lat, traj = _walk_from_origin(cfg, _params(cfg, cfg["gamma"][0]), "prob")
     prob = traj.series("prob")  # (steps + 1, N)
     step = np.repeat(np.asarray(traj.steps, dtype=np.int64), lat.n_sites)
     m = np.tile(lat.sites, len(traj.records))
@@ -227,16 +250,8 @@ def run_diffusion(cfg: dict):
         ("dtqw", baselines.dtqw_diffusion(n)),
     ]
     for gamma in cfg["gamma"]:
-        lat = LatticeConfig(half_width=cfg["half_width"])
-        state = make_single_site(0, Polarization.H, lat)
-        traj = evolve(
-            state,
-            _params(cfg, gamma),
-            n_steps=n,
-            engine=cfg["engine"],
-            record=("diffusion",),
-        )
-        curves.append((f"synthetic:{_fmt(gamma)}", traj.series("diffusion")[1:]))
+        _, traj = _walk_from_origin(cfg, _params(cfg, gamma), "diffusion")
+        curves.append((f"synthetic:{gamma:.17g}", traj.series("diffusion")[1:]))
     lengths = [len(values) for _, values in curves]
     step = np.concatenate([np.arange(1, k + 1, dtype=np.int64) for k in lengths])
     model = np.repeat(np.array([label for label, _ in curves], dtype=object), lengths)
@@ -297,23 +312,13 @@ _REPORTS = {"gate": run_gate, "prepare": run_prepare, "cnot": run_cnot}
 
 
 def run(cfg: dict, out_path: str | None) -> None:
-    fmt = cfg["format"]
     buffer = io.StringIO()
     if cfg["experiment"] in _TABULAR:
         header, columns = _TABULAR[cfg["experiment"]](cfg)
-        if fmt == "csv":
-            _write_csv(buffer, cfg, header, columns)
-        else:
-            doc = {
-                "metadata": _metadata(cfg),
-                "columns": header,
-                "rows": [list(r) for r in zip(*(c.tolist() for c in columns))],
-            }
-            json.dump(doc, buffer, sort_keys=True, indent=1)
-            buffer.write("\n")
+        write = _write_csv if cfg["format"] == "csv" else _write_json
+        write(buffer, cfg, header, columns)
     else:
-        report = _REPORTS[cfg["experiment"]](cfg)
-        doc = {"metadata": _metadata(cfg), "report": report}
+        doc = {"metadata": _metadata(cfg), "report": _REPORTS[cfg["experiment"]](cfg)}
         json.dump(doc, buffer, sort_keys=True, indent=1)
         buffer.write("\n")
     text = buffer.getvalue()
@@ -324,49 +329,43 @@ def run(cfg: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a configuration error: exit 1, not argparse's 2."""
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="freqwalk", description="synthetic-frequency quantum walk datasets"
-    )
+    parser = _Parser(prog="freqwalk", description="synthetic-frequency quantum walk datasets")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("band", "evolve", "diffusion", "gate", "prepare", "cnot"):
-        p = sub.add_parser(name)
+    for command in ("band", "evolve", "diffusion", "gate", "prepare", "cnot"):
+        p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--engine", choices=("spectral", "direct"))
-        p.add_argument("--gamma", help="modulation strength(s), comma separated")
-        p.add_argument("--theta")
-        p.add_argument("--phi-h", dest="phi_h")
-        p.add_argument("--phi-v", dest="phi_v")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--half-width", dest="half_width", type=int)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--q")
-        p.add_argument("--n-k", dest="n_k", type=int)
-        p.add_argument("--gate-name", dest="gate_name")
-        p.add_argument("--rz-phi", dest="rz_phi")
-        p.add_argument("--phi1")
-        p.add_argument("--phi2")
-        p.add_argument("--sequence", help="comma separated two-qubit ops")
+        for key, f in FIELDS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=f.what)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.sequence is not None:
-        args.sequence = args.sequence.split(",")
-    try:
-        cfg = load_config(args)
-    except (FreqwalkError, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        run(cfg, args.out)
-    except (FreqwalkError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1 if isinstance(e, ConfigurationError) else 2
-    return 0
+    """Run one command and return its exit code.  Warnings print as
+    `warning:` lines, the first of each kind only (source line, and text
+    up to the first digit: the engine warns each step with its numbers)."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = build_parser().parse_args(argv)
+            run(load_config(args), args.out)
+            code, error = 0, ""
+        except (FreqwalkError, OSError) as e:
+            code, error = (1 if isinstance(e, ConfigurationError) else 2), f"error: {e}\n"
+    first = {}
+    for w in caught:
+        kind = re.match(r"\D*", str(w.message)).group()
+        first.setdefault((w.filename, w.lineno, kind), w.message)
+    for message in first.values():
+        print(f"warning: {message}", file=sys.stderr)
+    sys.stderr.write(error)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from freqwalk import cli
 from freqwalk.baselines import classical_walk_distribution
 from freqwalk.cli import main, parse_angle
+from freqwalk.engine import translation_kernel
+from freqwalk.lattice import EDGE_MARGIN
 
 
 class TestAngleParsing:
@@ -93,6 +95,43 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,config,name",
+        [(["evolve", "--gamma", "1", "--steps", "abc"], None, "steps"),
+         (["band", "--gamma", "1", "--format", "xml"], None, "format"),
+         (["band", "--gamma", "1", "--n-k", "1e3"], None, "n_k"),
+         (["bogus", "--gamma", "1"], None, "bogus"),
+         (["band", "--gamma", "1", "--bogus"], None, "--bogus"),
+         (["band", "--gamma", "1", "--steps"], None, "--steps"),
+         (["diffusion"], {"gamma": "1pi", "stepz": 5}, "stepz"),
+         (["diffusion"], {"gamma": "1pi", "half-width": 9}, "half-width"),
+         (["evolve", "--gamma", "1"], {"use_gaussian": "no"}, "use_gaussian")],
+    )
+    def test_bad_flag_or_key_exits_1(self, argv, config, name, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+        assert "usage" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["band", "--help"])
+        assert exit_info.value.code == 0
+        assert "--half-width" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [{}, {"sequence": "cnot,path_x"},
+                                        {"sequence": ["cnot", "path_x"]}])
+    def test_sequence_list_or_comma_string(self, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["cnot", "--config", str(cfg)] + ([] if config else ["--sequence", "cnot,path_x"])
+        assert cli.load_config(cli.build_parser().parse_args(argv))["sequence"] == [
+            "cnot", "path_x"]
+
     @pytest.mark.parametrize("delta", ["0", "-5", "inf", "nan"])
     def test_bad_delta_named(self, delta, tmp_path, capsys):
         argv = ["gate", "--gate-name", "X", "--delta", delta]
@@ -156,6 +195,59 @@ class TestEvolveCommand:
         mass = float(errors[0].split("boundary mass ")[1].split()[0])
         assert 0 < mass <= 1
 
+    def test_engine_warnings_print_once_as_warning_lines(self, tmp_path, capsys):
+        code = main(
+            ["evolve", "--gamma", "1", "--steps", "1", "--half-width", "2",
+             "--engine", "direct", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "UserWarning" not in err and "engine.py" not in err
+        lines = err.splitlines()
+        assert [line.split()[0] for line in lines] == ["warning:", "warning:", "error:"]
+        assert "boundary mass" in lines[0] and "norm leak" in lines[1]
+
+
+def _echoed_config(path) -> dict:
+    return json.loads(path.read_text().splitlines()[1].removeprefix("# config="))
+
+
+class TestDefaultHalfWidth:
+    @pytest.mark.parametrize("command", ["evolve", "diffusion"])
+    def test_walk_at_3pi_fits(self, command, tmp_path):
+        # 40 steps of at most lmax = 21 sites: 846, rounded up to N = 1701 = 3^5 * 7
+        out = tmp_path / "x.csv"
+        assert main([command, "--gamma", "3pi", "--steps", "40", "--out", str(out)]) == 0
+        assert _echoed_config(out)["half_width"] == 850
+
+    @pytest.mark.parametrize(
+        "argv,half_width",
+        [(["evolve", "--gamma", "3pi"], 2187),  # 2106 -> N = 4375 = 5^4 * 7
+         (["diffusion", "--gamma", "0.06pi,3pi,1pi"], 2187),
+         (["diffusion", "--gamma", "30pi", "--steps", "10"], 1200),  # 1186 -> N = 7^4
+         (["evolve", "--gamma", "0", "--steps", "0"], 7),
+         (["evolve", "--gamma", "3pi", "--half-width", "301"], 301),
+         (["band", "--gamma", "3pi"], 300),
+         (["gate", "--gate-name", "X"], 300)],
+    )
+    def test_derived_for_walks_only(self, argv, half_width):
+        cfg = cli.load_config(cli.build_parser().parse_args(argv))
+        assert cfg["half_width"] == half_width
+
+    @settings(max_examples=50, deadline=None)
+    @given(gamma=st.lists(st.floats(0, 40), min_size=1, max_size=3),
+           steps=st.integers(0, 200))
+    def test_fast_size_past_the_reach(self, gamma, steps):
+        argv = ["evolve", "--gamma", ",".join(map(repr, gamma)), "--steps", str(steps)]
+        half_width = cli.load_config(cli.build_parser().parse_args(argv))["half_width"]
+        lmax = max(translation_kernel(g, 0.0).lmax for g in gamma)
+        assert half_width >= steps * lmax + EDGE_MARGIN + 1
+        n = 2 * half_width + 1
+        for p in (3, 5, 7):
+            while n % p == 0:
+                n //= p
+        assert n == 1
+
 
 class TestDiffusionCommand:
     def test_model_list(self, tmp_path):
@@ -178,7 +270,8 @@ class TestDiffusionCommand:
 
     def test_classical_curve_is_sqrt_n(self):
         n = 300
-        cfg = dict(cli._DEFAULTS, steps=n, gamma=[0.0], half_width=10)
+        defaults = {key: f.default for key, f in cli.FIELDS.items() if f.default is not None}
+        cfg = dict(defaults, steps=n, gamma=[0.0], half_width=10)
         _, (step, model, values) = cli.run_diffusion(cfg)
         classical = values[model == "classical"]
         assert np.array_equal(step[model == "classical"], np.arange(1, n + 1))
@@ -277,11 +370,26 @@ class TestWriteCsv:
         assert body == reference_csv_rows(columns)
 
 
+class TestWriteJson:
+    @settings(max_examples=100, deadline=None)
+    @given(columns=csv_tables(), block_rows=st.integers(1, 5))
+    def test_matches_json_dump(self, columns, block_rows):
+        header = [f"c{j}" for j in range(len(columns))]
+        cfg = {"experiment": "band"}
+        out = io.StringIO()
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+            cli._write_json(out, cfg, header, columns)
+        doc = {"metadata": cli._metadata(cfg), "columns": header,
+               "rows": [list(r) for r in zip(*(c.tolist() for c in columns))]}
+        assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
 # CLI fuzzing.  A draw picks a command and gives each field it uses a
 # value, by flag or in the --config file; half the draws then break one
-# field, and some break the command line or the config file itself.  The
-# sizes stay small (n_k <= 64, steps <= 5, half_width <= 120, delta <= 20)
-# so every draw runs in milliseconds.
+# field, and some break the command line or the config file itself or add
+# an unknown config key, which must exit 1.  The sizes stay small (n_k <=
+# 64, steps <= 5, half_width <= 120, delta <= 20) so every draw runs in
+# milliseconds.
 ANGLES = st.sampled_from(["0", "1.5", "-2", "pi", "-pi", "0.5pi", "3pi"]) | st.floats(-10, 10)
 OPS = st.lists(st.sampled_from(["cnot", "path_x"]), max_size=3)
 GOOD = {
@@ -296,7 +404,6 @@ GOOD = {
     "sequence": OPS,
     "format": st.sampled_from(["csv", "json"]),
     "engine": st.sampled_from(["spectral", "direct"]),
-    "use_gaussian": st.booleans(),  # config only: it has no flag
 }
 JUNK = st.one_of(  # no digits in the text, which could spell a large size
     st.none(), st.booleans(), st.text(alphabet="xyz ,.-\n\x00é", max_size=4),
@@ -306,7 +413,7 @@ JUNK = st.one_of(  # no digits in the text, which could spell a large size
 )
 BAD = {
     **{key: JUNK | st.sampled_from(["", "abc", "nan", "pipi", "1e999"])
-       for key in GOOD if key not in ("use_gaussian", "gate_name", "sequence")},
+       for key in GOOD if key not in ("gate_name", "sequence")},
     "gamma": JUNK | st.just([]) | st.sampled_from(["1,,2", "-1"]),
     "gate_name": JUNK | st.sampled_from(["Q", ""]),
     "sequence": JUNK | st.lists(st.sampled_from(["cnot", "foo"]), min_size=1, max_size=2),
@@ -323,7 +430,8 @@ def _flag_text(value) -> str:
 
 @st.composite
 def cli_invocations(draw):
-    """An argv list and the bytes of a --config file."""
+    """An argv list, the bytes of a --config file, and whether the command
+    line or the config file was mangled (which must exit 1)."""
     command = draw(st.sampled_from(COMMANDS))
     extra = draw(st.lists(st.sampled_from(sorted(GOOD)), max_size=4, unique=True))
     values = {key: draw(GOOD[key]) for key in SIZES + REQUIRED[command] + extra}
@@ -333,38 +441,38 @@ def cli_invocations(draw):
     argv, config = [command], {}
     for key, value in values.items():
         # a flag carries text: other broken values go into the config
-        in_config = key == "use_gaussian" or (key == broken and not isinstance(value, str))
+        in_config = key == broken and not isinstance(value, str)
         if in_config or draw(st.booleans()):
             config[key] = value
             continue
         flag, text = "--" + key.replace("_", "-"), _flag_text(value)
         argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    mangle = draw(st.sampled_from(["none"] * 6 + ["command", "flag", "config", "key"]))
+    if mangle == "key":
+        unknown = st.text(max_size=8).filter(lambda k: k not in cli.FIELDS)
+        config[draw(unknown | st.sampled_from(["stepz", "half-width", "use_gaussian"]))] = 1
     text = json.dumps(config).encode()
-    mangle = draw(st.sampled_from(["none"] * 6 + ["command", "flag", "config"]))
     if mangle == "command":
         argv[0] = "bogus"
     elif mangle == "flag":
         argv.append("--bogus")
     elif mangle == "config":  # not a JSON object, or not UTF-8
         text = draw(st.sampled_from([b"", b"[1, 2]", b"5", b"{", b"null", b"\xff"]))
-    return argv, text
+    return argv, text, mangle != "none"
 
 
 class TestCliFuzz:
     @settings(max_examples=300, deadline=None)
     @given(invocation=cli_invocations())
     def test_exit_contract(self, invocation):
-        argv, config = invocation
+        argv, config, mangled = invocation
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "cfg.json")
             path.write_bytes(config)
             with redirect_stdout(out), redirect_stderr(err):
-                try:
-                    code = main(argv + ["--config", str(path)])
-                except SystemExit as e:  # argparse usage errors
-                    code = e.code
-        assert code in (0, 1, 2)
+                code = main(argv + ["--config", str(path)])
+        assert code == 1 if mangled else code in (0, 1, 2)
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
         assert len(errors) == (0 if code == 0 else 1), err.getvalue()
         assert "Traceback" not in out.getvalue() + err.getvalue()
