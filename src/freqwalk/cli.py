@@ -152,9 +152,9 @@ def load_config(args: argparse.Namespace) -> dict:
 
 def _walk_half_width(cfg: dict) -> int:
     """The default half_width of a walk: steps * lmax + EDGE_MARGIN + 1 (lmax
-    of the widest kernel; `_params` first rejects a NaN gamma, on which the
-    kernel search never ends), rounded up until N = 2 * half_width + 1 has no
-    prime factor above 7 (a fast FFT size): until N (< 3**64) divides 105**64."""
+    of the widest kernel; `_params` checks each gamma first), rounded up
+    until N = 2 * half_width + 1 has no prime factor above 7 (a fast FFT
+    size): until N (< 3**64) divides 105**64."""
     lmax = max(translation_kernel(_params(cfg, g).gamma, 0.0).lmax for g in cfg["gamma"])
     half_width = max(cfg["steps"], 0) * lmax + EDGE_MARGIN + 1
     while pow(105, 64, 2 * half_width + 1):

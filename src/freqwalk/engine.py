@@ -5,14 +5,18 @@ U(q) = T(q) R(theta) of `uk_matrix`, the only definition of the
 operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
 unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
 steps and transforms back once per step for the boundary monitor and the
-recorders.  `direct` rotates in position space and convolves with the
-truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary,
-amplitudes pushed past the edge are dropped and the leak reported).  The
-two share no numerics and cross-validate each other.
+recorders.  The blocks on the grid are a table of (params, N) alone, so
+the last two such tables are kept (read-only) for the next walk: a gate
+experiment drives several packets through the same few parameter sets.
+`direct` rotates in position space and convolves with the truncated
+Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary, amplitudes
+pushed past the edge are dropped and the leak reported).  The two share
+no numerics and cross-validate each other.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -52,6 +56,11 @@ class ModulationParams:
             raise ConfigurationError("gamma must be >= 0")
         object.__setattr__(self, "phi_h", reduce_angle(self.phi_h))
         object.__setattr__(self, "phi_v", reduce_angle(self.phi_v))
+        # -0.0 == 0.0, so both must give the same operator, down to the
+        # sign of its zero entries: equal params share one memoized table
+        for name in ("gamma", "theta"):
+            if getattr(self, name) == 0:
+                object.__setattr__(self, name, 0.0)
 
 
 Schedule = list[ModulationParams]
@@ -88,25 +97,47 @@ class TranslationKernel:
 def translation_kernel(
     gamma: float, phi: float, tol: float = KERNEL_TOL
 ) -> TranslationKernel:
-    """Smallest truncation with 1 - sum_{|l|<=L} J_l(Gamma)^2 < tol."""
+    """Smallest truncation with 1 - sum_{|l|<=L} J_l(Gamma)^2 < tol.
+
+    The tail is tested at L = 0, 4, 8, ..., each on its own sequence
+    J_0 .. J_L, and the first L that meets tol is backed off order by order
+    on that sequence.  One sequence, doubled until it meets tol, locates
+    that first L by its running sums; then only the multiples of 4 next to
+    it are tested, so the cost is linear in Gamma and the result is the
+    same as testing every multiple of 4, near-ties included.
+    """
     if not (0 < tol <= 1e-6):
         raise ConfigurationError(f"kernel tolerance {tol} outside (0, 1e-6]")
-    lmax = 0
-    while True:
-        j = bessel_j_sequence(lmax, gamma)
-        total = j[0] ** 2 + 2.0 * (j[1:] ** 2).sum()
-        tail = 1.0 - total
-        if tail < tol:
-            break
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ConfigurationError(f"gamma must be finite and >= 0, got {gamma}")
+    bound = 4 * (int(gamma) // 2 + 2)  # a multiple of 4, doubled if short
+    j = bessel_j_sequence(bound, gamma)
+    while _kernel_tail(j) >= tol:
+        bound *= 2
+        j = bessel_j_sequence(bound, gamma)
+    partial = j[0] ** 2 + 2.0 * np.cumsum(np.concatenate(([0.0], j[1:] ** 2)))
+    first = np.flatnonzero(1.0 - partial[::4] < tol)
+    lmax = 4 * int(first[0]) if first.size else bound
+    # the running sums round differently from the tests themselves, so
+    # settle the first L on its own sequences
+    j = bessel_j_sequence(lmax, gamma)
+    while _kernel_tail(j) >= tol:
         lmax += 4
-    # back off to the smallest L that still meets tol
+        j = bessel_j_sequence(lmax, gamma)
     while lmax > 0:
-        shorter = 1.0 - (j[0] ** 2 + 2.0 * (j[1 : lmax] ** 2).sum())
-        if shorter < tol:
-            lmax -= 1
-        else:
+        shorter = bessel_j_sequence(lmax - 4, gamma)
+        if _kernel_tail(shorter) >= tol:
             break
+        lmax, j = lmax - 4, shorter
+    # back off to the smallest L that still meets tol
+    while lmax > 0 and _kernel_tail(j[:lmax]) < tol:
+        lmax -= 1
     return _build_kernel(gamma, phi, lmax)
+
+
+def _kernel_tail(j: np.ndarray) -> float:
+    """1 - sum_{|l|<=L} J_l^2, from J_0 .. J_L."""
+    return 1.0 - (j[0] ** 2 + 2.0 * (j[1:] ** 2).sum())
 
 
 def _build_kernel(gamma: float, phi: float, lmax: int) -> TranslationKernel:
@@ -206,6 +237,19 @@ def _q_grid(n_sites: int) -> np.ndarray:
     return 2 * np.pi * np.fft.fftfreq(n_sites)
 
 
+@functools.lru_cache(maxsize=2)
+def _grid_blocks(params: ModulationParams, n_sites: int) -> np.ndarray:
+    """`uk_matrix` on the FFT grid of an n_sites lattice, read-only.
+
+    Memoized for the last two (params, n_sites): enough for every
+    experiment to reuse its tables (the H and Rz of a preparation, the X
+    and the idle roundtrip of a register) without holding more.
+    """
+    u = uk_matrix(params, _q_grid(n_sites))
+    u.flags.writeable = False
+    return u
+
+
 def _apply_blocks(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """U(q) b(q) at every grid point, for (2, 2, N) blocks and (2, N)
     q-space amplitudes."""
@@ -249,9 +293,11 @@ def _walk(state: LatticeState, schedule: Schedule, engine: str):
     """Yield the state after each roundtrip of the schedule.
 
     Each engine builds its operator once per distinct parameter set: the
-    direct engine its two kernels, the spectral engine the block U(q).
-    The spectral engine carries the q-space amplitudes from step to step
-    and transforms back to position space once per step.
+    direct engine its two kernels, the spectral engine the block U(q),
+    which it takes from the `_grid_blocks` memo, so a walk on the lattice
+    and parameters of a recent walk builds nothing.  The spectral engine
+    carries the q-space amplitudes from step to step and transforms back
+    to position space once per step.
     """
     if engine == "direct":
         for params, kernels in _per_step(schedule, _direct_kernels):
@@ -260,9 +306,9 @@ def _walk(state: LatticeState, schedule: Schedule, engine: str):
         return
     if engine != "spectral":
         raise ConfigurationError(f"unknown engine {engine!r}")
-    q = _q_grid(state.config.n_sites)
+    n = state.config.n_sites
     b = np.fft.ifft(state.amp, axis=1)
-    for _, u in _per_step(schedule, lambda params: uk_matrix(params, q)):
+    for _, u in _per_step(schedule, lambda params: _grid_blocks(params, n)):
         b = _apply_blocks(u, b)
         yield state.with_amp(np.fft.fft(b, axis=1))
 

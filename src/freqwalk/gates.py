@@ -86,13 +86,15 @@ def solve_modulation(
 
     Both arccos branches solve the constraints; '+' is the default.
     """
+    if branch not in ("+", "-"):
+        raise ConfigurationError(f"branch must be '+' or '-', got {branch!r}")
     if gamma is None:
         gamma = max(np.pi, abs(spec.a), abs(spec.b))
     if gamma < max(abs(spec.a), abs(spec.b), 1e-9):
         raise InfeasibleGateError(
             f"gamma={gamma} cannot reach targets a={spec.a}, b={spec.b}"
         )
-    sign = {"+": 1.0, "-": -1.0}[branch]
+    sign = 1.0 if branch == "+" else -1.0
     phi_h = -q_star + sign * math.acos(spec.a / gamma)
     phi_v = -q_star + sign * math.acos(spec.b / gamma)
     return SolvedParams(

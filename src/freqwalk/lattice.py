@@ -9,6 +9,7 @@ values: every operation returns a new state.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,8 +35,12 @@ class LatticeConfig:
     half_width: int
 
     def __post_init__(self):
-        if self.half_width < 1:
+        hw = self.half_width
+        if isinstance(hw, bool) or not isinstance(hw, (int, np.integer)):
+            raise ConfigurationError(f"half_width must be an integer, got {hw!r}")
+        if hw < 1:
             raise ConfigurationError("half_width must be >= 1")
+        object.__setattr__(self, "half_width", int(hw))
 
     @property
     def n_sites(self) -> int:
@@ -109,18 +114,28 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
     """Unit-norm Gaussian wavepacket carrying quasimomentum and spin.
 
     Requires the envelope to be negligible (< 1e-8) at the lattice edge,
-    otherwise the truncation would be visible in the state.
+    otherwise the truncation would be visible in the state.  The envelope
+    is a table of (delta, q, half_width) alone, memoized for the last two
+    keys: a gate experiment drives every basis spin on the same packet.
     """
-    m = cfg.sites
     edge = math.exp(-((cfg.half_width / spec.delta) ** 2))
     if edge >= 1e-8:
         raise ConfigurationError(
             f"delta={spec.delta} too wide for half_width={cfg.half_width} "
             f"(edge envelope {edge:.2e} >= 1e-8)"
         )
-    envelope = np.exp(-(m / spec.delta) ** 2) * np.exp(-1j * spec.q * m)
+    envelope = _envelope(spec.delta, spec.q, cfg.half_width)
     amp = np.array([spec.spin[0] * envelope, spec.spin[1] * envelope])
     return LatticeState(cfg, amp / np.linalg.norm(amp))
+
+
+@functools.lru_cache(maxsize=2)
+def _envelope(delta: float, q: float, half_width: int) -> np.ndarray:
+    """exp(-m^2/delta^2) exp(-i q m) on the sites, read-only."""
+    m = LatticeConfig(half_width).sites
+    envelope = np.exp(-(m / delta) ** 2) * np.exp(-1j * q * m)
+    envelope.flags.writeable = False
+    return envelope
 
 
 def probability_distribution(state: LatticeState) -> np.ndarray:
@@ -168,13 +183,22 @@ def spin_projection_at_q(
     v[p] = sum_m a_{m,p} e^{+i q m}.  Exact for any step of the walk,
     which conserves quasimomentum.  With normalized=False the raw
     (unnormalized) projection is returned, preserving relative phase and
-    magnitude between different states.
+    magnitude between different states.  The plane wave e^{+i q m} is a
+    table of (q, half_width) alone, memoized for the last two keys: a gate
+    experiment reads its input and output packets at the same q.
     """
-    phase = np.exp(1j * q * state.config.sites)
-    v = state.amp @ phase
+    v = state.amp @ _plane_wave(q, state.config.half_width)
     if not normalized:
         return v
     n = np.linalg.norm(v)
     if n < 1e-14:
         raise ConfigurationError(f"state has no amplitude at q={q}")
     return v / n
+
+
+@functools.lru_cache(maxsize=2)
+def _plane_wave(q: float, half_width: int) -> np.ndarray:
+    """e^{+i q m} on the sites, read-only."""
+    phase = np.exp(1j * q * LatticeConfig(half_width).sites)
+    phase.flags.writeable = False
+    return phase

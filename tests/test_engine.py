@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 import freqwalk as fw
 from freqwalk import Polarization as P
 from freqwalk import engine
-from freqwalk.bessel import bessel_j
+from freqwalk.bessel import bessel_j, bessel_j_sequence
 from freqwalk.engine import BOUNDARY_TOL
+from freqwalk.lattice import EDGE_MARGIN
 
 FIG2 = dict(theta=-np.pi / 2, phi_h=0.0, phi_v=3 * np.pi / 4)
 
@@ -50,6 +51,44 @@ def schedules(draw):
     return [pool[draw(picks)] for _ in range(n_steps)]
 
 
+def linear_search_lmax(gamma, tol=1e-12, sequence=bessel_j_sequence):
+    """The truncation search that `translation_kernel` replaced, as its
+    oracle: grow lmax by 4, recomputing the whole sequence at each try,
+    then back off order by order on the last sequence."""
+    lmax = 0
+    while True:
+        j = sequence(lmax, gamma)
+        total = j[0] ** 2 + 2.0 * (j[1:] ** 2).sum()
+        tail = 1.0 - total
+        if tail < tol:
+            break
+        lmax += 4
+    while lmax > 0:
+        shorter = 1.0 - (j[0] ** 2 + 2.0 * (j[1 : lmax] ** 2).sum())
+        if shorter < tol:
+            lmax -= 1
+        else:
+            break
+    return lmax
+
+
+def prefix_sequences(gamma):
+    """`bessel_j_sequence(lmax, gamma)` with every lmax <= int(gamma) sliced
+    from one sequence, which is bitwise the same (the recurrence starts
+    from the same order; `test_sequence_prefixes_are_exact`), so the
+    oracle can run over a fine grid of Gamma."""
+    top = bessel_j_sequence(int(gamma), gamma)
+    return lambda lmax, x: (
+        top[: lmax + 1] if lmax <= int(gamma) else bessel_j_sequence(lmax, x)
+    )
+
+
+# 0..100pi with the near-ties where a running-sum search goes wrong
+# (indices 618 and 1237), and the README values of Gamma
+KERNEL_GAMMAS = [*np.linspace(0, 100 * np.pi, 3001), 0.06 * np.pi, np.pi,
+                 3 * np.pi, 30 * np.pi]
+
+
 class TestKernel:
     def test_gamma_zero_is_identity_kernel(self):
         k = fw.translation_kernel(0.0, 1.3, 1e-12)
@@ -79,6 +118,57 @@ class TestKernel:
     def test_tol_out_of_range(self):
         with pytest.raises(fw.ConfigurationError):
             fw.translation_kernel(1.0, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("gamma", [-1.0, -1e-300, np.inf, np.nan])
+    def test_bad_gamma(self, gamma):
+        with pytest.raises(fw.ConfigurationError):
+            fw.translation_kernel(gamma, 0.0)
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 2.0, 2.5, 7.3, 20.6 * np.pi, 100 * np.pi])
+    def test_sequence_prefixes_are_exact(self, x):
+        top = bessel_j_sequence(int(x), x)
+        for lmax in range(0, int(x) + 1, max(1, int(x) // 7)):
+            assert bessel_j_sequence(lmax, x).tobytes() == top[: lmax + 1].tobytes()
+
+    def test_matches_linear_search(self):
+        for gamma in KERNEL_GAMMAS:
+            expected = linear_search_lmax(gamma, sequence=prefix_sequences(gamma))
+            assert fw.translation_kernel(gamma, 0.0).lmax == expected, gamma
+
+    @pytest.mark.parametrize("i", [0, 1, 618, 1237, 3000, 3001, 3002, 3003, 3004])
+    def test_matches_linear_search_verbatim(self, i):
+        gamma = KERNEL_GAMMAS[i]
+        assert fw.translation_kernel(gamma, 0.0).lmax == linear_search_lmax(gamma)
+
+    # where the running sums put the first multiple of 4 one step too low
+    # ("up") or too high ("down"), and only the sequences settle it
+    @pytest.mark.parametrize(
+        "gamma, tol",
+        [(26.72898935843413, 9.724143087318066e-15),
+         (48.32810876120444, 1.0693851070457731e-13),
+         (16.74594618039265, 2.6396476027031986e-15),
+         (56.24575307225244, 1.4753525870769392e-15),
+         (10.623086409567485, 1.7386633669542082e-15),
+         (36.13841471456831, 2.085769146806329e-15)],
+    )
+    def test_matches_linear_search_near_ties(self, gamma, tol):
+        assert fw.translation_kernel(gamma, 0.0, tol).lmax == linear_search_lmax(
+            gamma, tol
+        )
+
+    @pytest.mark.parametrize("gamma", [1000.0, 3000.0])
+    def test_search_cost_linear_in_gamma(self, gamma, monkeypatch):
+        orders = []
+        original = engine.bessel_j_sequence
+
+        def counted(lmax, x):
+            orders.append(lmax)
+            return original(lmax, x)
+
+        monkeypatch.setattr(engine, "bessel_j_sequence", counted)
+        fw.translation_kernel(gamma, 0.0)
+        assert len(orders) <= 5
+        assert sum(orders) <= 6 * gamma
 
 
 class TestRotation:
@@ -396,3 +486,37 @@ class TestDirectWindow:
         for rec in traj.records[1:]:
             assert np.array_equal(rec["state"].amp, expected)
             expected, _ = whole_lattice_direct(rec["state"], kernels, params.theta)
+
+
+class TestEngineAgreement:
+    """Spectral (periodic, exact) and direct (open, truncated kernel)
+    engines agree on any interior walk whose reach stays on the lattice."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pool=st.lists(
+            st.builds(
+                fw.ModulationParams,
+                gamma=st.floats(0.0, 30 * np.pi),
+                phi_h=st.floats(-np.pi, np.pi),
+                phi_v=st.floats(-np.pi, np.pi),
+                theta=st.floats(-np.pi, np.pi),
+            ),
+            min_size=1, max_size=3, unique=True,
+        ),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+        support=st.integers(0, 10),
+        spare=st.integers(0, 40),
+        seed=st.integers(0, 2**31),
+    )
+    def test_spectral_matches_direct(self, pool, picks, support, spare, seed):
+        schedule = [pool[i % len(pool)] for i in picks]
+        # each direct roundtrip moves amplitude at most its kernel's lmax
+        reach = sum(engine._direct_kernels(p)[0].lmax for p in schedule)
+        cfg = fw.LatticeConfig(support + reach + EDGE_MARGIN + 1 + spare)
+        s0 = random_interior_state(cfg, np.random.default_rng(seed), support)
+        spectral = fw.evolve(s0, schedule, record=("state",))
+        direct = fw.evolve(s0, schedule, engine="direct", record=("state",))
+        for a, b in zip(spectral.records[1:], direct.records[1:]):
+            assert np.max(np.abs(a["state"].amp - b["state"].amp)) < 1e-8
+            assert b["state"].meta["norm_leak"] < 1e-12

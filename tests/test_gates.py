@@ -76,6 +76,11 @@ class TestSolve:
         sp = solved("Y", branch="-")
         assert np.allclose(fw.gate_matrix_analytic(sp), TARGETS["Y"], atol=1e-12)
 
+    @pytest.mark.parametrize("branch", ["x", "", None, "+-"])
+    def test_unknown_branch(self, branch):
+        with pytest.raises(fw.ConfigurationError, match="branch"):
+            solved("X", branch=branch)
+
 
 class TestAnalyticMatrices:
     @pytest.mark.parametrize("name", ["X", "Y", "Z", "H"])

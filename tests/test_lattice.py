@@ -9,6 +9,20 @@ from freqwalk import Polarization as P
 CFG = fw.LatticeConfig(8)
 
 
+@pytest.mark.parametrize("half_width", [8, np.int64(8), np.int32(8), np.uint16(8)])
+def test_half_width_integer_types(half_width):
+    cfg = fw.LatticeConfig(half_width)
+    assert cfg == CFG and type(cfg.half_width) is int and cfg.n_sites == 17
+
+
+@pytest.mark.parametrize(
+    "half_width", [2.5, 4.0, np.float64(4), "4", True, np.bool_(True), None, 0, -3]
+)
+def test_half_width_rejected(half_width):
+    with pytest.raises(fw.ConfigurationError):
+        fw.LatticeConfig(half_width)
+
+
 def test_single_site_delta():
     s = fw.make_single_site(0, P.H, CFG)
     assert s.amp[0, CFG.index(0)] == 1.0
