@@ -83,15 +83,5 @@ def bessel_j_sequence(lmax: int, x: float) -> np.ndarray:
 def bessel_j(l: int, x: float) -> float:
     """J_l(x) for integer order (any sign) and real x >= 0."""
     l = int(l)
-    sign = 1.0
-    if l < 0:
-        l = -l
-        if l & 1:
-            sign = -1.0  # J_{-l} = (-1)^l J_l
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x}")
-    if x == 0.0:
-        return 1.0 if l == 0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return sign * _series(l, x)
-    return sign * float(bessel_j_sequence(l, x)[l])
+    sign = -1.0 if l < 0 and l & 1 else 1.0  # J_{-l} = (-1)^l J_l
+    return sign * float(bessel_j_sequence(abs(l), x)[-1])

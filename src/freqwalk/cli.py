@@ -356,8 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
             run(load_config(args), args.out)
             code, error = 0, ""
-        except (FreqwalkError, OSError) as e:
-            code, error = (1 if isinstance(e, ConfigurationError) else 2), f"error: {e}\n"
+        except (FreqwalkError, OSError, MemoryError) as e:
+            code = 1 if isinstance(e, ConfigurationError) else 2
+            error = f"error: {str(e) or 'out of memory'}\n"
     first = {}
     for w in caught:
         kind = re.match(r"\D*", str(w.message)).group()

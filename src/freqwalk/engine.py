@@ -5,13 +5,15 @@ U(q) = T(q) R(theta) of `uk_matrix`, the only definition of the
 operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
 unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
 steps and transforms back once per step for the boundary monitor and the
-recorders.  The blocks on the grid are a table of (params, N) alone, so
-the last two such tables are kept (read-only) for the next walk: a gate
-experiment drives several packets through the same few parameter sets.
-`direct` rotates in position space and convolves with the truncated
-Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary, amplitudes
-pushed past the edge are dropped and the leak reported).  The two share
-no numerics and cross-validate each other.
+recorders.  `direct` rotates in position space and convolves with the
+truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary,
+amplitudes pushed past the edge are dropped and the leak reported).  The
+two share no numerics and cross-validate each other.
+
+Both operators are tables of the parameters (and N, for the blocks)
+alone, so each engine reads a bounded memo of the last two, read-only:
+`_grid_blocks` and `_direct_kernels`.  A walk looks its operator up once
+per roundtrip and holds no tables of its own.
 """
 
 from __future__ import annotations
@@ -163,18 +165,25 @@ def apply_rotation(state: LatticeState, theta: float) -> LatticeState:
     return state.with_amp(_rotate(state.amp, theta))
 
 
+@functools.lru_cache(maxsize=2)
 def _direct_kernels(
-    params: ModulationParams, tol: float = KERNEL_TOL
+    params: ModulationParams,
 ) -> tuple[TranslationKernel, TranslationKernel]:
-    """The H-row and V-row kernels of the direct translation."""
-    base_lmax = translation_kernel(params.gamma, params.phi_h, tol).lmax
+    """The H-row and V-row kernels of the direct translation, read-only.
+
+    Memoized for the last two params, like `_grid_blocks`.
+    """
+    base_lmax = translation_kernel(params.gamma, params.phi_h).lmax
     # a few guard orders past the tolerance cutoff: the Bessel tail
     # decays super-exponentially there, so this buys ~4 extra digits
     # of agreement with the exact (spectral) translation for free
-    return tuple(
+    kernels = tuple(
         _build_kernel(params.gamma, phi, base_lmax + 8)
         for phi in (params.phi_h, params.phi_v)
     )
+    for kern in kernels:
+        kern.coeffs.flags.writeable = False
+    return kernels
 
 
 def _convolve_direct(
@@ -222,14 +231,15 @@ def _convolve_direct(
 
 
 def apply_translation_direct(
-    state: LatticeState, params: ModulationParams, tol: float = KERNEL_TOL
+    state: LatticeState, params: ModulationParams
 ) -> LatticeState:
-    """Kernel-convolution translation with open (truncated) boundary.
+    """Kernel-convolution translation with open (truncated) boundary: the
+    direct roundtrip with theta = 0.
 
     The norm lost past the lattice edge is recorded in the result's
     meta["norm_leak"]; a leak above 1e-6 additionally raises a warning.
     """
-    return _convolve_direct(state, _direct_kernels(params, tol), theta=0.0)
+    return step(state, replace(params, theta=0.0), "direct")
 
 
 def _q_grid(n_sites: int) -> np.ndarray:
@@ -274,42 +284,27 @@ def step(
     return next(_walk(state, [params], engine))
 
 
-def _per_step(schedule: Schedule, build):
-    """Yield (params, build(params)) for each roundtrip of the schedule,
-    building once per distinct parameter set and dropping the result
-    after its last use, so an all-distinct schedule holds one at a time."""
-    last_use = {params: i for i, params in enumerate(schedule)}
-    built: dict = {}
-    for i, params in enumerate(schedule):
-        op = built.get(params)
-        if op is None:
-            op = built[params] = build(params)
-        if last_use[params] == i:
-            del built[params]
-        yield params, op
-
-
 def _walk(state: LatticeState, schedule: Schedule, engine: str):
     """Yield the state after each roundtrip of the schedule.
 
-    Each engine builds its operator once per distinct parameter set: the
-    direct engine its two kernels, the spectral engine the block U(q),
-    which it takes from the `_grid_blocks` memo, so a walk on the lattice
-    and parameters of a recent walk builds nothing.  The spectral engine
+    Each roundtrip looks its operator up in the engine's memo, the direct
+    kernels of `_direct_kernels` or the blocks U(q) of `_grid_blocks`; the
+    walk holds no tables of its own, and a walk on the lattice and
+    parameters of a recent one builds nothing.  The spectral engine
     carries the q-space amplitudes from step to step and transforms back
     to position space once per step.
     """
     if engine == "direct":
-        for params, kernels in _per_step(schedule, _direct_kernels):
-            state = _convolve_direct(state, kernels, params.theta)
+        for params in schedule:
+            state = _convolve_direct(state, _direct_kernels(params), params.theta)
             yield state
         return
     if engine != "spectral":
         raise ConfigurationError(f"unknown engine {engine!r}")
     n = state.config.n_sites
     b = np.fft.ifft(state.amp, axis=1)
-    for _, u in _per_step(schedule, lambda params: _grid_blocks(params, n)):
-        b = _apply_blocks(u, b)
+    for params in schedule:
+        b = _apply_blocks(_grid_blocks(params, n), b)
         yield state.with_amp(np.fft.fft(b, axis=1))
 
 

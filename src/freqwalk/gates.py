@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import uk_matrix
-from .engine import ModulationParams, Schedule, step
+from .engine import ModulationParams, Schedule, step, uk_matrix
 from .errors import ConfigurationError, InfeasibleGateError
 from .lattice import (
     LatticeConfig,

@@ -40,6 +40,11 @@ class LatticeConfig:
             raise ConfigurationError(f"half_width must be an integer, got {hw!r}")
         if hw < 1:
             raise ConfigurationError("half_width must be >= 1")
+        if 2 * (2 * hw + 1) * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"half_width {hw} too large: its (2, N) complex amplitudes "
+                "would exceed the addressable memory"
+            )
         object.__setattr__(self, "half_width", int(hw))
 
     @property
@@ -72,7 +77,7 @@ class LatticeState:
             raise ConfigurationError(
                 f"amplitude shape {self.amp.shape} does not match lattice"
             )
-        if not np.all(np.isfinite(self.amp.view(float))):
+        if not np.isfinite(self.amp).all():
             raise ConfigurationError("non-finite amplitudes")
 
     def norm(self) -> float:

@@ -66,3 +66,11 @@ def test_rejects_non_finite():
         bessel_j(0, np.inf)
     with pytest.raises(ValueError):
         bessel_j_sequence(3, np.nan)
+
+
+@pytest.mark.parametrize("x", [-1.0, -30.0, -50.0])
+def test_rejects_negative_argument(x):
+    # J_1(-50) = -J_1(50) = 0.0975; a power series summed at x = -50 is
+    # far off, so negative x must not reach one
+    with pytest.raises(ValueError, match=">= 0"):
+        bessel_j(1, x)

@@ -139,6 +139,33 @@ class TestConfigHandling:
         assert "delta" in capsys.readouterr().err
 
 
+class TestOversizedInputs:
+    """Sizes past what memory can hold end in one `error:` line.  Nothing
+    here allocates: the exit-1 lattices are refused as configs, before any
+    array exists, and the exit-2 case raises its MemoryError by hand."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve", "--gamma", "1", "--steps", "1", "--half-width", str(2**60)],
+         ["diffusion", "--gamma", "1", "--steps", "1", "--half-width", str(2**62)],
+         ["gate", "--gate-name", "X", "--delta", "1e300"]],
+    )
+    def test_unaddressable_lattice_exits_1(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: half_width ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 5.82 TiB"])
+    def test_memory_error_exits_2(self, message, monkeypatch, tmp_path, capsys):
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "make_single_site", exhausted)
+        argv = ["evolve", "--gamma", "1", "--steps", "1", "--half-width", "8"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+
+
 class TestBandCommand:
     def test_csv_layout_and_monotone_q(self, tmp_path):
         out = tmp_path / "band.csv"

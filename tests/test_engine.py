@@ -396,9 +396,11 @@ class TestDirectKernelCache:
         monkeypatch.setattr(engine, "bessel_j_sequence", counted)
         s = fw.make_single_site(0, P.H, fw.LatticeConfig(100))
         params = fw.ModulationParams(gamma=1.0, **FIG2)
+        engine._direct_kernels.cache_clear()
         fw.evolve(s, params, n_steps=1, engine="direct")
         one_step = len(calls)
         calls.clear()
+        engine._direct_kernels.cache_clear()
         fw.evolve(s, params, n_steps=20, engine="direct")
         assert len(calls) == one_step > 0
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk.gates import sequence_matrix
@@ -91,6 +93,41 @@ class TestAnalyticMatrices:
     def test_rz_matrix(self):
         u = fw.gate_matrix_analytic(solved("Rz", 1.2))
         assert np.max(np.abs(u - np.diag([1, np.exp(1.2j)]))) < 1e-12
+
+
+ANGLES = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def gate_specs(draw):
+    """A table gate, or an Rz with any angle of its feasible range."""
+    name = draw(st.sampled_from(ALL_GATES))
+    return fw.table_gate(name, draw(ANGLES) if name == "Rz" else None)
+
+
+class TestInversionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=gate_specs(), q_star=ANGLES, branch=st.sampled_from("+-"),
+           spare=st.floats(0.0, 1.0), data=st.data())
+    def test_solved_block_is_the_target(self, spec, q_star, branch, spare, data):
+        bound = max(abs(spec.a), abs(spec.b), 1e-9)
+        gamma = data.draw(st.floats(bound, 100.0))
+        sp = fw.solve_modulation(spec, q_star=q_star, gamma=gamma, branch=branch)
+        assert np.max(np.abs(fw.gate_matrix_analytic(sp) - spec.target)) < 1e-12
+        below = min(bound * spare, np.nextafter(bound, 0))
+        with pytest.raises(fw.InfeasibleGateError):
+            fw.solve_modulation(spec, q_star=q_star, gamma=below, branch=branch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi1=st.floats(-4 * np.pi, 4 * np.pi), phi2=st.floats(-4 * np.pi, 4 * np.pi),
+           q_star=ANGLES, gamma=st.none() | st.floats(np.pi, 100.0))
+    def test_preparation_reaches_the_target(self, phi1, phi2, q_star, gamma):
+        _, solved_list = fw.prepare_state_sequence(phi1, phi2, q_star, gamma)
+        psi = sequence_matrix(solved_list) @ np.array([1.0, 0.0])
+        target = fw.qubit_state(phi1, phi2)
+        phase = np.vdot(target, psi)
+        assert abs(abs(phase) - 1) < 1e-12
+        assert np.max(np.abs(psi - phase * target)) < 1e-12
 
 
 class TestMetrics:

@@ -23,6 +23,35 @@ def test_half_width_rejected(half_width):
         fw.LatticeConfig(half_width)
 
 
+@pytest.mark.parametrize(
+    "half_width", [2**60, 2**62, 10**301], ids=["2**60", "2**62", "10**301"]
+)
+def test_half_width_past_addressable_memory_rejected(half_width):
+    with pytest.raises(fw.ConfigurationError, match="too large"):
+        fw.LatticeConfig(half_width)
+
+
+def _with(amp, site, value):
+    amp[1, site] = value
+    return amp
+
+
+@pytest.mark.parametrize(
+    "amp, finite",
+    [(_with(np.zeros((2, 7), np.complex64), 3, np.nan), False),
+     (np.ones((2, 14), complex)[:, ::2], True),
+     (_with(np.zeros((2, 7), np.float32), 5, np.inf), False)],
+    ids=["complex64 nan", "strided complex128", "float32 inf"],
+)
+def test_finiteness_check_any_dtype_and_layout(amp, finite):
+    cfg = fw.LatticeConfig(3)
+    if finite:
+        assert fw.LatticeState(cfg, amp).norm() == pytest.approx(np.sqrt(14))
+    else:
+        with pytest.raises(fw.ConfigurationError, match="non-finite amplitudes"):
+            fw.LatticeState(cfg, amp)
+
+
 def test_single_site_delta():
     s = fw.make_single_site(0, P.H, CFG)
     assert s.amp[0, CFG.index(0)] == 1.0

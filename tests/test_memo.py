@@ -1,5 +1,5 @@
 """The memoized lattice tables: the spectral blocks on the FFT grid, the
-packet envelope and the read-out plane wave.
+packet envelope, the read-out plane wave and the direct kernels.
 
 Every gate, preparation and two-qubit report must be the same bytes
 whatever the memos hold: built cold, read warm, or left behind by other
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import freqwalk as fw
 from freqwalk import engine, lattice
 
-MEMOS = (engine._grid_blocks, lattice._envelope, lattice._plane_wave)
+MEMOS = (engine._grid_blocks, lattice._envelope, lattice._plane_wave,
+         engine._direct_kernels)
 DELTAS = (20.0, 37.5)  # lattices of 181 and 339 sites, the same params
 
 
@@ -96,6 +97,7 @@ def test_any_order_gives_the_same_bytes(cold, order):
 # block, a register's basis inputs share the X and the idle roundtrip
 BLOCK_BUILDS = {"H direct": 0, "prepare(0.75pi, 0.25pi)": 2,
                 "prepare(1.3, -2.0)": 3, "cnot": 2, "ms": 2}
+KERNEL_BUILDS = {"H direct": 1}  # only the direct engine reads kernels
 
 
 def test_each_table_built_once_per_experiment():
@@ -103,7 +105,8 @@ def test_each_table_built_once_per_experiment():
         clear_memos()
         EXPERIMENTS[name](delta)
         misses = [memo.cache_info().misses for memo in MEMOS]
-        assert misses == [BLOCK_BUILDS.get(name, 1), 1, 1], name
+        assert misses == [BLOCK_BUILDS.get(name, 1), 1, 1,
+                          KERNEL_BUILDS.get(name, 0)], name
 
 
 def test_equal_keys_give_the_same_bytes():
@@ -141,3 +144,11 @@ def test_tables_are_read_only(memo, args):
     with pytest.raises(ValueError, match="read-only"):
         table[..., 0] = 0
     assert memo.cache_info().maxsize == 2
+
+
+def test_direct_kernels_are_read_only():
+    kernels = engine._direct_kernels(fw.ModulationParams(gamma=1.0, phi_v=0.4))
+    for kern in kernels:
+        with pytest.raises(ValueError, match="read-only"):
+            kern.coeffs[0] = 0
+    assert engine._direct_kernels.cache_info().maxsize == 2
