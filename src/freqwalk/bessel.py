@@ -19,12 +19,18 @@ import numpy as np
 # Below this argument the power series converges fast and is free of the
 # cancellation that sets in for x >~ 10.
 _SERIES_CUTOFF = 2.0
+_MAX_FACTORIAL = 170  # the largest l whose l! converts to a double
 
 
 def _series(l: int, x: float, terms: int = 36) -> float:
-    """Ascending series J_l(x) = sum_j (-1)^j (x/2)^(l+2j) / (j! (l+j)!)."""
+    """Ascending series J_l(x) = sum_j (-1)^j (x/2)^(l+2j) / (j! (l+j)!), for
+    0 < x <= 2.  Past l = 170, l! exceeds the double range, so the first
+    term comes from logarithms (it is below 1e-307 there)."""
     half = 0.5 * x
-    term = half**l / math.factorial(l)
+    if l <= _MAX_FACTORIAL:
+        term = half**l / math.factorial(l)
+    else:
+        term = math.exp(l * math.log(half) - math.lgamma(l + 1))
     total = term
     for j in range(1, terms):
         term *= -(half * half) / (j * (l + j))

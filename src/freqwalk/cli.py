@@ -169,12 +169,29 @@ def _metadata(cfg: dict) -> dict:
     return {"tool": "freqwalk", "version": _VERSION, "config": cfg}
 
 
-def _write_rows(out: io.TextIOBase, row: str, sep: str, columns) -> None:
+def _distinct_texts(column: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of an integer column, and `fmt` % each
+    of them as the Python int that `.tolist()` gives."""
+    values = np.unique(column)
+    return values, np.array([fmt % v for v in values.tolist()], dtype=object)
+
+
+def _write_rows(out: io.TextIOBase, row: str, sep: str, columns, int_format: str) -> None:
     """The rows joined by `sep`, in blocks: each block is one %-format of
-    the repeated row template `row`, one cell per column."""
+    the repeated row template `row`, one cell per column.  The cells of an
+    integer column are `int_format` % value, each distinct value formatted
+    once and looked up per block, so `row` has %s at that column."""
     width = len(columns)
+    tables = [_distinct_texts(c, int_format) if c.dtype.kind in "iu" else None
+              for c in columns]
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+        block = []
+        for c, table in zip(columns, tables):
+            part = c[start : start + _CSV_BLOCK_ROWS]
+            if table is not None:
+                distinct, texts = table
+                part = texts[np.searchsorted(distinct, part)]
+            block.append(part.tolist())
         cells = [None] * (width * len(block[0]))
         for j, values in enumerate(block):
             cells[j::width] = values
@@ -182,13 +199,14 @@ def _write_rows(out: io.TextIOBase, row: str, sep: str, columns) -> None:
 
 
 def _write_csv(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
-    """Head lines, then the rows: %.17g per numeric column and %s per text
-    column, which gives the bytes of format(cell, ".17g") cell by cell."""
+    """Head lines, then the rows: %.17g per float cell, %s per text cell,
+    and '%.17g' % int per integer cell from one text per distinct value,
+    which gives the bytes of format(cell, ".17g") cell by cell."""
     out.write(f"# tool=freqwalk version={_VERSION}\n")
     out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
-    row = ",".join("%s" if c.dtype == object else "%.17g" for c in columns) + "\n"
-    _write_rows(out, row, "", columns)
+    row = ",".join("%s" if c.dtype.kind in "Oiu" else "%.17g" for c in columns) + "\n"
+    _write_rows(out, row, "", columns, "%.17g")
 
 
 def _json_cells(column: np.ndarray) -> np.ndarray:
@@ -201,12 +219,13 @@ def _json_cells(column: np.ndarray) -> np.ndarray:
 
 def _write_json(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
     """The bytes of `json.dump(doc, sort_keys=True, indent=1)` and a
-    newline, with the rows (the last key) written from one row template."""
+    newline, with the rows (the last key) written from one row template;
+    an integer cell is '%d' % int, as `json` writes it."""
     doc = {"metadata": _metadata(cfg), "columns": header, "rows": []}
     out.write(json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")])  # to "rows": [
     if len(columns[0]):
         row = "\n  [\n" + ",\n".join(["   %s"] * len(columns)) + "\n  ]"
-        _write_rows(out, row, ",", [_json_cells(c) for c in columns])
+        _write_rows(out, row, ",", [_json_cells(c) for c in columns], "%d")
         out.write("\n ")
     out.write("]\n}\n")
 

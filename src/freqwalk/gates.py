@@ -141,7 +141,13 @@ def _drive(
     if not (delta > 0 and math.isfinite(delta)):
         raise ConfigurationError(f"delta must be positive and finite, got {delta}")
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
-    cfg = LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
+    try:
+        cfg = LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
+    except (ConfigurationError, OverflowError):  # 4.5 * delta unaddressable or inf
+        raise ConfigurationError(
+            f"delta {delta:g} too large: its lattice (half_width 4.5 delta) "
+            "would exceed the addressable memory"
+        ) from None
     spec = WavepacketSpec(delta=delta, q=q_star, spin=(spin[0], spin[1]))
     packet = state = make_gaussian(spec, cfg)
     for params in schedule:

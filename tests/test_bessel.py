@@ -74,3 +74,17 @@ def test_rejects_negative_argument(x):
     # far off, so negative x must not reach one
     with pytest.raises(ValueError, match=">= 0"):
         bessel_j(1, x)
+
+
+@pytest.mark.parametrize(
+    "l, x",
+    [(171, 1.0), (171, 2.0), (200, 1.5), (200, 0.5), (-201, 0.5), (175, 1.99), (400, 1e-3)],
+)
+def test_high_order_small_argument(l, x):
+    # l! exceeds the double range past l = 170; the values are finite
+    # (J_171(2) = 8.0e-310, J_200(0.5) = 4.9e-496, which is 0.0 in double)
+    seq = bessel_j_sequence(abs(l), x)
+    assert np.isfinite(seq).all()
+    ref = [float(mpmath.besselj(k, x)) for k in range(171, abs(l) + 1)]
+    assert np.max(np.abs(seq[171:] - ref)) <= 1e-300
+    assert abs(bessel_j(l, x) - float(mpmath.besselj(l, x))) <= 1e-300

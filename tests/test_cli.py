@@ -153,7 +153,20 @@ class TestOversizedInputs:
     def test_unaddressable_lattice_exits_1(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: half_width ") and err.count("\n") == 1
+        given = "delta" if argv[0] == "gate" else "half_width"  # the field the user set
+        assert err.startswith(f"error: {given} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ["1e17", "1e300", "1e308"])
+    @pytest.mark.parametrize(
+        "argv", [["gate", "--gate-name", "X"], ["prepare", "--phi1", "0", "--phi2", "0"],
+                 ["cnot"]],
+    )
+    def test_unaddressable_gate_lattice_names_delta(self, argv, delta, tmp_path, capsys):
+        # gates._drive derives half_width = ceil(4.5 delta); the error names
+        # the delta given, not that 18- to 309-digit number
+        assert main(argv + ["--delta", delta, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: delta {float(delta):g} too large") and err.count("\n") == 1
 
     @pytest.mark.parametrize("message", ["", "Unable to allocate 5.82 TiB"])
     def test_memory_error_exits_2(self, message, monkeypatch, tmp_path, capsys):
@@ -365,9 +378,18 @@ FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, float("inf"), -float("inf")]
 )
 INT64 = st.integers(-(2**63), 2**63 - 1)
+# Few values, so they recur within and across blocks: the integer writer
+# formats each distinct value once.  '%.17g' rounds 2**53 + 1 and 10**17.
+REPEATED_INT64 = st.sampled_from(
+    [0, 1, -1, 2**53, -(2**53), 2**53 + 1, 10**16, -(10**16), 10**17, -(10**17),
+     -(2**63), 2**63 - 1]
+)
+REPEATED_UINT64 = st.sampled_from([0, 1, 2**53 + 1, 10**17, 2**63, 2**64 - 1])
 COLUMN_KINDS = {
     "float": (FLOATS, np.float64),
     "int": (INT64, np.int64),
+    "int_repeated": (REPEATED_INT64, np.int64),
+    "uint_repeated": (REPEATED_UINT64, np.uint64),
     "text": (st.text(max_size=10), object),
 }
 
@@ -395,6 +417,22 @@ class TestWriteCsv:
         *head, body = out.getvalue().split("\n", 3)
         assert head[2] == ",".join(header)
         assert body == reference_csv_rows(columns)
+
+
+class TestReadmeEvolveDataset:
+    def test_matches_per_cell_formatter(self, tmp_path):
+        # 153,153 rows over 37 blocks: the step and m cells recur across blocks
+        argv = ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"]
+        out = tmp_path / "evolve.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        header, columns = cli.run_evolve(cli.load_config(cli.build_parser().parse_args(argv)))
+        *head, body = out.read_text().split("\n", 3)
+        assert head[2] == ",".join(header)
+        got, want = body.splitlines(), reference_csv_rows(columns).splitlines()
+        assert len(got) == len(want)
+        # the first differing row, not a diff of 153,153 rows
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None, f"row {bad}: {got[bad]!r} != {want[bad]!r}"
 
 
 class TestWriteJson:

@@ -2,16 +2,19 @@
 
 The files in tests/golden/ were written by the per-row CSV writer and the
 per-q band loop that the column-array writer and the batched band grid
-replaced; `python tests/test_golden.py` rewrites them from the code on
-the path.  Each test reruns one command and compares its output with the
-stored file.  Evolve, diffusion and the gate/prepare/cnot reports must
-match byte for byte.  The band tables come from an eigensolver whose
+replaced.  `python tests/test_golden.py` reruns the commands from the
+code on the path and lists the files that differ (exit 1 if any do);
+only `--write` rewrites them.  Each test reruns one command and compares
+its output with the stored file.  Evolve, diffusion and the
+gate/prepare/cnot reports must match byte for byte.  The band tables come from an eigensolver whose
 round-off may move the last digit, so their head lines and JSON metadata
 match byte for byte and their numbers to 1e-12.
 """
 
+import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +84,63 @@ def test_golden_output(name, tmp_path, monkeypatch):
         compare(out.read_text(), ref.read_text())
 
 
-def write_golden() -> None:
-    """Regenerate every file in tests/golden/ from the code on the path."""
+def test_script_compares_unless_told_to_write(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_VERSION", cli._VERSION)  # main() sets it
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    for name in COMMANDS:
+        (golden / name).write_bytes((GOLDEN / name).read_bytes())
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    stale = golden / "evolve.csv"
+    fresh = stale.read_bytes()
+    edited = fresh.replace(b"\n0,-80,", b"\n1,-80,", 1)
+    stale.write_bytes(edited)
+    assert main([]) == 1
+    assert capsys.readouterr().out == "differs: evolve.csv\n"
+    assert stale.read_bytes() == edited
+    assert main(["--write"]) == 0
+    assert stale.read_bytes() == fresh
+    assert main([]) == 0
+
+
+def _same(name: str, out: Path) -> bool:
+    """Whether `out` matches the golden file `name` as test_golden_output
+    compares them."""
+    ref = GOLDEN / name
+    if not ref.exists():
+        return False
+    compare = ROUND_OFF.get(name)
+    if compare is None:
+        return out.read_bytes() == ref.read_bytes()
+    try:
+        compare(out.read_text(), ref.read_text())
+    except AssertionError:
+        return False
+    return True
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Rerun every command; list the golden files that differ and return 1
+    if any do, or with --write rewrite them all and return 0."""
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite tests/golden/ from the code on the path")
+    write = parser.parse_args(argv).write
     cli._VERSION = VERSION
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        if cli.main(argv + ["--out", str(GOLDEN / name)]) != 0:
-            sys.exit(f"{name}: command failed")
+    if write:
+        GOLDEN.mkdir(exist_ok=True)
+    differ = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, command in COMMANDS.items():
+            out = GOLDEN / name if write else Path(scratch) / name
+            if cli.main(command + ["--out", str(out)]) != 0:
+                sys.exit(f"{name}: command failed")
+            if not write and not _same(name, out):
+                differ.append(name)
+    for name in differ:
+        print(f"differs: {name}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    write_golden()
+    sys.exit(main())
