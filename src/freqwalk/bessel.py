@@ -20,9 +20,10 @@ import numpy as np
 # cancellation that sets in for x >~ 10.
 _SERIES_CUTOFF = 2.0
 _MAX_FACTORIAL = 170  # the largest l whose l! converts to a double
+_SERIES_TERMS = 36  # at most this many terms of the series are summed
 
 
-def _series(l: int, x: float, terms: int = 36) -> float:
+def _series(l: int, x: float) -> float:
     """Ascending series J_l(x) = sum_j (-1)^j (x/2)^(l+2j) / (j! (l+j)!), for
     0 < x <= 2.  Past l = 170, l! exceeds the double range, so the first
     term comes from logarithms (it is below 1e-307 there)."""
@@ -32,7 +33,7 @@ def _series(l: int, x: float, terms: int = 36) -> float:
     else:
         term = math.exp(l * math.log(half) - math.lgamma(l + 1))
     total = term
-    for j in range(1, terms):
+    for j in range(1, _SERIES_TERMS):
         term *= -(half * half) / (j * (l + j))
         total += term
         if abs(term) < 1e-18 * max(1.0, abs(total)):

@@ -11,13 +11,12 @@ I/O failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import re
 import sys
 import warnings
+from contextlib import nullcontext
 from importlib.metadata import PackageNotFoundError, version
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -176,7 +175,7 @@ def _distinct_texts(column: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarra
     return values, np.array([fmt % v for v in values.tolist()], dtype=object)
 
 
-def _write_rows(out: io.TextIOBase, row: str, sep: str, columns, int_format: str) -> None:
+def _write_rows(out: TextIO, row: str, sep: str, columns, int_format: str) -> None:
     """The rows joined by `sep`, in blocks: each block is one %-format of
     the repeated row template `row`, one cell per column.  The cells of an
     integer column are `int_format` % value, each distinct value formatted
@@ -198,7 +197,7 @@ def _write_rows(out: io.TextIOBase, row: str, sep: str, columns, int_format: str
         out.write((sep if start else "") + sep.join([row] * len(block[0])) % tuple(cells))
 
 
-def _write_csv(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
+def _write_csv(out: TextIO, cfg: dict, header: list[str], columns) -> None:
     """Head lines, then the rows: %.17g per float cell, %s per text cell,
     and '%.17g' % int per integer cell from one text per distinct value,
     which gives the bytes of format(cell, ".17g") cell by cell."""
@@ -217,7 +216,7 @@ def _json_cells(column: np.ndarray) -> np.ndarray:
     return np.array([json.dumps(v) for v in column.tolist()], dtype=object)
 
 
-def _write_json(out: io.TextIOBase, cfg: dict, header: list[str], columns) -> None:
+def _write_json(out: TextIO, cfg: dict, header: list[str], columns) -> None:
     """The bytes of `json.dump(doc, sort_keys=True, indent=1)` and a
     newline, with the rows (the last key) written from one row template;
     an integer cell is '%d' % int, as `json` writes it."""
@@ -330,22 +329,22 @@ _TABULAR = {"band": run_band, "evolve": run_evolve, "diffusion": run_diffusion}
 _REPORTS = {"gate": run_gate, "prepare": run_prepare, "cnot": run_cnot}
 
 
+def _write_report(out: TextIO, cfg: dict, report: dict) -> None:
+    json.dump({"metadata": _metadata(cfg), "report": report}, out, sort_keys=True, indent=1)
+    out.write("\n")
+
+
 def run(cfg: dict, out_path: str | None) -> None:
-    buffer = io.StringIO()
+    """Compute the dataset of `cfg["experiment"]`, then write it to
+    `out_path` (stdout if none) as it is formatted: a run that fails in the
+    physics leaves no file, a failure while writing can leave a partial one."""
     if cfg["experiment"] in _TABULAR:
-        header, columns = _TABULAR[cfg["experiment"]](cfg)
         write = _write_csv if cfg["format"] == "csv" else _write_json
-        write(buffer, cfg, header, columns)
+        parts = _TABULAR[cfg["experiment"]](cfg)
     else:
-        doc = {"metadata": _metadata(cfg), "report": _REPORTS[cfg["experiment"]](cfg)}
-        json.dump(doc, buffer, sort_keys=True, indent=1)
-        buffer.write("\n")
-    text = buffer.getvalue()
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        write, parts = _write_report, (_REPORTS[cfg["experiment"]](cfg),)
+    with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as out:
+        write(out, cfg, *parts)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,21 +354,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command, then each flag once, in any order."""
     parser = _Parser(prog="freqwalk", description="synthetic-frequency quantum walk datasets")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("band", "evolve", "diffusion", "gate", "prepare", "cnot"):
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output path (default stdout)")
-        for key, f in FIELDS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=f.what)
+    parser.add_argument("command", choices=[*_TABULAR, *_REPORTS])
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out", help="output path (default stdout)")
+    for key, f in FIELDS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=f.what)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  Warnings print as
-    `warning:` lines, the first of each kind only (source line, and text
-    up to the first digit: the engine warns each step with its numbers)."""
+    """Run one command and return its exit code; a failure prints one
+    `error:` line on stderr, after one `warning:` line per source line that
+    warned (the first warning of each: the engine warns every step)."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             args = build_parser().parse_args(argv)
@@ -380,8 +378,7 @@ def main(argv: list[str] | None = None) -> int:
             error = f"error: {str(e) or 'out of memory'}\n"
     first = {}
     for w in caught:
-        kind = re.match(r"\D*", str(w.message)).group()
-        first.setdefault((w.filename, w.lineno, kind), w.message)
+        first.setdefault((w.filename, w.lineno), w.message)
     for message in first.values():
         print(f"warning: {message}", file=sys.stderr)
     sys.stderr.write(error)

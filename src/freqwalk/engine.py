@@ -110,8 +110,8 @@ def translation_kernel(
     """
     if not (0 < tol <= 1e-6):
         raise ConfigurationError(f"kernel tolerance {tol} outside (0, 1e-6]")
-    if not (np.isfinite(gamma) and gamma >= 0):
-        raise ConfigurationError(f"gamma must be finite and >= 0, got {gamma}")
+    if not (np.isfinite(gamma) and gamma >= 0 and np.isfinite(phi)):
+        raise ConfigurationError(f"need a finite gamma >= 0 and phi, got {gamma}, {phi}")
     bound = 4 * (int(gamma) // 2 + 2)  # a multiple of 4, doubled if short
     j = bessel_j_sequence(bound, gamma)
     while _kernel_tail(j) >= tol:
@@ -202,9 +202,7 @@ def _convolve_direct(
     """
     edge = boundary_mass(state)
     if edge > 1e-9:
-        warnings.warn(
-            f"boundary mass {edge:.2e} before direct translation", stacklevel=3
-        )
+        warnings.warn(f"boundary mass {edge:.2e} before direct translation")
     occupied = state.amp.any(axis=0)
     first = int(occupied.argmax())  # the first True, found without an index array
     if not occupied[first]:
@@ -226,7 +224,7 @@ def _convolve_direct(
         dropped = np.concatenate([full[: lo - start], full[hi - start :]])
         leak += float((np.abs(dropped) ** 2).sum())
     if leak > 1e-6:
-        warnings.warn(f"norm leak {leak:.2e} past lattice edge", stacklevel=3)
+        warnings.warn(f"norm leak {leak:.2e} past lattice edge")
     return state.with_amp(amp, norm_leak=leak)
 
 

@@ -138,8 +138,7 @@ def _drive(
 ) -> tuple[LatticeState, LatticeState]:
     """The Gaussian packet with the given spin at q_star, and the state
     after one `step` per roundtrip of the schedule."""
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ConfigurationError(f"delta must be positive and finite, got {delta}")
+    spec = WavepacketSpec(delta=delta, q=q_star, spin=(spin[0], spin[1]))
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     try:
         cfg = LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
@@ -148,7 +147,6 @@ def _drive(
             f"delta {delta:g} too large: its lattice (half_width 4.5 delta) "
             "would exceed the addressable memory"
         ) from None
-    spec = WavepacketSpec(delta=delta, q=q_star, spin=(spin[0], spin[1]))
     packet = state = make_gaussian(spec, cfg)
     for params in schedule:
         state = step(state, params, engine)

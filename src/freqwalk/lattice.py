@@ -97,7 +97,7 @@ class WavepacketSpec:
 
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ConfigurationError("delta must be positive and finite")
+            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
         sn = math.hypot(abs(self.spin[0]), abs(self.spin[1]))
         if abs(sn - 1.0) > 1e-9:
             raise ConfigurationError("spin vector must have unit norm")
@@ -172,6 +172,8 @@ def boundary_mass(state: LatticeState, margin: int = EDGE_MARGIN) -> float:
     Reads only the edge columns.  A lattice of at most 2*margin sites is
     all boundary, so its mass is the total probability.
     """
+    if isinstance(margin, bool) or not isinstance(margin, (int, np.integer)) or margin < 0:
+        raise ConfigurationError(f"margin must be an integer >= 0, got {margin!r}")
     n = state.config.n_sites
     if n <= 2 * margin:
         return float(probability_distribution(state).sum())
@@ -192,6 +194,8 @@ def spin_projection_at_q(
     table of (q, half_width) alone, memoized for the last two keys: a gate
     experiment reads its input and output packets at the same q.
     """
+    if not math.isfinite(q):  # a NaN key would evict a real table from the memo
+        raise ConfigurationError(f"q must be finite, got {q}")
     v = state.amp @ _plane_wave(q, state.config.half_width)
     if not normalized:
         return v

@@ -18,8 +18,6 @@ from .engine import IDENTITY
 from .errors import ConfigurationError
 from .gates import DEFAULT_DELTA, DEFAULT_Q_STAR, _column, solve_modulation, table_gate
 
-BASIS = ("0H", "0V", "1H", "1V")
-
 
 def cnot_matrix() -> np.ndarray:
     """Flip the polarization iff the path qubit is 1."""
@@ -61,6 +59,8 @@ def execute_two_qubit_lattice(
 ) -> np.ndarray:
     """Drive one basis wavepacket through the sequence; return the 4-vector
     (0H, 0V, 1H, 1V) of q* projections with common normalization."""
+    if isinstance(basis_index, bool) or not isinstance(basis_index, (int, np.integer)):
+        raise ConfigurationError(f"basis index must be an integer, got {basis_index!r}")
     if basis_index not in range(4):
         raise ConfigurationError("basis index must be 0..3")
     path, pol = divmod(basis_index, 2)

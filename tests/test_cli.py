@@ -123,6 +123,19 @@ class TestConfigHandling:
         assert exit_info.value.code == 0
         assert "--half-width" in capsys.readouterr().out
 
+    def test_help_lists_each_flag_once(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        options = capsys.readouterr().out.split("options:")[1]
+        for key in ["config", "out", *cli.FIELDS]:
+            assert options.count(f"  --{key.replace('_', '-')} ") == 1
+
+    def test_flags_before_or_after_command(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["band", "--gamma", "1", "--n-k", "16", "--out", str(a)]) == 0
+        assert main(["--gamma", "1", "--n-k", "16", "--out", str(b), "band"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("config", [{}, {"sequence": "cnot,path_x"},
                                         {"sequence": ["cnot", "path_x"]}])
     def test_sequence_list_or_comma_string(self, config, tmp_path):
@@ -136,7 +149,8 @@ class TestConfigHandling:
     def test_bad_delta_named(self, delta, tmp_path, capsys):
         argv = ["gate", "--gate-name", "X", "--delta", delta]
         assert main(argv + ["--out", str(tmp_path / "g.json")]) == 1
-        assert "delta" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"delta must be positive and finite, got {float(delta)}" in err
 
 
 class TestOversizedInputs:
@@ -246,6 +260,20 @@ class TestEvolveCommand:
         lines = err.splitlines()
         assert [line.split()[0] for line in lines] == ["warning:", "warning:", "error:"]
         assert "boundary mass" in lines[0] and "norm leak" in lines[1]
+
+    def test_repeated_engine_warning_prints_once(self, tmp_path, capsys):
+        # the direct engine warns of boundary mass at 3 steps, then the
+        # monitor aborts at step 36
+        out = tmp_path / "x.csv"
+        code = main(
+            ["evolve", "--gamma", "3pi", "--steps", "40", "--half-width", "300",
+             "--engine", "direct", "--out", str(out)]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in lines] == ["warning:", "error:"]
+        assert "boundary mass" in lines[0] and "step 36" in lines[1]
+        assert not out.exists()  # a run that fails in the physics writes nothing
 
 
 def _echoed_config(path) -> dict:

@@ -84,6 +84,14 @@ def test_golden_output(name, tmp_path, monkeypatch):
         compare(out.read_text(), ref.read_text())
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_out_file(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert cli.main(COMMANDS[name] + ["--out", str(out)]) == 0
+    assert cli.main(COMMANDS[name]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_script_compares_unless_told_to_write(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_VERSION", cli._VERSION)  # main() sets it
     golden = tmp_path / "golden"

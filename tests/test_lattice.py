@@ -188,3 +188,28 @@ def test_boundary_mass_reads_edges(half_width, margin, seed, scale):
     else:  # the whole lattice is boundary; no site counts twice
         assert mass == float(p.sum())
     assert mass <= s.norm() ** 2 * (1 + 1e-12)
+
+
+_SITE = fw.make_single_site(0, P.H, CFG)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: fw.spin_projection_at_q(_SITE, np.nan),
+     lambda: fw.spin_projection_at_q(_SITE, np.inf),
+     lambda: fw.translation_kernel(1.0, np.inf),
+     lambda: fw.translation_kernel(1.0, np.nan),
+     lambda: fw.boundary_mass(_SITE, margin=-1),
+     lambda: fw.boundary_mass(_SITE, margin=1.5),
+     lambda: fw.execute_two_qubit_lattice(["cnot"], 1.0),
+     lambda: fw.execute_two_qubit_lattice(["cnot"], True)],
+    ids=["q-nan", "q-inf", "phi-inf", "phi-nan", "margin-negative", "margin-float",
+         "basis-float", "basis-bool"],
+)
+def test_bad_library_input_is_a_configuration_error(call):
+    # none may reach the plane-wave memo, where a NaN key would evict a
+    # real table
+    memo = fw.lattice._plane_wave.cache_info()
+    with pytest.raises(fw.ConfigurationError):
+        call()
+    assert fw.lattice._plane_wave.cache_info() == memo
