@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ModulationParams, uk_matrix
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer, check_name, check_number
+
+BRANCHES = ("+", "-")
 
 
 def fold_quasienergy(eps: np.ndarray | float):
@@ -41,7 +43,7 @@ def quasienergy_closed_form(params: ModulationParams, q):
 
     Branch +: eigenvalue exp(i(A + delta)); branch -: exp(i(A - delta)).
     """
-    a_sum, x = _angle_terms(params, q)
+    a_sum, x = _angle_terms(params, check_number("q", q, "real array"))
     delta = np.arccos(np.clip(x, -1.0, 1.0))
     eps_plus = fold_quasienergy(-(a_sum + delta) / (2 * np.pi))
     eps_minus = fold_quasienergy(-(a_sum - delta) / (2 * np.pi))
@@ -100,7 +102,7 @@ def _band_points(qs: np.ndarray, vals: np.ndarray, spinors: np.ndarray) -> list:
 def quasienergy_numeric(params: ModulationParams, q: float) -> BandPoint:
     """Diagonalize the quasimomentum block; the independent route to the
     band data (energies, spinors, polarization projections)."""
-    qs = np.array([float(q)])
+    qs = np.array([float(check_number("q", q))])
     return _band_points(qs, *_eig_sorted(params, qs))[0]
 
 
@@ -114,7 +116,7 @@ class BandGrid:
         return np.array([p.q for p in self.points])
 
     def branch(self, sign: str) -> np.ndarray:
-        key = "eps_plus" if sign == "+" else "eps_minus"
+        key = "eps_plus" if check_name("sign", sign, BRANCHES) == "+" else "eps_minus"
         return np.array([getattr(p, key) for p in self.points])
 
 
@@ -130,8 +132,7 @@ def band_grid(params: ModulationParams, n_k: int) -> BandGrid:
     raw spinors alone, and a point's labels are swapped exactly when the
     cumulative XOR of those decisions up to it is set.
     """
-    if n_k < 16:
-        raise ConfigurationError("n_k must be >= 16")
+    n_k = check_integer("n_k", n_k, 16)
     qs = -np.pi + 2 * np.pi * np.arange(n_k) / n_k
     vals, spinors = _eig_sorted(params, qs)
     prev, plus, minus = spinors[:-1, 0].conj(), spinors[1:, 0], spinors[1:, 1]
@@ -147,9 +148,8 @@ def eigen_spinor(params: ModulationParams, q: float, branch: str) -> np.ndarray:
     Global phase fixed by making the largest component real positive.
     Raises at (near-)degenerate points, where the branch is undefined.
     """
-    if branch not in ("+", "-"):
-        raise ConfigurationError(f"branch must be '+' or '-', got {branch!r}")
-    vals, (vp, vm) = _eig_sorted_at(params, q)
+    check_name("branch", branch, BRANCHES)
+    vals, (vp, vm) = _eig_sorted_at(params, check_number("q", q))
     if abs(np.angle(vals[0] / vals[1])) < 1e-10:
         raise ConfigurationError(f"degenerate quasienergies at q={q}")
     return vp if branch == "+" else vm
@@ -161,6 +161,7 @@ def group_velocity(
     """d(eigenphase)/dq = 2*pi*d(eps)/dq for one branch, by central
     differences with spinor matching across the stencil (no unwrapping
     ambiguity for small h away from band crossings)."""
+    check_number("h", h, "real > 0")
     spin = eigen_spinor(params, q, branch)
 
     def matched_eigenvalue(qq: float) -> complex:

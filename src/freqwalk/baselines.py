@@ -8,7 +8,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import check_integer
 from .lattice import (
     LatticeConfig,
     LatticeState,
@@ -37,8 +37,7 @@ class ClassicalDistribution:
 
 def classical_walk_distribution(n: int) -> ClassicalDistribution:
     """P(m) = C(n, (n+m)/2) / 2^n for m+n even, else 0."""
-    if n < 0:
-        raise ConfigurationError("step count must be >= 0")
+    n = check_integer("n", n, 0)
     prob = np.zeros(2 * n + 1)
     for m in range(-n, n + 1, 2):
         # int / int true division is correctly rounded and never
@@ -62,8 +61,7 @@ def dtqw_step(state: LatticeState) -> LatticeState:
 
 def dtqw_diffusion(n: int) -> np.ndarray:
     """Diffusion distance M(1..n) of the conventional DTQW from |0,H>."""
-    if n < 1:
-        raise ConfigurationError("need at least one step")
+    n = check_integer("n", n, 1)
     cfg = LatticeConfig(half_width=n + 1)
     state = make_single_site(0, Polarization.H, cfg)
     out = np.empty(n)

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .errors import check_integer, check_number
+
 # Below this argument the power series converges fast and is free of the
 # cancellation that sets in for x >~ 10.
 _SERIES_CUTOFF = 2.0
@@ -55,10 +57,8 @@ def bessel_j_sequence(lmax: int, x: float) -> np.ndarray:
     Rescales on the way down to avoid overflow when x is small compared
     with the starting order.
     """
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"argument must be finite and >= 0, got {x}")
+    check_integer("lmax", lmax, 0)
+    check_number("x", x, "real >= 0")
     if x == 0.0:
         out = np.zeros(lmax + 1)
         out[0] = 1.0
@@ -89,6 +89,6 @@ def bessel_j_sequence(lmax: int, x: float) -> np.ndarray:
 
 def bessel_j(l: int, x: float) -> float:
     """J_l(x) for integer order (any sign) and real x >= 0."""
-    l = int(l)
+    l = check_integer("l", l)
     sign = -1.0 if l < 0 and l & 1 else 1.0  # J_{-l} = (-1)^l J_l
     return sign * float(bessel_j_sequence(abs(l), x)[-1])

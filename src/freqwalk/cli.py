@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, TextIO
 import numpy as np
 
 from . import bands, baselines, gates, twoqubit
-from .engine import ModulationParams, evolve, translation_kernel
+from .engine import ENGINES, ModulationParams, evolve, translation_kernel
 from .errors import ConfigurationError, FreqwalkError
 from .lattice import EDGE_MARGIN, LatticeConfig, Polarization, make_single_site
 
@@ -107,8 +107,7 @@ FIELDS = {
     "half_width": Field(_integer, "an integer", 300),
     "n_k": Field(_integer, "an integer", 1024),
     "delta": Field(lambda value: float(_scalar(value)), "a number", gates.DEFAULT_DELTA),
-    "engine": Field(_check(lambda v: v in ("spectral", "direct")), "spectral or direct",
-                    "spectral"),
+    "engine": Field(_check(lambda v: v in ENGINES), "spectral or direct", "spectral"),
     "format": Field(_check(lambda v: v in ("csv", "json")), "csv or json", "csv"),
     "gate_name": Field(_text, "a gate name", required_by=("gate",)),
     "sequence": Field(_list_of(_text), "a list of two-qubit op names",

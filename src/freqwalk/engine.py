@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bessel import bessel_j_sequence
-from .errors import BoundaryLeakError, ConfigurationError
+from .errors import BoundaryLeakError, ConfigurationError, check_integer, check_name, check_number
 from .lattice import (
     LatticeState,
     boundary_mass,
@@ -38,6 +38,7 @@ from .lattice import (
 
 KERNEL_TOL = 1e-12
 BOUNDARY_TOL = 1e-6
+ENGINES = ("spectral", "direct")
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,9 @@ class ModulationParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        vals = (self.gamma, self.phi_h, self.phi_v, self.theta)
-        if not all(np.isfinite(vals)):
-            raise ConfigurationError(f"non-finite modulation parameters {vals}")
-        if self.gamma < 0:
-            raise ConfigurationError("gamma must be >= 0")
+        check_number("gamma", self.gamma, "real >= 0")
+        for name in ("phi_h", "phi_v", "theta"):
+            check_number(name, getattr(self, name))
         object.__setattr__(self, "phi_h", reduce_angle(self.phi_h))
         object.__setattr__(self, "phi_v", reduce_angle(self.phi_v))
         # -0.0 == 0.0, so both must give the same operator, down to the
@@ -76,6 +75,7 @@ def uk_matrix(params: ModulationParams, q) -> np.ndarray:
 
     Broadcasts over an array of q: the result then has shape (2, 2, n).
     """
+    q = check_number("q", q, "real array")
     alpha = np.cos(q + params.phi_h)
     beta = np.cos(q + params.phi_v)
     c, s = np.cos(params.theta / 2), np.sin(params.theta / 2)
@@ -108,10 +108,10 @@ def translation_kernel(
     it are tested, so the cost is linear in Gamma and the result is the
     same as testing every multiple of 4, near-ties included.
     """
-    if not (0 < tol <= 1e-6):
+    if not (0 < check_number("tol", tol) <= 1e-6):
         raise ConfigurationError(f"kernel tolerance {tol} outside (0, 1e-6]")
-    if not (np.isfinite(gamma) and gamma >= 0 and np.isfinite(phi)):
-        raise ConfigurationError(f"need a finite gamma >= 0 and phi, got {gamma}, {phi}")
+    check_number("gamma", gamma, "real >= 0")
+    check_number("phi", phi)
     bound = 4 * (int(gamma) // 2 + 2)  # a multiple of 4, doubled if short
     j = bessel_j_sequence(bound, gamma)
     while _kernel_tail(j) >= tol:
@@ -162,7 +162,7 @@ def _rotate(amp: np.ndarray, theta: float) -> np.ndarray:
 
 def apply_rotation(state: LatticeState, theta: float) -> LatticeState:
     """Coin operation: rotate (a_H, a_V) by R(theta) at every site."""
-    return state.with_amp(_rotate(state.amp, theta))
+    return state.with_amp(_rotate(state.amp, check_number("theta", theta)))
 
 
 @functools.lru_cache(maxsize=2)
@@ -279,7 +279,7 @@ def step(
     state: LatticeState, params: ModulationParams, engine: str = "spectral"
 ) -> LatticeState:
     """One roundtrip: coin rotation, then polarization-dependent translation."""
-    return next(_walk(state, [params], engine))
+    return next(_walk(state, [params], check_name("engine", engine, ENGINES)))
 
 
 def _walk(state: LatticeState, schedule: Schedule, engine: str):
@@ -297,8 +297,6 @@ def _walk(state: LatticeState, schedule: Schedule, engine: str):
             state = _convolve_direct(state, _direct_kernels(params), params.theta)
             yield state
         return
-    if engine != "spectral":
-        raise ConfigurationError(f"unknown engine {engine!r}")
     n = state.config.n_sites
     b = np.fft.ifft(state.amp, axis=1)
     for params in schedule:
@@ -345,14 +343,12 @@ def evolve(
     edge, since past that point the truncation falsifies the dynamics.
     """
     if isinstance(schedule, ModulationParams):
-        if n_steps is None or n_steps < 0:
-            raise ConfigurationError("n_steps >= 0 required with fixed params")
-        schedule = [schedule] * n_steps
-    elif n_steps is not None and n_steps != len(schedule):
+        schedule = [schedule] * check_integer("n_steps", n_steps, 0)
+    elif n_steps is not None and check_integer("n_steps", n_steps, 0) != len(schedule):
         raise ConfigurationError("n_steps disagrees with schedule length")
-    unknown = set(record) - set(_RECORDERS)
-    if unknown:
-        raise ConfigurationError(f"unknown observables {sorted(unknown)}")
+    check_name("engine", engine, ENGINES)
+    check_name("record", record, _RECORDERS, sequence=True)
+    check_number("boundary_tol", boundary_tol, "real >= 0", allow_inf=True)
 
     initial = state
     traj = Trajectory()

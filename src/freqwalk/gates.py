@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ModulationParams, Schedule, step, uk_matrix
-from .errors import ConfigurationError, InfeasibleGateError
+from .bands import BRANCHES
+from .engine import ENGINES, ModulationParams, Schedule, step, uk_matrix
+from .errors import ConfigurationError, InfeasibleGateError, check_name, check_number
 from .lattice import (
     LatticeConfig,
     LatticeState,
@@ -52,17 +53,14 @@ class GateSpec:
 
 def table_gate(name: str, phi: float | None = None) -> GateSpec:
     """Named gate parameters: X, Y, Z, H, or Rz (which needs its angle)."""
-    if name == "Rz":
+    if check_name("name", name, (*_TABLE, "Rz")) == "Rz":
         if phi is None:
             raise ConfigurationError("Rz gate requires the phase angle phi")
-        target = np.array([[1, 0], [0, np.exp(1j * phi)]])
+        target = np.array([[1, 0], [0, np.exp(1j * check_number("phi", phi))]])
         return GateSpec("Rz", 0.0, 0.0, float(phi), target)
     if phi is not None:
         raise ConfigurationError(f"{name} gate takes no angle")
-    try:
-        theta, a, b, target = _TABLE[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown gate {name!r}") from None
+    theta, a, b, target = _TABLE[name]
     return GateSpec(name, theta, a, b, target)
 
 
@@ -85,11 +83,11 @@ def solve_modulation(
 
     Both arccos branches solve the constraints; '+' is the default.
     """
-    if branch not in ("+", "-"):
-        raise ConfigurationError(f"branch must be '+' or '-', got {branch!r}")
+    check_name("branch", branch, BRANCHES)
+    check_number("q_star", q_star)
     if gamma is None:
         gamma = max(np.pi, abs(spec.a), abs(spec.b))
-    if gamma < max(abs(spec.a), abs(spec.b), 1e-9):
+    if check_number("gamma", gamma) < max(abs(spec.a), abs(spec.b), 1e-9):
         raise InfeasibleGateError(
             f"gamma={gamma} cannot reach targets a={spec.a}, b={spec.b}"
         )
@@ -108,25 +106,34 @@ def gate_matrix_analytic(solved: SolvedParams) -> np.ndarray:
     return uk_matrix(solved.params, solved.q_star)
 
 
+def _operands(ndim: int, **arrays) -> list[np.ndarray]:
+    """The named arrays, each checked finite, if they share one shape of
+    `ndim` axes: two matrices, or two state vectors."""
+    checked = [check_number(name, a, "complex array") for name, a in arrays.items()]
+    if checked[0].ndim != ndim or len({a.shape for a in checked}) > 1:
+        shapes = " and ".join(str(a.shape) for a in checked)
+        raise ConfigurationError(f"need {ndim}-d arrays of one shape, got {shapes}")
+    return checked
+
+
 def hs_distance(u_o: np.ndarray, u_t: np.ndarray) -> float:
     """Hilbert-Schmidt distance Tr[(U_t - U_o)^dag (U_t - U_o)]; 0 at
     perfect agreement."""
-    if u_o.shape != u_t.shape:
-        raise ConfigurationError("matrix dimensions differ")
+    u_o, u_t = _operands(2, u_o=u_o, u_t=u_t)
     d = u_t - u_o
     return float(np.real(np.trace(d.conj().T @ d)))
 
 
 def gate_fidelity(u_o: np.ndarray, u_t: np.ndarray) -> float:
     """|Tr(U_t^dag U_o)|^2 / d^2: 1 iff equal up to a global phase."""
-    if u_o.shape != u_t.shape:
-        raise ConfigurationError("matrix dimensions differ")
+    u_o, u_t = _operands(2, u_o=u_o, u_t=u_t)
     d = u_t.shape[0]
     return float(abs(np.trace(u_t.conj().T @ u_o)) ** 2 / d**2)
 
 
 def state_fidelity(psi_o: np.ndarray, psi_t: np.ndarray) -> float:
     """|<psi_o|psi_t>|^2 for unit vectors."""
+    psi_o, psi_t = _operands(1, psi_o=psi_o, psi_t=psi_t)
     for v in (psi_o, psi_t):
         if abs(np.linalg.norm(v) - 1.0) > 1e-9:
             raise ConfigurationError("state fidelity requires unit vectors")
@@ -138,7 +145,8 @@ def _drive(
 ) -> tuple[LatticeState, LatticeState]:
     """The Gaussian packet with the given spin at q_star, and the state
     after one `step` per roundtrip of the schedule."""
-    spec = WavepacketSpec(delta=delta, q=q_star, spin=(spin[0], spin[1]))
+    check_name("engine", engine, ENGINES)
+    spec = WavepacketSpec(delta=delta, q=q_star, spin=spin)
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     try:
         cfg = LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
@@ -214,6 +222,8 @@ def reconstruct_matrix(
 
 def qubit_state(phi1: float, phi2: float) -> np.ndarray:
     """|phi1, phi2> = cos(phi1/2)|H> + sin(phi1/2) e^{i phi2}|V>."""
+    check_number("phi1", phi1)
+    check_number("phi2", phi2)
     return np.array(
         [math.cos(phi1 / 2), math.sin(phi1 / 2) * np.exp(1j * phi2)]
     )
@@ -233,9 +243,9 @@ def prepare_state_sequence(
     """
     gates = [
         table_gate("H"),
-        table_gate("Rz", reduce_angle(phi1)),
+        table_gate("Rz", reduce_angle(check_number("phi1", phi1))),
         table_gate("H"),
-        table_gate("Rz", reduce_angle(phi2 + np.pi / 2)),
+        table_gate("Rz", reduce_angle(check_number("phi2", phi2) + np.pi / 2)),
     ]
     solved = [solve_modulation(g, q_star, gamma) for g in gates]
     return [s.params for s in solved], solved

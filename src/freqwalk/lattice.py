@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer, check_number
 
 EDGE_MARGIN = 5  # sites counted as "boundary" by the truncation monitor
 
@@ -35,17 +35,13 @@ class LatticeConfig:
     half_width: int
 
     def __post_init__(self):
-        hw = self.half_width
-        if isinstance(hw, bool) or not isinstance(hw, (int, np.integer)):
-            raise ConfigurationError(f"half_width must be an integer, got {hw!r}")
-        if hw < 1:
-            raise ConfigurationError("half_width must be >= 1")
+        hw = check_integer("half_width", self.half_width, 1)
         if 2 * (2 * hw + 1) * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
             raise ConfigurationError(
                 f"half_width {hw} too large: its (2, N) complex amplitudes "
                 "would exceed the addressable memory"
             )
-        object.__setattr__(self, "half_width", int(hw))
+        object.__setattr__(self, "half_width", hw)
 
     @property
     def n_sites(self) -> int:
@@ -73,11 +69,10 @@ class LatticeState:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.amp.shape != (2, self.config.n_sites):
-            raise ConfigurationError(
-                f"amplitude shape {self.amp.shape} does not match lattice"
-            )
-        if not np.isfinite(self.amp).all():
+        amp, n = self.amp, self.config.n_sites
+        if not isinstance(amp, np.ndarray) or amp.shape != (2, n) or amp.dtype.kind not in "fc":
+            raise ConfigurationError(f"amplitudes must be a (2, {n}) float or complex array")
+        if not np.isfinite(amp).all():
             raise ConfigurationError("non-finite amplitudes")
 
     def norm(self) -> float:
@@ -96,11 +91,11 @@ class WavepacketSpec:
     spin: tuple[complex, complex]
 
     def __post_init__(self):
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ConfigurationError(f"delta must be positive and finite, got {self.delta}")
-        sn = math.hypot(abs(self.spin[0]), abs(self.spin[1]))
-        if abs(sn - 1.0) > 1e-9:
-            raise ConfigurationError("spin vector must have unit norm")
+        check_number("delta", self.delta, "real > 0")
+        check_number("q", self.q)  # a NaN key would evict a real `_envelope` table
+        spin = check_number("spin", self.spin, "complex array")
+        if spin.shape != (2,) or abs(np.linalg.norm(spin) - 1.0) > 1e-9:
+            raise ConfigurationError(f"spin must be a unit 2-vector, got {self.spin!r}")
         object.__setattr__(self, "q", reduce_angle(self.q))
 
 
@@ -111,7 +106,7 @@ def reduce_angle(a: float) -> float:
 
 def make_single_site(m0: int, pol: Polarization, cfg: LatticeConfig) -> LatticeState:
     amp = np.zeros((2, cfg.n_sites), dtype=complex)
-    amp[pol.value, cfg.index(m0)] = 1.0
+    amp[pol.value, cfg.index(check_integer("m0", m0))] = 1.0
     return LatticeState(cfg, amp)
 
 
@@ -172,8 +167,7 @@ def boundary_mass(state: LatticeState, margin: int = EDGE_MARGIN) -> float:
     Reads only the edge columns.  A lattice of at most 2*margin sites is
     all boundary, so its mass is the total probability.
     """
-    if isinstance(margin, bool) or not isinstance(margin, (int, np.integer)) or margin < 0:
-        raise ConfigurationError(f"margin must be an integer >= 0, got {margin!r}")
+    check_integer("margin", margin, 0)
     n = state.config.n_sites
     if n <= 2 * margin:
         return float(probability_distribution(state).sum())
@@ -194,8 +188,7 @@ def spin_projection_at_q(
     table of (q, half_width) alone, memoized for the last two keys: a gate
     experiment reads its input and output packets at the same q.
     """
-    if not math.isfinite(q):  # a NaN key would evict a real table from the memo
-        raise ConfigurationError(f"q must be finite, got {q}")
+    check_number("q", q)  # a NaN key would evict a real `_plane_wave` table
     v = state.amp @ _plane_wave(q, state.config.half_width)
     if not normalized:
         return v

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import IDENTITY
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer, check_name
 from .gates import DEFAULT_DELTA, DEFAULT_Q_STAR, _column, solve_modulation, table_gate
 
 
@@ -42,11 +42,8 @@ _MATRICES = {"cnot": cnot_matrix, "path_x": path_x}
 def sequence_matrix(ops: list[str]) -> np.ndarray:
     """4x4 product of an operation sequence, application order."""
     u = np.eye(4, dtype=complex)
-    for op in ops:
-        try:
-            u = _MATRICES[op]() @ u
-        except KeyError:
-            raise ConfigurationError(f"unknown two-qubit op {op!r}") from None
+    for op in check_name("ops", ops, _MATRICES, sequence=True):
+        u = _MATRICES[op]() @ u
     return u
 
 
@@ -59,20 +56,16 @@ def execute_two_qubit_lattice(
 ) -> np.ndarray:
     """Drive one basis wavepacket through the sequence; return the 4-vector
     (0H, 0V, 1H, 1V) of q* projections with common normalization."""
-    if isinstance(basis_index, bool) or not isinstance(basis_index, (int, np.integer)):
-        raise ConfigurationError(f"basis index must be an integer, got {basis_index!r}")
-    if basis_index not in range(4):
-        raise ConfigurationError("basis index must be 0..3")
+    if check_integer("basis_index", basis_index, 0) > 3:
+        raise ConfigurationError(f"basis_index must be 0..3, got {basis_index}")
     path, pol = divmod(basis_index, 2)
     x_params = solve_modulation(table_gate("X"), q_star).params
     schedule = []
-    for op in ops:
+    for op in check_name("ops", ops, _MATRICES, sequence=True):
         if op == "path_x":
             path = 1 - path
-        elif op == "cnot":
+        else:  # cnot
             schedule.append(x_params if path else IDENTITY)
-        else:
-            raise ConfigurationError(f"unknown two-qubit op {op!r}")
     spin = (1.0, 0.0) if pol == 0 else (0.0, 1.0)
     out = np.zeros(4, dtype=complex)
     out[2 * path : 2 * path + 2] = _column(spin, schedule, delta, q_star, engine)

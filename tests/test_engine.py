@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import freqwalk as fw
 from freqwalk import Polarization as P
 from freqwalk import engine
-from freqwalk.bessel import bessel_j, bessel_j_sequence
+from freqwalk.bessel import _miller_start, bessel_j, bessel_j_sequence
 from freqwalk.engine import BOUNDARY_TOL
 from freqwalk.lattice import EDGE_MARGIN
 
@@ -72,15 +72,65 @@ def linear_search_lmax(gamma, tol=1e-12, sequence=bessel_j_sequence):
     return lmax
 
 
-def prefix_sequences(gamma):
-    """`bessel_j_sequence(lmax, gamma)` with every lmax <= int(gamma) sliced
-    from one sequence, which is bitwise the same (the recurrence starts
-    from the same order; `test_sequence_prefixes_are_exact`), so the
-    oracle can run over a fine grid of Gamma."""
-    top = bessel_j_sequence(int(gamma), gamma)
-    return lambda lmax, x: (
-        top[: lmax + 1] if lmax <= int(gamma) else bessel_j_sequence(lmax, x)
-    )
+def miller_sequences(lmaxes, xs):
+    """`bessel_j_sequence(lmax, x)` of each pair with x > 2, from one
+    backward recurrence run across all pairs at once.  Each column takes
+    the float operations of the scalar loop in its order, from its own
+    start, so it is bitwise the scalar sequence
+    (`test_miller_sequences_are_exact`)."""
+    lmaxes, xs = np.asarray(lmaxes), np.asarray(xs, dtype=float)
+    starts = np.array([_miller_start(l, x) for l, x in zip(lmaxes.tolist(), xs.tolist())])
+    out = np.zeros((lmaxes.max() + 1, xs.size))
+    jp, jc, norm = np.zeros(xs.size), np.full(xs.size, 1e-30), np.zeros(xs.size)
+    for k in range(starts.max(), -1, -1):
+        on = k <= starts  # the columns whose recurrence has started
+        jm = (2.0 * (k + 1) / xs) * jc - jp
+        jp, jc = np.where(on, jc, jp), np.where(on, jm, jc)
+        keep = k <= lmaxes
+        if keep.any():
+            out[k, keep] = jc[keep]
+        if k % 2 == 0 and k > 0:
+            norm = np.where(on, norm + 2.0 * jc, norm)
+        big = np.abs(jc) > 1e250
+        if big.any():
+            jc[big] *= 1e-250
+            jp[big] *= 1e-250
+            out[:, big] *= 1e-250
+            norm[big] *= 1e-250
+    norm += jc
+    return [out[: l + 1, i] / norm[i] for i, l in enumerate(lmaxes.tolist())]
+
+
+def kernel_tail(j):
+    return 1.0 - (j[0] ** 2 + 2.0 * (j[1:] ** 2).sum())
+
+
+def linear_search_lmaxes(gammas, tol=1e-12):
+    """`linear_search_lmax` of each Gamma, so the oracle can run over a fine
+    grid of Gamma.  The sequences it asks for are made ahead, for all
+    Gammas at once, by `miller_sequences`: J_0 .. J_int(Gamma), whose
+    prefixes are bitwise the shorter sequences (the recurrence starts from
+    the same order; `test_sequence_prefixes_are_exact`), then one round per
+    multiple of 4 above int(Gamma), for each Gamma whose last try missed
+    tol.  Gamma <= 2 takes the power series, which is cheap as it is."""
+    miller = [g for g in gammas if g > 2.0]
+    tops = dict(zip(miller, miller_sequences([int(g) for g in miller], miller)))
+    extras = {g: {} for g in miller}
+    pending = [g for g in miller if kernel_tail(tops[g][: 4 * (int(g) // 4) + 1]) >= tol]
+    rounds = 1
+    while pending:
+        lmaxes = [4 * (int(g) // 4 + rounds) for g in pending]
+        for g, lmax, j in zip(pending, lmaxes, miller_sequences(lmaxes, pending)):
+            extras[g][lmax] = j
+        pending = [g for g, lmax in zip(pending, lmaxes) if kernel_tail(extras[g][lmax]) >= tol]
+        rounds += 1
+
+    def sequence(g):
+        if g <= 2.0:
+            return bessel_j_sequence
+        return lambda lmax, x: tops[g][: lmax + 1] if lmax <= int(g) else extras[g][lmax]
+
+    return [linear_search_lmax(g, tol, sequence(g)) for g in gammas]
 
 
 # 0..100pi with the near-ties where a running-sum search goes wrong
@@ -130,9 +180,19 @@ class TestKernel:
         for lmax in range(0, int(x) + 1, max(1, int(x) // 7)):
             assert bessel_j_sequence(lmax, x).tobytes() == top[: lmax + 1].tobytes()
 
+    # x = 2.5 at lmax = 400 starts 620 orders up and rescales on the way down
+    @pytest.mark.parametrize("x", [2.01, 2.5, 7.3, 20.6 * np.pi, 100 * np.pi])
+    def test_miller_sequences_are_exact(self, x):
+        lmaxes = [0, 3, int(x), 4 * (int(x) // 4 + 1), 4 * (int(x) // 4 + 9), 400]
+        for lmax, j in zip(lmaxes, miller_sequences(lmaxes, [x] * len(lmaxes))):
+            assert j.tobytes() == bessel_j_sequence(lmax, x).tobytes()
+
+    def test_oracle_is_the_linear_search(self):
+        gammas = [KERNEL_GAMMAS[i] for i in (0, 1, 20, 21, 618)]
+        assert linear_search_lmaxes(gammas) == [linear_search_lmax(g) for g in gammas]
+
     def test_matches_linear_search(self):
-        for gamma in KERNEL_GAMMAS:
-            expected = linear_search_lmax(gamma, sequence=prefix_sequences(gamma))
+        for gamma, expected in zip(KERNEL_GAMMAS, linear_search_lmaxes(KERNEL_GAMMAS)):
             assert fw.translation_kernel(gamma, 0.0).lmax == expected, gamma
 
     @pytest.mark.parametrize("i", [0, 1, 618, 1237, 3000, 3001, 3002, 3003, 3004])

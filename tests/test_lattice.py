@@ -202,14 +202,17 @@ _SITE = fw.make_single_site(0, P.H, CFG)
      lambda: fw.boundary_mass(_SITE, margin=-1),
      lambda: fw.boundary_mass(_SITE, margin=1.5),
      lambda: fw.execute_two_qubit_lattice(["cnot"], 1.0),
-     lambda: fw.execute_two_qubit_lattice(["cnot"], True)],
+     lambda: fw.execute_two_qubit_lattice(["cnot"], True),
+     lambda: fw.WavepacketSpec(20, np.nan, (1, 0)),
+     lambda: fw.WavepacketSpec(20, 0.0, (np.nan, 0))],
     ids=["q-nan", "q-inf", "phi-inf", "phi-nan", "margin-negative", "margin-float",
-         "basis-float", "basis-bool"],
+         "basis-float", "basis-bool", "packet-q-nan", "packet-spin-nan"],
 )
 def test_bad_library_input_is_a_configuration_error(call):
-    # none may reach the plane-wave memo, where a NaN key would evict a
-    # real table
-    memo = fw.lattice._plane_wave.cache_info()
+    # none may reach a memo, where a NaN key would evict a real table
+    memos = (fw.lattice._plane_wave, fw.lattice._envelope, fw.engine._grid_blocks,
+             fw.engine._direct_kernels)
+    before = [memo.cache_info() for memo in memos]
     with pytest.raises(fw.ConfigurationError):
         call()
-    assert fw.lattice._plane_wave.cache_info() == memo
+    assert [memo.cache_info() for memo in memos] == before
