@@ -96,43 +96,31 @@ class TranslationKernel:
     tail_bound: float
 
 
-def translation_kernel(
-    gamma: float, phi: float, tol: float = KERNEL_TOL
-) -> TranslationKernel:
-    """Smallest truncation with 1 - sum_{|l|<=L} J_l(Gamma)^2 < tol.
+def translation_kernel(gamma: float, phi: float) -> TranslationKernel:
+    """Smallest truncation with 1 - sum_{|l|<=L} J_l(Gamma)^2 < KERNEL_TOL.
 
     The tail is tested at L = 0, 4, 8, ..., each on its own sequence
-    J_0 .. J_L, and the first L that meets tol is backed off order by order
-    on that sequence.  One sequence, doubled until it meets tol, locates
-    that first L by its running sums; then only the multiples of 4 next to
-    it are tested, so the cost is linear in Gamma and the result is the
-    same as testing every multiple of 4, near-ties included.
+    J_0 .. J_L, and the first L that meets the tolerance is backed off
+    order by order on that sequence.  The running sums of one sequence
+    J_0 .. J_{4(int(Gamma)//2 + 2)} guess that first L; they round
+    differently from the tests themselves, so the search settles upward
+    from one multiple of 4 below the guess (from the end of the sequence
+    if its sums never meet the tolerance), each L on its own sequence.
+    The cost is linear in Gamma.
     """
-    if not (0 < check_number("tol", tol) <= 1e-6):
-        raise ConfigurationError(f"kernel tolerance {tol} outside (0, 1e-6]")
     check_number("gamma", gamma, "real >= 0")
     check_number("phi", phi)
-    bound = 4 * (int(gamma) // 2 + 2)  # a multiple of 4, doubled if short
+    bound = 4 * (int(gamma) // 2 + 2)
     j = bessel_j_sequence(bound, gamma)
-    while _kernel_tail(j) >= tol:
-        bound *= 2
-        j = bessel_j_sequence(bound, gamma)
     partial = j[0] ** 2 + 2.0 * np.cumsum(np.concatenate(([0.0], j[1:] ** 2)))
-    first = np.flatnonzero(1.0 - partial[::4] < tol)
-    lmax = 4 * int(first[0]) if first.size else bound
-    # the running sums round differently from the tests themselves, so
-    # settle the first L on its own sequences
+    first = np.flatnonzero(1.0 - partial[::4] < KERNEL_TOL)
+    lmax = max(0, 4 * int(first[0]) - 4) if first.size else bound
     j = bessel_j_sequence(lmax, gamma)
-    while _kernel_tail(j) >= tol:
+    while _kernel_tail(j) >= KERNEL_TOL:
         lmax += 4
         j = bessel_j_sequence(lmax, gamma)
-    while lmax > 0:
-        shorter = bessel_j_sequence(lmax - 4, gamma)
-        if _kernel_tail(shorter) >= tol:
-            break
-        lmax, j = lmax - 4, shorter
-    # back off to the smallest L that still meets tol
-    while lmax > 0 and _kernel_tail(j[:lmax]) < tol:
+    # back off to the smallest L that still meets the tolerance
+    while lmax > 0 and _kernel_tail(j[:lmax]) < KERNEL_TOL:
         lmax -= 1
     return _build_kernel(gamma, phi, lmax)
 

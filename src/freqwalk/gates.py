@@ -107,12 +107,12 @@ def gate_matrix_analytic(solved: SolvedParams) -> np.ndarray:
 
 
 def _operands(ndim: int, **arrays) -> list[np.ndarray]:
-    """The named arrays, each checked finite, if they share one shape of
-    `ndim` axes: two matrices, or two state vectors."""
+    """The named arrays, each checked finite, if they share one nonempty
+    shape of `ndim` axes: two matrices, or two state vectors."""
     checked = [check_number(name, a, "complex array") for name, a in arrays.items()]
-    if checked[0].ndim != ndim or len({a.shape for a in checked}) > 1:
+    if checked[0].ndim != ndim or len({a.shape for a in checked}) > 1 or not checked[0].size:
         shapes = " and ".join(str(a.shape) for a in checked)
-        raise ConfigurationError(f"need {ndim}-d arrays of one shape, got {shapes}")
+        raise ConfigurationError(f"need nonempty {ndim}-d arrays of one shape, got {shapes}")
     return checked
 
 

@@ -118,7 +118,10 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
     is a table of (delta, q, half_width) alone, memoized for the last two
     keys: a gate experiment drives every basis spin on the same packet.
     """
-    edge = math.exp(-((cfg.half_width / spec.delta) ** 2))
+    ratio = cfg.half_width / spec.delta
+    # a float product past the double range is inf, not an OverflowError
+    # as from **, and exp(-inf) is the edge envelope 0 that it stands for
+    edge = math.exp(-ratio * ratio)
     if edge >= 1e-8:
         raise ConfigurationError(
             f"delta={spec.delta} too wide for half_width={cfg.half_width} "
@@ -133,7 +136,10 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
 def _envelope(delta: float, q: float, half_width: int) -> np.ndarray:
     """exp(-m^2/delta^2) exp(-i q m) on the sites, read-only."""
     m = LatticeConfig(half_width).sites
-    envelope = np.exp(-(m / delta) ** 2) * np.exp(-1j * q * m)
+    # sites too far out for (m/delta)^2 to be a double have envelope
+    # exp(-inf) = 0, which is exact
+    with np.errstate(over="ignore"):
+        envelope = np.exp(-(m / delta) ** 2) * np.exp(-1j * q * m)
     envelope.flags.writeable = False
     return envelope
 

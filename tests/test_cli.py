@@ -152,6 +152,14 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"delta must be positive and finite, got {float(delta)}" in err
 
+    def test_delta_narrower_than_a_site_runs(self, tmp_path, capsys):
+        # (half_width / delta)^2 overflows a double; the edge check and the
+        # envelope must read that as envelope 0, not raise
+        argv = ["gate", "--gate-name", "X", "--delta", "1e-200"]
+        code = main(argv + ["--out", str(tmp_path / "g.json")])
+        err = capsys.readouterr().err
+        assert code == 0 or code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestOversizedInputs:
     """Sizes past what memory can hold end in one `error:` line.  Nothing

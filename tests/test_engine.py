@@ -7,7 +7,7 @@ import freqwalk as fw
 from freqwalk import Polarization as P
 from freqwalk import engine
 from freqwalk.bessel import _miller_start, bessel_j, bessel_j_sequence
-from freqwalk.engine import BOUNDARY_TOL
+from freqwalk.engine import BOUNDARY_TOL, KERNEL_TOL
 from freqwalk.lattice import EDGE_MARGIN
 
 FIG2 = dict(theta=-np.pi / 2, phi_h=0.0, phi_v=3 * np.pi / 4)
@@ -51,7 +51,7 @@ def schedules(draw):
     return [pool[draw(picks)] for _ in range(n_steps)]
 
 
-def linear_search_lmax(gamma, tol=1e-12, sequence=bessel_j_sequence):
+def linear_search_lmax(gamma, sequence=bessel_j_sequence):
     """The truncation search that `translation_kernel` replaced, as its
     oracle: grow lmax by 4, recomputing the whole sequence at each try,
     then back off order by order on the last sequence."""
@@ -60,12 +60,12 @@ def linear_search_lmax(gamma, tol=1e-12, sequence=bessel_j_sequence):
         j = sequence(lmax, gamma)
         total = j[0] ** 2 + 2.0 * (j[1:] ** 2).sum()
         tail = 1.0 - total
-        if tail < tol:
+        if tail < KERNEL_TOL:
             break
         lmax += 4
     while lmax > 0:
         shorter = 1.0 - (j[0] ** 2 + 2.0 * (j[1 : lmax] ** 2).sum())
-        if shorter < tol:
+        if shorter < KERNEL_TOL:
             lmax -= 1
         else:
             break
@@ -105,24 +105,26 @@ def kernel_tail(j):
     return 1.0 - (j[0] ** 2 + 2.0 * (j[1:] ** 2).sum())
 
 
-def linear_search_lmaxes(gammas, tol=1e-12):
+def linear_search_lmaxes(gammas):
     """`linear_search_lmax` of each Gamma, so the oracle can run over a fine
     grid of Gamma.  The sequences it asks for are made ahead, for all
     Gammas at once, by `miller_sequences`: J_0 .. J_int(Gamma), whose
     prefixes are bitwise the shorter sequences (the recurrence starts from
     the same order; `test_sequence_prefixes_are_exact`), then one round per
     multiple of 4 above int(Gamma), for each Gamma whose last try missed
-    tol.  Gamma <= 2 takes the power series, which is cheap as it is."""
+    the tolerance.  Gamma <= 2 takes the power series, which is cheap as
+    it is."""
     miller = [g for g in gammas if g > 2.0]
     tops = dict(zip(miller, miller_sequences([int(g) for g in miller], miller)))
     extras = {g: {} for g in miller}
-    pending = [g for g in miller if kernel_tail(tops[g][: 4 * (int(g) // 4) + 1]) >= tol]
+    pending = [g for g in miller if kernel_tail(tops[g][: 4 * (int(g) // 4) + 1]) >= KERNEL_TOL]
     rounds = 1
     while pending:
         lmaxes = [4 * (int(g) // 4 + rounds) for g in pending]
         for g, lmax, j in zip(pending, lmaxes, miller_sequences(lmaxes, pending)):
             extras[g][lmax] = j
-        pending = [g for g, lmax in zip(pending, lmaxes) if kernel_tail(extras[g][lmax]) >= tol]
+        pending = [g for g, lmax in zip(pending, lmaxes)
+                   if kernel_tail(extras[g][lmax]) >= KERNEL_TOL]
         rounds += 1
 
     def sequence(g):
@@ -130,44 +132,43 @@ def linear_search_lmaxes(gammas, tol=1e-12):
             return bessel_j_sequence
         return lambda lmax, x: tops[g][: lmax + 1] if lmax <= int(g) else extras[g][lmax]
 
-    return [linear_search_lmax(g, tol, sequence(g)) for g in gammas]
+    return [linear_search_lmax(g, sequence(g)) for g in gammas]
 
 
 # 0..100pi with the near-ties where a running-sum search goes wrong
-# (indices 618 and 1237), and the README values of Gamma
+# (indices 618 and 1237) and the Gammas whose first sequence is too short
+# to meet the tolerance (17, 18, 19 and 38), the README values of Gamma,
+# and two Gammas whose running sums guess one multiple of 4 too high
+# (3005 and 3006)
 KERNEL_GAMMAS = [*np.linspace(0, 100 * np.pi, 3001), 0.06 * np.pi, np.pi,
-                 3 * np.pi, 30 * np.pi]
+                 3 * np.pi, 30 * np.pi, 119.22006136344095, 271.56368397768466]
 
 
 class TestKernel:
     def test_gamma_zero_is_identity_kernel(self):
-        k = fw.translation_kernel(0.0, 1.3, 1e-12)
+        k = fw.translation_kernel(0.0, 1.3)
         assert k.lmax == 0
         assert k.coeffs[0] == pytest.approx(1.0)
 
     def test_first_coefficient_at_pi(self):
         # c_1 = i * J_1(pi); J_1(pi) frozen from the series oracle
-        k = fw.translation_kernel(np.pi, 0.0, 1e-14)
+        k = fw.translation_kernel(np.pi, 0.0)
         assert k.coeffs[k.lmax + 1] == pytest.approx(
             1j * 0.2846153431797528, abs=1e-13
         )
 
     @pytest.mark.parametrize("gamma", [0.0, 0.06 * np.pi, 1.0, np.pi, 3 * np.pi])
     def test_parseval_completeness(self, gamma):
-        k = fw.translation_kernel(gamma, 0.7, 1e-12)
+        k = fw.translation_kernel(gamma, 0.7)
         total = (np.abs(k.coeffs) ** 2).sum()
         assert 1 - 1e-12 <= total <= 1 + 1e-12
         assert k.tail_bound <= 1e-12
 
     def test_minimal_truncation(self):
-        k = fw.translation_kernel(np.pi, 0.0, 1e-12)
+        k = fw.translation_kernel(np.pi, 0.0)
         assert k.lmax > 0
         shorter = k.coeffs[1:-1]  # drop the outermost order
         assert 1 - (np.abs(shorter) ** 2).sum() >= 1e-12
-
-    def test_tol_out_of_range(self):
-        with pytest.raises(fw.ConfigurationError):
-            fw.translation_kernel(1.0, 0.0, 1e-3)
 
     @pytest.mark.parametrize("gamma", [-1.0, -1e-300, np.inf, np.nan])
     def test_bad_gamma(self, gamma):
@@ -195,26 +196,12 @@ class TestKernel:
         for gamma, expected in zip(KERNEL_GAMMAS, linear_search_lmaxes(KERNEL_GAMMAS)):
             assert fw.translation_kernel(gamma, 0.0).lmax == expected, gamma
 
-    @pytest.mark.parametrize("i", [0, 1, 618, 1237, 3000, 3001, 3002, 3003, 3004])
+    @pytest.mark.parametrize(
+        "i", [0, 1, 17, 18, 19, 38, 618, 1237, 3000, 3001, 3002, 3003, 3004, 3005, 3006]
+    )
     def test_matches_linear_search_verbatim(self, i):
         gamma = KERNEL_GAMMAS[i]
         assert fw.translation_kernel(gamma, 0.0).lmax == linear_search_lmax(gamma)
-
-    # where the running sums put the first multiple of 4 one step too low
-    # ("up") or too high ("down"), and only the sequences settle it
-    @pytest.mark.parametrize(
-        "gamma, tol",
-        [(26.72898935843413, 9.724143087318066e-15),
-         (48.32810876120444, 1.0693851070457731e-13),
-         (16.74594618039265, 2.6396476027031986e-15),
-         (56.24575307225244, 1.4753525870769392e-15),
-         (10.623086409567485, 1.7386633669542082e-15),
-         (36.13841471456831, 2.085769146806329e-15)],
-    )
-    def test_matches_linear_search_near_ties(self, gamma, tol):
-        assert fw.translation_kernel(gamma, 0.0, tol).lmax == linear_search_lmax(
-            gamma, tol
-        )
 
     @pytest.mark.parametrize("gamma", [1000.0, 3000.0])
     def test_search_cost_linear_in_gamma(self, gamma, monkeypatch):

@@ -78,6 +78,15 @@ def test_gaussian_narrow_envelope_localized():
     assert fw.probability_distribution(s)[CFG.index(0)] >= 0.999
 
 
+@pytest.mark.parametrize("delta", [1e-200, 5e-324])
+def test_gaussian_narrower_than_a_site(delta):
+    # (half_width / delta)^2 is past the double range: the edge and every
+    # site but the origin have envelope 0, with no overflow error or warning
+    s = fw.make_gaussian(fw.WavepacketSpec(delta, 0.0, (1, 0)), fw.LatticeConfig(1))
+    assert s.norm() == 1.0
+    assert fw.probability_distribution(s).tolist() == [0.0, 1.0, 0.0]
+
+
 def test_gaussian_unit_norm():
     s = fw.make_gaussian(
         fw.WavepacketSpec(delta=25.0, q=0.27 * np.pi, spin=(0.6, 0.8j)),
@@ -191,6 +200,7 @@ def test_boundary_mass_reads_edges(half_width, margin, seed, scale):
 
 
 _SITE = fw.make_single_site(0, P.H, CFG)
+_PARAMS = fw.ModulationParams(1.0)
 
 
 @pytest.mark.parametrize(
@@ -204,9 +214,19 @@ _SITE = fw.make_single_site(0, P.H, CFG)
      lambda: fw.execute_two_qubit_lattice(["cnot"], 1.0),
      lambda: fw.execute_two_qubit_lattice(["cnot"], True),
      lambda: fw.WavepacketSpec(20, np.nan, (1, 0)),
-     lambda: fw.WavepacketSpec(20, 0.0, (np.nan, 0))],
+     lambda: fw.WavepacketSpec(20, 0.0, (np.nan, 0)),
+     lambda: fw.gate_fidelity(np.zeros((0, 0)), np.zeros((0, 0))),
+     lambda: fw.hs_distance(np.zeros((0, 0)), np.zeros((0, 0))),
+     lambda: fw.state_fidelity(np.zeros(0), np.zeros(0)),
+     lambda: fw.evolve(_SITE, [_PARAMS, _PARAMS], n_steps=3),
+     lambda: fw.table_gate("X", 0.3),
+     lambda: fw.uk_matrix(_PARAMS, [[0.1], [0.2, 0.3]]),
+     lambda: fw.ModulationParams(gamma=10**400)],
     ids=["q-nan", "q-inf", "phi-inf", "phi-nan", "margin-negative", "margin-float",
-         "basis-float", "basis-bool", "packet-q-nan", "packet-spin-nan"],
+         "basis-float", "basis-bool", "packet-q-nan", "packet-spin-nan",
+         "gate-fidelity-empty", "hs-distance-empty", "state-fidelity-empty",
+         "schedule-length-mismatch", "angle-for-fixed-gate", "q-ragged",
+         "gamma-past-float-range"],
 )
 def test_bad_library_input_is_a_configuration_error(call):
     # none may reach a memo, where a NaN key would evict a real table
