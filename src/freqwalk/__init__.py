@@ -19,8 +19,6 @@ from .engine import (
     TranslationKernel,
     Trajectory,
     apply_rotation,
-    apply_translation_direct,
-    apply_translation_spectral,
     evolve,
     step,
     translation_kernel,

@@ -14,6 +14,7 @@ units of the mode spacing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,12 +75,6 @@ def _eig_sorted(params: ModulationParams, qs: np.ndarray):
     vals, spinors = _swap_branches(vals, np.swapaxes(vecs, 1, 2), ang[:, 1] > ang[:, 0])
     k = np.argmax(np.abs(spinors), axis=2)[..., None]
     return vals, spinors * np.exp(-1j * np.angle(np.take_along_axis(spinors, k, 2)))
-
-
-def _eig_sorted_at(params: ModulationParams, q: float):
-    """`_eig_sorted` at one quasimomentum: eigenvalues (2,), spinors (2, 2)."""
-    vals, spinors = _eig_sorted(params, np.array([float(q)]))
-    return vals[0], spinors[0]
 
 
 def _swap_branches(vals: np.ndarray, spinors: np.ndarray, swap: np.ndarray):
@@ -149,31 +144,28 @@ def eigen_spinor(params: ModulationParams, q: float, branch: str) -> np.ndarray:
     Raises at (near-)degenerate points, where the branch is undefined.
     """
     check_name("branch", branch, BRANCHES)
-    vals, (vp, vm) = _eig_sorted_at(params, check_number("q", q))
+    vals, spinors = _eig_sorted(params, np.array([float(check_number("q", q))]))
+    vals, (vp, vm) = vals[0], spinors[0]
     if abs(np.angle(vals[0] / vals[1])) < 1e-10:
         raise ConfigurationError(f"degenerate quasienergies at q={q}")
     return vp if branch == "+" else vm
 
 
-def group_velocity(
-    params: ModulationParams, q: float, branch: str, h: float = 1e-4
-) -> float:
-    """d(eigenphase)/dq = 2*pi*d(eps)/dq for one branch, by central
-    differences with spinor matching across the stencil (no unwrapping
-    ambiguity for small h away from band crossings)."""
-    check_number("h", h, "real > 0")
-    spin = eigen_spinor(params, q, branch)
+def group_velocity(params: ModulationParams, q: float, branch: str) -> float:
+    """d(eigenphase)/dq = 2*pi*d(eps)/dq for one branch: the derivative
+    -(A' +- delta') of the closed form, with delta' = -x'/sqrt(1 - x^2).
 
-    def matched_eigenvalue(qq: float) -> complex:
-        vals, vecs = _eig_sorted_at(params, qq)
-        overlaps = [abs(np.vdot(spin, v)) ** 2 for v in vecs]
-        if abs(overlaps[0] - overlaps[1]) < 0.1:
-            raise ConfigurationError(
-                f"band crossing near q={q}: branch tracking ambiguous"
-            )
-        return vals[int(np.argmax(overlaps))]
-
-    lam_p = matched_eigenvalue(q + h)
-    lam_m = matched_eigenvalue(q - h)
-    # eigenphase chi with eigenvalue = e^{-i chi}; v = d chi / dq
-    return float(-np.angle(lam_p / lam_m) / (2 * h))
+    With u = Gamma*(alpha-beta)/2, x = cos(u) cos(theta/2), and
+    sqrt(1 - x^2) = sin(delta) is taken as hypot(sin u, cos u sin(theta/2)),
+    which does not cancel near x = +-1.  Raises where `eigen_spinor` does:
+    at degenerate points the branch is undefined.
+    """
+    eigen_spinor(params, q, branch)
+    g, half = params.gamma, params.theta / 2
+    sin_h, sin_v = math.sin(q + params.phi_h), math.sin(q + params.phi_v)
+    u = 0.5 * g * (math.cos(q + params.phi_h) - math.cos(q + params.phi_v))
+    da = -0.5 * g * (sin_h + sin_v)  # A'
+    du = -0.5 * g * (sin_h - sin_v)  # u'
+    sin_delta = math.hypot(math.sin(u), math.cos(u) * math.sin(half))
+    ddelta = math.sin(u) * du * math.cos(half) / sin_delta
+    return -(da + ddelta) if branch == "+" else -(da - ddelta)

@@ -15,7 +15,6 @@ import json
 import sys
 import warnings
 from contextlib import nullcontext
-from importlib.metadata import PackageNotFoundError, version
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
@@ -25,10 +24,19 @@ from .engine import ENGINES, ModulationParams, evolve, translation_kernel
 from .errors import ConfigurationError, FreqwalkError
 from .lattice import EDGE_MARGIN, LatticeConfig, Polarization, make_single_site
 
-try:
-    _VERSION = version("freqwalk")
-except PackageNotFoundError:  # running from a source tree
-    _VERSION = "unknown"
+_VERSION = None  # set on the first write: importlib.metadata takes ~20 ms to import
+
+
+def _version() -> str:
+    """The installed package version, "unknown" from a source tree."""
+    global _VERSION
+    if _VERSION is None:
+        from importlib.metadata import PackageNotFoundError, version
+        try:
+            _VERSION = version("freqwalk")
+        except PackageNotFoundError:  # running from a source tree
+            _VERSION = "unknown"
+    return _VERSION
 
 
 def _scalar(value):
@@ -152,19 +160,33 @@ def _walk_half_width(cfg: dict) -> int:
     """The default half_width of a walk: steps * lmax + EDGE_MARGIN + 1 (lmax
     of the widest kernel; `_params` checks each gamma first), rounded up
     until N = 2 * half_width + 1 has no prime factor above 7 (a fast FFT
-    size): until N (< 3**64) divides 105**64."""
+    size)."""
     lmax = max(translation_kernel(_params(cfg, g).gamma, 0.0).lmax for g in cfg["gamma"])
-    half_width = max(cfg["steps"], 0) * lmax + EDGE_MARGIN + 1
-    while pow(105, 64, 2 * half_width + 1):
-        half_width += 1
-    return half_width
+    return _fast_size(2 * (max(cfg["steps"], 0) * lmax + EDGE_MARGIN + 1) + 1) // 2
+
+
+def _fast_size(n: int) -> int:
+    """The smallest 3^a 5^b 7^c >= n: for each 7^c 5^b below the best
+    size so far, the least power of 3 that lifts it to n or past."""
+    best = 3 * n  # past the least power of 3 >= n
+    seven = 1
+    while seven < best:
+        size = seven
+        while size < best:
+            lifted = size
+            while lifted < n:
+                lifted *= 3
+            best = min(best, lifted)
+            size *= 5
+        seven *= 7
+    return best
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per formatted block: bounds the temporary strings
 
 
 def _metadata(cfg: dict) -> dict:
-    return {"tool": "freqwalk", "version": _VERSION, "config": cfg}
+    return {"tool": "freqwalk", "version": _version(), "config": cfg}
 
 
 def _distinct_texts(column: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +222,7 @@ def _write_csv(out: TextIO, cfg: dict, header: list[str], columns) -> None:
     """Head lines, then the rows: %.17g per float cell, %s per text cell,
     and '%.17g' % int per integer cell from one text per distinct value,
     which gives the bytes of format(cell, ".17g") cell by cell."""
-    out.write(f"# tool=freqwalk version={_VERSION}\n")
+    out.write(f"# tool=freqwalk version={_version()}\n")
     out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
     row = ",".join("%s" if c.dtype.kind in "Oiu" else "%.17g" for c in columns) + "\n"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,19 +110,24 @@ def translation_kernel(gamma: float, phi: float) -> TranslationKernel:
     """
     check_number("gamma", gamma, "real >= 0")
     check_number("phi", phi)
+
+    @functools.cache
+    def sequence(order: int) -> np.ndarray:  # each order computed once
+        return bessel_j_sequence(order, gamma)
+
     bound = 4 * (int(gamma) // 2 + 2)
-    j = bessel_j_sequence(bound, gamma)
+    j = sequence(bound)
     partial = j[0] ** 2 + 2.0 * np.cumsum(np.concatenate(([0.0], j[1:] ** 2)))
     first = np.flatnonzero(1.0 - partial[::4] < KERNEL_TOL)
     lmax = max(0, 4 * int(first[0]) - 4) if first.size else bound
-    j = bessel_j_sequence(lmax, gamma)
+    j = sequence(lmax)
     while _kernel_tail(j) >= KERNEL_TOL:
         lmax += 4
-        j = bessel_j_sequence(lmax, gamma)
+        j = sequence(lmax)
     # back off to the smallest L that still meets the tolerance
     while lmax > 0 and _kernel_tail(j[:lmax]) < KERNEL_TOL:
         lmax -= 1
-    return _build_kernel(gamma, phi, lmax)
+    return _build_kernel(gamma, phi, sequence(lmax))
 
 
 def _kernel_tail(j: np.ndarray) -> float:
@@ -130,8 +135,9 @@ def _kernel_tail(j: np.ndarray) -> float:
     return 1.0 - (j[0] ** 2 + 2.0 * (j[1:] ** 2).sum())
 
 
-def _build_kernel(gamma: float, phi: float, lmax: int) -> TranslationKernel:
-    j = bessel_j_sequence(lmax, gamma)
+def _build_kernel(gamma: float, phi: float, j: np.ndarray) -> TranslationKernel:
+    """The kernel of orders -lmax .. lmax from j = J_0(Gamma) .. J_lmax(Gamma)."""
+    lmax = len(j) - 1
     ls = np.arange(-lmax, lmax + 1)
     jl = np.concatenate([j[:0:-1] * (-1.0) ** np.arange(lmax, 0, -1), j])
     coeffs = (1j**ls) * jl * np.exp(1j * ls * phi)
@@ -165,9 +171,9 @@ def _direct_kernels(
     # a few guard orders past the tolerance cutoff: the Bessel tail
     # decays super-exponentially there, so this buys ~4 extra digits
     # of agreement with the exact (spectral) translation for free
+    j = bessel_j_sequence(base_lmax + 8, params.gamma)
     kernels = tuple(
-        _build_kernel(params.gamma, phi, base_lmax + 8)
-        for phi in (params.phi_h, params.phi_v)
+        _build_kernel(params.gamma, phi, j) for phi in (params.phi_h, params.phi_v)
     )
     for kern in kernels:
         kern.coeffs.flags.writeable = False
@@ -216,18 +222,6 @@ def _convolve_direct(
     return state.with_amp(amp, norm_leak=leak)
 
 
-def apply_translation_direct(
-    state: LatticeState, params: ModulationParams
-) -> LatticeState:
-    """Kernel-convolution translation with open (truncated) boundary: the
-    direct roundtrip with theta = 0.
-
-    The norm lost past the lattice edge is recorded in the result's
-    meta["norm_leak"]; a leak above 1e-6 additionally raises a warning.
-    """
-    return step(state, replace(params, theta=0.0), "direct")
-
-
 def _q_grid(n_sites: int) -> np.ndarray:
     """Quasimomenta of the FFT bins: ifft row k carries e^{+i q_k m}."""
     return 2 * np.pi * np.fft.fftfreq(n_sites)
@@ -252,21 +246,16 @@ def _apply_blocks(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return u[:, 0] * b[0] + u[:, 1] * b[1]
 
 
-def apply_translation_spectral(
-    state: LatticeState, params: ModulationParams
-) -> LatticeState:
-    """Exactly unitary translation: the roundtrip block with theta = 0,
-    a phase multiplication on the FFT grid.
-
-    Periodic (circular) boundary semantics.
-    """
-    return step(state, replace(params, theta=0.0))
-
-
 def step(
     state: LatticeState, params: ModulationParams, engine: str = "spectral"
 ) -> LatticeState:
-    """One roundtrip: coin rotation, then polarization-dependent translation."""
+    """One roundtrip: coin rotation, then polarization-dependent
+    translation; with theta = 0, the translation alone.
+
+    The spectral engine is periodic.  The direct engine drops what it
+    pushes past the lattice edge and records that norm in the result's
+    meta["norm_leak"]; a leak above 1e-6 also raises a warning.
+    """
     return next(_walk(state, [params], check_name("engine", engine, ENGINES)))
 
 
@@ -322,13 +311,13 @@ def evolve(
     n_steps: int | None = None,
     engine: str = "spectral",
     record: tuple[str, ...] = ("diffusion",),
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> Trajectory:
     """Run a schedule (or n_steps repeats of one parameter set), recording
     the requested observables after every step.
 
-    Aborts with BoundaryLeakError if probability piles up at the lattice
-    edge, since past that point the truncation falsifies the dynamics.
+    Aborts with BoundaryLeakError once `boundary_mass` exceeds
+    BOUNDARY_TOL, since past that point the truncation falsifies the
+    dynamics.
     """
     if isinstance(schedule, ModulationParams):
         schedule = [schedule] * check_integer("n_steps", n_steps, 0)
@@ -336,7 +325,6 @@ def evolve(
         raise ConfigurationError("n_steps disagrees with schedule length")
     check_name("engine", engine, ENGINES)
     check_name("record", record, _RECORDERS, sequence=True)
-    check_number("boundary_tol", boundary_tol, "real >= 0", allow_inf=True)
 
     initial = state
     traj = Trajectory()
@@ -350,7 +338,7 @@ def evolve(
     snapshot(0, state)
     for i, state in enumerate(_walk(state, schedule, engine), start=1):
         mass = boundary_mass(state)
-        if mass > boundary_tol:
+        if mass > BOUNDARY_TOL:
             raise BoundaryLeakError(i, mass)
         snapshot(i, state)
     return traj

@@ -52,11 +52,11 @@ _NUMBERS = {
 }
 
 
-def check_number(name: str, value, kind: str = "real", allow_inf: bool = False):
+def check_number(name: str, value, kind: str = "real"):
     """`value` if it is a number of `kind` (a key of `_NUMBERS`) that is
-    finite, or a scalar infinity with `allow_inf`, else a
-    ConfigurationError naming the argument.  A bool is not a number.  The
-    array kinds take a scalar, a sequence or an array, and return an array."""
+    finite, else a ConfigurationError naming the argument.  A bool is not a
+    number.  The array kinds take a scalar, a sequence or an array, and
+    return an array."""
     dtypes, bound, what = _NUMBERS[kind]
     arrays = kind.endswith(" array")
     if arrays:
@@ -71,13 +71,12 @@ def check_number(name: str, value, kind: str = "real", allow_inf: bool = False):
             ok = (
                 isinstance(value, (int, float, np.integer, np.floating))
                 and not isinstance(value, bool)
-                and (math.isfinite(value) or allow_inf and math.isinf(value))
+                and math.isfinite(value)
                 and (bound is None or bound(value, 0))
             )
         except OverflowError:  # a Python int past the float range
             ok = False
     if not ok:
-        what += " or inf" if allow_inf else ""
         raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     return array if arrays else value
 

@@ -167,18 +167,17 @@ def return_probability(state: LatticeState, ref: LatticeState) -> float:
     return float(abs(np.vdot(ref.amp, state.amp)) ** 2)
 
 
-def boundary_mass(state: LatticeState, margin: int = EDGE_MARGIN) -> float:
-    """Probability within `margin` sites of either lattice edge.
+def boundary_mass(state: LatticeState) -> float:
+    """Probability within EDGE_MARGIN sites of either lattice edge.
 
-    Reads only the edge columns.  A lattice of at most 2*margin sites is
-    all boundary, so its mass is the total probability.
+    Reads only the edge columns.  A lattice of at most 2*EDGE_MARGIN sites
+    is all boundary, so its mass is the total probability.
     """
-    check_integer("margin", margin, 0)
     n = state.config.n_sites
-    if n <= 2 * margin:
+    if n <= 2 * EDGE_MARGIN:
         return float(probability_distribution(state).sum())
-    left = (np.abs(state.amp[:, :margin]) ** 2).sum(axis=0)
-    right = (np.abs(state.amp[:, n - margin :]) ** 2).sum(axis=0)
+    left = (np.abs(state.amp[:, :EDGE_MARGIN]) ** 2).sum(axis=0)
+    right = (np.abs(state.amp[:, n - EDGE_MARGIN :]) ** 2).sum(axis=0)
     return float(left.sum() + right.sum())
 
 

@@ -50,12 +50,10 @@ BASELINES = {  # name: the arguments of a valid call
     "ModulationParams": (np.pi, 0.0, 3 * np.pi / 4, -np.pi / 2),
     "WavepacketSpec": (3.0, Q, (1.0, 0.0)),
     "apply_rotation": (SITE, 0.3),
-    "apply_translation_direct": (SITE, PARAMS),
-    "apply_translation_spectral": (SITE, PARAMS),
     "band_grid": (PARAMS, 16),
     "bessel_j": (1, 3.0),
     "bessel_j_sequence": (4, 3.0),
-    "boundary_mass": (SITE, 5),
+    "boundary_mass": (SITE,),
     "centroid": (PACKET,),
     "classical_walk_distribution": (2,),
     "cnot_matrix": (),

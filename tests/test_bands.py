@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -159,6 +160,29 @@ class TestGroupVelocity:
         )
         shift = fw.centroid(fw.step(wp, p)) - fw.centroid(wp)
         assert shift == pytest.approx(-v, rel=0.02)
+
+    def test_matches_eigenphase_derivative(self):
+        # a point where a +-1e-4 central difference is 3.3e-3 off
+        p = fw.ModulationParams(gamma=25.49576393969829, phi_h=-1.1001460400695675,
+                                phi_v=0.29430682236028227, theta=0.018671090282159852)
+        q0 = -2.9318000515166487
+        lam0 = np.exp(-2j * np.pi * fw.quasienergy_numeric(p, q0).eps_plus)
+        with mpmath.workdps(40):
+            c = mpmath.cos(p.theta / 2)
+
+            def eigenphase(q):
+                # the root of the block's characteristic polynomial
+                # nearest the numeric + eigenvalue, as -arg(lambda / lambda0)
+                eh = mpmath.expj(p.gamma * mpmath.cos(q + p.phi_h))
+                ev = mpmath.expj(p.gamma * mpmath.cos(q + p.phi_v))
+                half_trace = (eh + ev) * c / 2
+                root = mpmath.sqrt(half_trace**2 - eh * ev)  # det = eh ev
+                lam = min(half_trace + root, half_trace - root,
+                          key=lambda z: abs(z - complex(lam0)))
+                return -mpmath.arg(lam / complex(lam0))
+
+            expected = float(mpmath.diff(eigenphase, mpmath.mpf(q0)))
+        assert fw.group_velocity(p, q0, "+") == pytest.approx(expected, rel=1e-9)
 
 
 def circular_gap(a, b):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -318,11 +322,38 @@ class TestDefaultHalfWidth:
         half_width = cli.load_config(cli.build_parser().parse_args(argv))["half_width"]
         lmax = max(translation_kernel(g, 0.0).lmax for g in gamma)
         assert half_width >= steps * lmax + EDGE_MARGIN + 1
-        n = 2 * half_width + 1
-        for p in (3, 5, 7):
-            while n % p == 0:
-                n //= p
-        assert n == 1
+        assert _strip_fast_factors(2 * half_width + 1) == 1
+
+    # lmax = 7 at gamma = 1: a scan over the odd sizes from N = 140,000,000,013
+    # up to the next fast size, 3^19 * 5^3, would take 2.6e9 steps
+    @pytest.mark.parametrize("steps", [10**10, 10**15, 10**20])
+    def test_huge_walk_sized_at_once(self, steps):
+        argv = ["evolve", "--gamma", "1", "--steps", str(steps)]
+        start = time.perf_counter()
+        half_width = cli.load_config(cli.build_parser().parse_args(argv))["half_width"]
+        assert time.perf_counter() - start < 1.0
+        assert half_width >= steps * 7 + EDGE_MARGIN + 1
+        assert _strip_fast_factors(2 * half_width + 1) == 1
+        if steps == 10**10:
+            assert 2 * half_width + 1 == 3**19 * 5**3
+
+
+def _strip_fast_factors(n: int) -> int:
+    """n with its factors 3, 5 and 7 divided out."""
+    for p in (3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def test_import_leaves_package_metadata_unloaded():
+    # the version is looked up when the first dataset is written
+    src = str(Path(cli.__file__).parents[1])
+    code = "import sys, freqwalk.cli; print('importlib.metadata' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 class TestDiffusionCommand:

@@ -33,6 +33,20 @@ def reference_step(state, params):
     return state.with_amp(amp)
 
 
+@pytest.fixture
+def bessel_orders(monkeypatch):
+    """The orders of the Bessel sequences that `engine` computes, in call order."""
+    orders = []
+    original = engine.bessel_j_sequence
+
+    def counted(lmax, x):
+        orders.append(lmax)
+        return original(lmax, x)
+
+    monkeypatch.setattr(engine, "bessel_j_sequence", counted)
+    return orders
+
+
 modulations = st.builds(
     fw.ModulationParams,
     gamma=st.floats(0.0, 3 * np.pi),
@@ -204,18 +218,17 @@ class TestKernel:
         assert fw.translation_kernel(gamma, 0.0).lmax == linear_search_lmax(gamma)
 
     @pytest.mark.parametrize("gamma", [1000.0, 3000.0])
-    def test_search_cost_linear_in_gamma(self, gamma, monkeypatch):
-        orders = []
-        original = engine.bessel_j_sequence
-
-        def counted(lmax, x):
-            orders.append(lmax)
-            return original(lmax, x)
-
-        monkeypatch.setattr(engine, "bessel_j_sequence", counted)
+    def test_search_cost_linear_in_gamma(self, gamma, bessel_orders):
         fw.translation_kernel(gamma, 0.0)
-        assert len(orders) <= 5
-        assert sum(orders) <= 6 * gamma
+        assert len(bessel_orders) <= 5
+        assert sum(bessel_orders) <= 6 * gamma
+
+    # 1.78: the guess sequence never meets the tolerance, and the settle
+    # starts at its end; pi: the settle passes at the guess order
+    @pytest.mark.parametrize("gamma,orders", [(1.78, [8, 12, 9]), (np.pi, [12, 8, 11])])
+    def test_each_sequence_computed_once(self, gamma, orders, bessel_orders):
+        fw.translation_kernel(gamma, 0.0)
+        assert bessel_orders == orders
 
 
 class TestRotation:
@@ -240,13 +253,13 @@ class TestTranslation:
     def test_direct_gamma_zero_identity(self):
         cfg = fw.LatticeConfig(10)
         s = fw.make_single_site(2, P.V, cfg)
-        out = fw.apply_translation_direct(s, fw.ModulationParams(gamma=0.0))
+        out = fw.step(s, fw.ModulationParams(gamma=0.0), "direct")
         assert np.allclose(out.amp, s.amp, atol=1e-15)
 
     def test_direct_single_site_bessel_profile(self):
         cfg = fw.LatticeConfig(40)
         s = fw.make_single_site(0, P.H, cfg)
-        out = fw.apply_translation_direct(s, fw.ModulationParams(gamma=np.pi))
+        out = fw.step(s, fw.ModulationParams(gamma=np.pi), "direct")
         p = fw.probability_distribution(out)
         for m in range(-8, 9):
             assert p[cfg.index(m)] == pytest.approx(
@@ -262,23 +275,21 @@ class TestTranslation:
         amp[0] = np.exp(-1j * q * cfg.sites) / np.sqrt(n)
         s = fw.LatticeState(cfg, amp)
         params = fw.ModulationParams(gamma=1.7, phi_h=0.4, phi_v=0.0)
-        out = fw.apply_translation_spectral(s, params)
+        out = fw.step(s, params)
         expected = np.exp(1j * 1.7 * np.cos(q + 0.4)) * amp[0]
         assert np.allclose(out.amp[0], expected, atol=1e-12)
 
     def test_spectral_norm_preserved(self):
         cfg = fw.LatticeConfig(64)
         s = random_interior_state(cfg, np.random.default_rng(3))
-        out = fw.apply_translation_spectral(
-            s, fw.ModulationParams(gamma=3 * np.pi, phi_h=0.1, phi_v=2.0)
-        )
+        out = fw.step(s, fw.ModulationParams(gamma=3 * np.pi, phi_h=0.1, phi_v=2.0))
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_reports_leak(self):
         cfg = fw.LatticeConfig(6)
         s = fw.make_single_site(0, P.H, cfg)
         with pytest.warns(UserWarning):
-            out = fw.apply_translation_direct(s, fw.ModulationParams(gamma=3 * np.pi))
+            out = fw.step(s, fw.ModulationParams(gamma=3 * np.pi), "direct")
         assert out.meta["norm_leak"] > 1e-6
         assert out.norm() < 1.0
 
@@ -432,24 +443,22 @@ class TestEvolve:
 
 
 class TestDirectKernelCache:
-    def test_kernels_built_once_per_params(self, monkeypatch):
-        calls = []
-        original = engine.bessel_j_sequence
-
-        def counted(lmax, x):
-            calls.append(lmax)
-            return original(lmax, x)
-
-        monkeypatch.setattr(engine, "bessel_j_sequence", counted)
+    def test_kernels_built_once_per_params(self, bessel_orders):
         s = fw.make_single_site(0, P.H, fw.LatticeConfig(100))
         params = fw.ModulationParams(gamma=1.0, **FIG2)
         engine._direct_kernels.cache_clear()
         fw.evolve(s, params, n_steps=1, engine="direct")
-        one_step = len(calls)
-        calls.clear()
+        one_step = len(bessel_orders)
+        bessel_orders.clear()
         engine._direct_kernels.cache_clear()
         fw.evolve(s, params, n_steps=20, engine="direct")
-        assert len(calls) == one_step > 0
+        assert len(bessel_orders) == one_step > 0
+
+    def test_rows_share_one_sequence(self, bessel_orders):
+        # the search's orders at pi, then lmax + 8 = 19 once for both rows
+        engine._direct_kernels.cache_clear()
+        engine._direct_kernels(fw.ModulationParams(gamma=np.pi, **FIG2))
+        assert bessel_orders == [12, 8, 11, 19]
 
     def test_schedule_matches_direct_steps_bitwise(self):
         cfg = fw.LatticeConfig(80)
@@ -530,11 +539,10 @@ class TestDirectWindow:
         assert np.array_equal(out.amp, expected)
         assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
 
-        traj = fw.evolve(state, params, n_steps=n_steps, engine="direct",
-                         record=("state",), boundary_tol=np.inf)
-        for rec in traj.records[1:]:
-            assert np.array_equal(rec["state"].amp, expected)
-            expected, _ = whole_lattice_direct(rec["state"], kernels, params.theta)
+        # the walk itself, without the edge abort that `evolve` adds
+        for out in engine._walk(state, [params] * n_steps, "direct"):
+            assert np.array_equal(out.amp, expected)
+            expected, _ = whole_lattice_direct(out, kernels, params.theta)
 
 
 class TestEngineAgreement:

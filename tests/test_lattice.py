@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk import Polarization as P
+from freqwalk.lattice import EDGE_MARGIN
 
 CFG = fw.LatticeConfig(8)
 
@@ -181,19 +182,18 @@ def test_constructors_always_unit_norm(delta, q, ang, ph):
 @settings(max_examples=100, deadline=None)
 @given(
     half_width=st.integers(1, 30),
-    margin=st.integers(1, 12),
     seed=st.integers(0, 2**31),
     scale=st.floats(0.0, 1e3),
 )
-def test_boundary_mass_reads_edges(half_width, margin, seed, scale):
+def test_boundary_mass_reads_edges(half_width, seed, scale):
     cfg = fw.LatticeConfig(half_width)
     rng = np.random.default_rng(seed)
     amp = scale * (rng.normal(size=(2, cfg.n_sites)) + 1j * rng.normal(size=(2, cfg.n_sites)))
     s = fw.LatticeState(cfg, amp)
     p = fw.probability_distribution(s)
-    mass = fw.boundary_mass(s, margin)
-    if cfg.n_sites > 2 * margin:
-        assert mass == float(p[:margin].sum() + p[-margin:].sum())
+    mass = fw.boundary_mass(s)
+    if cfg.n_sites > 2 * EDGE_MARGIN:
+        assert mass == float(p[:EDGE_MARGIN].sum() + p[-EDGE_MARGIN:].sum())
     else:  # the whole lattice is boundary; no site counts twice
         assert mass == float(p.sum())
     assert mass <= s.norm() ** 2 * (1 + 1e-12)
@@ -209,8 +209,6 @@ _PARAMS = fw.ModulationParams(1.0)
      lambda: fw.spin_projection_at_q(_SITE, np.inf),
      lambda: fw.translation_kernel(1.0, np.inf),
      lambda: fw.translation_kernel(1.0, np.nan),
-     lambda: fw.boundary_mass(_SITE, margin=-1),
-     lambda: fw.boundary_mass(_SITE, margin=1.5),
      lambda: fw.execute_two_qubit_lattice(["cnot"], 1.0),
      lambda: fw.execute_two_qubit_lattice(["cnot"], True),
      lambda: fw.WavepacketSpec(20, np.nan, (1, 0)),
@@ -222,7 +220,7 @@ _PARAMS = fw.ModulationParams(1.0)
      lambda: fw.table_gate("X", 0.3),
      lambda: fw.uk_matrix(_PARAMS, [[0.1], [0.2, 0.3]]),
      lambda: fw.ModulationParams(gamma=10**400)],
-    ids=["q-nan", "q-inf", "phi-inf", "phi-nan", "margin-negative", "margin-float",
+    ids=["q-nan", "q-inf", "phi-inf", "phi-nan",
          "basis-float", "basis-bool", "packet-q-nan", "packet-spin-nan",
          "gate-fidelity-empty", "hs-distance-empty", "state-fidelity-empty",
          "schedule-length-mismatch", "angle-for-fixed-gate", "q-ragged",
