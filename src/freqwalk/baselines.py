@@ -60,8 +60,9 @@ def dtqw_step(state: LatticeState) -> LatticeState:
 
 
 def dtqw_diffusion(n: int) -> np.ndarray:
-    """Diffusion distance M(1..n) of the conventional DTQW from |0,H>."""
-    n = check_integer("n", n, 1)
+    """Diffusion distance M(1..n) of the conventional DTQW from |0,H>
+    (empty for n = 0)."""
+    n = check_integer("n", n, 0)
     cfg = LatticeConfig(half_width=n + 1)
     state = make_single_site(0, Polarization.H, cfg)
     out = np.empty(n)

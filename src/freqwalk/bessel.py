@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import check_integer, check_number
+from .errors import ConfigurationError, check_integer, check_number
 
 # Below this argument the power series converges fast and is free of the
 # cancellation that sets in for x >~ 10.
@@ -55,10 +55,20 @@ def bessel_j_sequence(lmax: int, x: float) -> np.ndarray:
     """J_0(x) .. J_lmax(x) for x >= 0, via one backward recurrence.
 
     Rescales on the way down to avoid overflow when x is small compared
-    with the starting order.
+    with the starting order.  An lmax whose output array, or an x whose
+    starting order, cannot be addressed is a ConfigurationError, as
+    LatticeConfig refuses a lattice.
     """
     check_integer("lmax", lmax, 0)
     check_number("x", x, "real >= 0")
+    if (lmax + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"lmax {lmax} too large: J_0 .. J_lmax would exceed the addressable memory"
+        )
+    if x > _SERIES_CUTOFF and _miller_start(lmax, x) > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"x {x:g} too large: the recurrence would start past the addressable orders"
+        )
     if x == 0.0:
         out = np.zeros(lmax + 1)
         out[0] = 1.0

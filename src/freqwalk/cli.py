@@ -11,18 +11,29 @@ I/O failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
+import shutil
 import sys
+import tempfile
 import warnings
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
 from . import bands, baselines, gates, twoqubit
-from .engine import ENGINES, ModulationParams, evolve, translation_kernel
+from .engine import ENGINES, ModulationParams, _monitored_walk, evolve, translation_kernel
 from .errors import ConfigurationError, FreqwalkError
-from .lattice import EDGE_MARGIN, LatticeConfig, Polarization, make_single_site
+from .lattice import (
+    EDGE_MARGIN,
+    LatticeConfig,
+    LatticeState,
+    Polarization,
+    make_single_site,
+    probability_distribution,
+)
 
 _VERSION = None  # set on the first write: importlib.metadata takes ~20 ms to import
 
@@ -62,6 +73,13 @@ def _integer(value) -> int:
     number = int(_scalar(value))
     if isinstance(value, float) and number != value:
         raise ValueError(f"not integral: {value!r}")
+    return number
+
+
+def _count(value) -> int:
+    number = _integer(value)
+    if number < 0:
+        raise ValueError(f"negative: {value!r}")
     return number
 
 
@@ -111,7 +129,7 @@ FIELDS = {
     "rz_phi": Field(parse_angle, "an angle"),
     "phi1": Field(parse_angle, "an angle", required_by=("prepare",)),
     "phi2": Field(parse_angle, "an angle", required_by=("prepare",)),
-    "steps": Field(_integer, "an integer", 100),
+    "steps": Field(_count, "an integer >= 0", 100),
     "half_width": Field(_integer, "an integer", 300),
     "n_k": Field(_integer, "an integer", 1024),
     "delta": Field(lambda value: float(_scalar(value)), "a number", gates.DEFAULT_DELTA),
@@ -162,7 +180,7 @@ def _walk_half_width(cfg: dict) -> int:
     until N = 2 * half_width + 1 has no prime factor above 7 (a fast FFT
     size)."""
     lmax = max(translation_kernel(_params(cfg, g).gamma, 0.0).lmax for g in cfg["gamma"])
-    return _fast_size(2 * (max(cfg["steps"], 0) * lmax + EDGE_MARGIN + 1) + 1) // 2
+    return _fast_size(2 * (cfg["steps"] * lmax + EDGE_MARGIN + 1) + 1) // 2
 
 
 def _fast_size(n: int) -> int:
@@ -182,51 +200,60 @@ def _fast_size(n: int) -> int:
     return best
 
 
-_CSV_BLOCK_ROWS = 4096  # rows per formatted block: bounds the temporary strings
+_CSV_BLOCK_ROWS = 4096  # rows per block of band and diffusion: bounds the temporary strings
 
 
 def _metadata(cfg: dict) -> dict:
     return {"tool": "freqwalk", "version": _version(), "config": cfg}
 
 
-def _distinct_texts(column: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of an integer column, and `fmt` % each
-    of them as the Python int that `.tolist()` gives."""
-    values = np.unique(column)
-    return values, np.array([fmt % v for v in values.tolist()], dtype=object)
-
-
-def _write_rows(out: TextIO, row: str, sep: str, columns, int_format: str) -> None:
-    """The rows joined by `sep`, in blocks: each block is one %-format of
-    the repeated row template `row`, one cell per column.  The cells of an
-    integer column are `int_format` % value, each distinct value formatted
-    once and looked up per block, so `row` has %s at that column."""
-    width = len(columns)
-    tables = [_distinct_texts(c, int_format) if c.dtype.kind in "iu" else None
-              for c in columns]
+def _chunks(columns: list[np.ndarray]):
+    """The columns as blocks of _CSV_BLOCK_ROWS rows."""
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = []
-        for c, table in zip(columns, tables):
-            part = c[start : start + _CSV_BLOCK_ROWS]
-            if table is not None:
-                distinct, texts = table
-                part = texts[np.searchsorted(distinct, part)]
-            block.append(part.tolist())
-        cells = [None] * (width * len(block[0]))
-        for j, values in enumerate(block):
-            cells[j::width] = values
-        out.write((sep if start else "") + sep.join([row] * len(block[0])) % tuple(cells))
+        yield [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
 
 
-def _write_csv(out: TextIO, cfg: dict, header: list[str], columns) -> None:
+def _write_rows(out: TextIO, row: Callable, sep: str, blocks, int_format: str) -> bool:
+    """The rows of every block joined by `sep`; return whether any were
+    written.  A block is a list of columns: 1-D arrays of equal length, or
+    a 0-d array (a numpy scalar) that stands for its value in every row.
+    Each block is one %-format of the repeated row template `row(kinds)`,
+    given the dtype kind of each column, one cell per column.  An integer
+    cell is `int_format` % value, formatted once per block for a 0-d
+    column, and once for every block that reuses the previous block's
+    array (the `m` column of `evolve`), so `row` gets %s there."""
+    written = False
+    texts = {}  # column position: (the integer array, its cells as text)
+    for block in blocks:
+        n = next(len(c) for c in block if c.ndim)
+        if not n:
+            continue
+        cells = [None] * (len(block) * n)
+        for j, c in enumerate(block):
+            if c.dtype.kind not in "iu":
+                values = [c.item()] * n if c.ndim == 0 else c.tolist()
+            elif c.ndim == 0:
+                values = [int_format % c.item()] * n
+            else:
+                if j not in texts or texts[j][0] is not c:
+                    texts[j] = c, [int_format % v for v in c.tolist()]
+                values = texts[j][1]
+            cells[j :: len(block)] = values
+        template = row("".join(c.dtype.kind for c in block))
+        out.write((sep if written else "") + sep.join([template] * n) % tuple(cells))
+        written = True
+    return written
+
+
+def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     """Head lines, then the rows: %.17g per float cell, %s per text cell,
-    and '%.17g' % int per integer cell from one text per distinct value,
-    which gives the bytes of format(cell, ".17g") cell by cell."""
+    and '%.17g' % int per integer cell, which gives the bytes of
+    format(cell, ".17g") cell by cell."""
     out.write(f"# tool=freqwalk version={_version()}\n")
     out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
-    row = ",".join("%s" if c.dtype.kind in "Oiu" else "%.17g" for c in columns) + "\n"
-    _write_rows(out, row, "", columns, "%.17g")
+    row = lambda kinds: ",".join("%s" if k in "Oiu" else "%.17g" for k in kinds) + "\n"
+    _write_rows(out, row, "", blocks, "%.17g")
 
 
 def _json_cells(column: np.ndarray) -> np.ndarray:
@@ -237,15 +264,14 @@ def _json_cells(column: np.ndarray) -> np.ndarray:
     return np.array([json.dumps(v) for v in column.tolist()], dtype=object)
 
 
-def _write_json(out: TextIO, cfg: dict, header: list[str], columns) -> None:
+def _write_json(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     """The bytes of `json.dump(doc, sort_keys=True, indent=1)` and a
     newline, with the rows (the last key) written from one row template;
     an integer cell is '%d' % int, as `json` writes it."""
     doc = {"metadata": _metadata(cfg), "columns": header, "rows": []}
     out.write(json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")])  # to "rows": [
-    if len(columns[0]):
-        row = "\n  [\n" + ",\n".join(["   %s"] * len(columns)) + "\n  ]"
-        _write_rows(out, row, ",", [_json_cells(c) for c in columns], "%d")
+    row = lambda kinds: "\n  [\n" + ",\n".join(["   %s"] * len(kinds)) + "\n  ]"
+    if _write_rows(out, row, ",", ([_json_cells(c) for c in b] for b in blocks), "%d"):
         out.write("\n ")
     out.write("]\n}\n")
 
@@ -261,22 +287,24 @@ def run_band(cfg: dict):
     table = np.array(
         [(p.q, p.eps_plus, p.eps_minus, p.nz_plus, p.nz_minus) for p in grid.points]
     )
-    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], list(table.T)
+    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], _chunks(list(table.T))
 
 
-def _walk_from_origin(cfg: dict, params: ModulationParams, record: str):
-    """The lattice and the trajectory of a walk from |0, H>."""
-    lat = LatticeConfig(half_width=cfg["half_width"])
-    state = make_single_site(0, Polarization.H, lat)
-    return lat, evolve(state, params, cfg["steps"], engine=cfg["engine"], record=(record,))
+def _origin(cfg: dict) -> LatticeState:
+    """|0, H> on the lattice of `cfg`."""
+    return make_single_site(0, Polarization.H, LatticeConfig(half_width=cfg["half_width"]))
 
 
 def run_evolve(cfg: dict):
-    lat, traj = _walk_from_origin(cfg, _params(cfg, cfg["gamma"][0]), "prob")
-    prob = traj.series("prob")  # (steps + 1, N)
-    step = np.repeat(np.asarray(traj.steps, dtype=np.int64), lat.n_sites)
-    m = np.tile(lat.sites, len(traj.records))
-    return ["step", "m", "prob"], [step, m, prob.ravel()]
+    """The header, and one block of rows (step, m, P(m)) per step, made
+    as the walk reaches that step: no more than one step's P(m) is held,
+    and a boundary abort at step k raises while block k is asked for."""
+    state = _origin(cfg)
+    schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), cfg["steps"])
+    sites = state.config.sites  # one array for every block: its cells are formatted once
+    blocks = ([np.int64(i), sites, probability_distribution(s)]
+              for i, s in _monitored_walk(state, schedule, cfg["engine"]))
+    return ["step", "m", "prob"], blocks
 
 
 def run_diffusion(cfg: dict):
@@ -289,13 +317,13 @@ def run_diffusion(cfg: dict):
         ("dtqw", baselines.dtqw_diffusion(n)),
     ]
     for gamma in cfg["gamma"]:
-        _, traj = _walk_from_origin(cfg, _params(cfg, gamma), "diffusion")
+        traj = evolve(_origin(cfg), _params(cfg, gamma), n, engine=cfg["engine"])
         curves.append((f"synthetic:{gamma:.17g}", traj.series("diffusion")[1:]))
     lengths = [len(values) for _, values in curves]
     step = np.concatenate([np.arange(1, k + 1, dtype=np.int64) for k in lengths])
     model = np.repeat(np.array([label for label, _ in curves], dtype=object), lengths)
     values = np.concatenate([np.asarray(v, dtype=float) for _, v in curves])
-    return ["step", "model", "M"], [step, model, values]
+    return ["step", "model", "M"], _chunks([step, model, values])
 
 
 def _matrix_json(u: np.ndarray) -> dict:
@@ -356,16 +384,48 @@ def _write_report(out: TextIO, cfg: dict, report: dict) -> None:
 
 
 def run(cfg: dict, out_path: str | None) -> None:
-    """Compute the dataset of `cfg["experiment"]`, then write it to
-    `out_path` (stdout if none) as it is formatted: a run that fails in the
-    physics leaves no file, a failure while writing can leave a partial one."""
+    """Compute the dataset of `cfg["experiment"]` and write it to
+    `out_path` (stdout if none), or nothing if the run fails.
+
+    Rows are written as they are computed (the walk of `evolve` step by
+    step) into a new file next to `out_path`, which replaces `out_path`
+    on success and is removed on any failure.  Stdout, and an existing
+    `out_path` that is not a regular file (/dev/null, a FIFO), get a copy
+    of an unnamed temporary file, made only on success."""
     if cfg["experiment"] in _TABULAR:
         write = _write_csv if cfg["format"] == "csv" else _write_json
         parts = _TABULAR[cfg["experiment"]](cfg)
     else:
         write, parts = _write_report, (_REPORTS[cfg["experiment"]](cfg),)
-    with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as out:
+    with _output(out_path) as out:
         write(out, cfg, *parts)
+
+
+@contextmanager
+def _output(path: str | None):
+    """A text stream whose bytes reach `path` (stdout if None) only if the
+    block exits without an exception."""
+    if path and (not os.path.exists(path) or os.path.isfile(path)):
+        target = os.path.realpath(path)  # a symlink is written through
+        temporary = os.path.join(os.path.dirname(target), f"freqwalk-{os.urandom(6).hex()}.tmp")
+        try:  # 0o666 less the umask, as open(path, "w") creates a file
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as e:  # name the path the user gave
+            raise OSError(e.errno, e.strerror, path) from None
+        try:
+            with open(fd, "w", newline="") as out:
+                yield out
+            os.replace(temporary, target)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.unlink(temporary)
+            raise
+        return
+    with tempfile.TemporaryFile("w+", newline="") as spool:
+        yield spool
+        spool.seek(0)
+        with open(path, "w", newline="") if path else nullcontext(sys.stdout) as out:
+            shutil.copyfileobj(spool, out)
 
 
 class _Parser(argparse.ArgumentParser):

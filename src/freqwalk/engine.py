@@ -116,7 +116,12 @@ def translation_kernel(gamma: float, phi: float) -> TranslationKernel:
         return bessel_j_sequence(order, gamma)
 
     bound = 4 * (int(gamma) // 2 + 2)
-    j = sequence(bound)
+    try:
+        j = sequence(bound)
+    except ConfigurationError:  # orders up to ~2 Gamma unaddressable
+        raise ConfigurationError(
+            f"gamma {gamma:g} too large: its kernel orders would exceed the addressable memory"
+        ) from None
     partial = j[0] ** 2 + 2.0 * np.cumsum(np.concatenate(([0.0], j[1:] ** 2)))
     first = np.flatnonzero(1.0 - partial[::4] < KERNEL_TOL)
     lmax = max(0, 4 * int(first[0]) - 4) if first.size else bound
@@ -313,11 +318,12 @@ def evolve(
     record: tuple[str, ...] = ("diffusion",),
 ) -> Trajectory:
     """Run a schedule (or n_steps repeats of one parameter set), recording
-    the requested observables after every step.
+    the requested observables of the initial state and after every step.
 
     Aborts with BoundaryLeakError once `boundary_mass` exceeds
     BOUNDARY_TOL, since past that point the truncation falsifies the
-    dynamics.
+    dynamics.  The walk and its abort rule are `_monitored_walk`, which
+    the CLI's `evolve` streams from without keeping the records.
     """
     if isinstance(schedule, ModulationParams):
         schedule = [schedule] * check_integer("n_steps", n_steps, 0)
@@ -326,19 +332,20 @@ def evolve(
     check_name("engine", engine, ENGINES)
     check_name("record", record, _RECORDERS, sequence=True)
 
-    initial = state
     traj = Trajectory()
+    for i, s in _monitored_walk(state, schedule, engine):
+        traj.records.append({"step": i, **{key: _RECORDERS[key](s, state) for key in record}})
+    return traj
 
-    def snapshot(i, s):
-        rec = {"step": i}
-        for key in record:
-            rec[key] = _RECORDERS[key](s, initial)
-        traj.records.append(rec)
 
-    snapshot(0, state)
+def _monitored_walk(state: LatticeState, schedule, engine: str):
+    """Yield (step, state) for step 0 (the initial state) to the end of
+    the schedule, any iterable of ModulationParams; raise
+    BoundaryLeakError at the first step whose `boundary_mass` exceeds
+    BOUNDARY_TOL, before yielding it."""
+    yield 0, state
     for i, state in enumerate(_walk(state, schedule, engine), start=1):
         mass = boundary_mass(state)
         if mass > BOUNDARY_TOL:
             raise BoundaryLeakError(i, mass)
-        snapshot(i, state)
-    return traj
+        yield i, state

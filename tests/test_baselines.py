@@ -99,6 +99,9 @@ class TestDtqwStep:
 
 
 class TestDtqwDiffusion:
+    def test_zero_steps(self):
+        assert dtqw_diffusion(0).shape == (0,)
+
     def test_first_step(self):
         assert dtqw_diffusion(1)[0] == pytest.approx(1.0)
 

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import freqwalk as fw
 from freqwalk.bessel import bessel_j, bessel_j_sequence
 
 
@@ -88,3 +89,14 @@ def test_high_order_small_argument(l, x):
     ref = [float(mpmath.besselj(k, x)) for k in range(171, abs(l) + 1)]
     assert np.max(np.abs(seq[171:] - ref)) <= 1e-300
     assert abs(bessel_j(l, x) - float(mpmath.besselj(l, x))) <= 1e-300
+
+
+def test_unaddressable_orders_refused():
+    # the recurrence for J_0(1e30) would start at order ~1e30, and J_0 ..
+    # J_{2^61} would take 2^64 bytes: each names its argument at once
+    with pytest.raises(fw.ConfigurationError, match="^x 1e\\+30 too large"):
+        bessel_j(0, 1e30)
+    with pytest.raises(fw.ConfigurationError, match="^lmax 2305843009213693952 too large"):
+        bessel_j_sequence(2**61, 3.0)
+    with pytest.raises(fw.ConfigurationError, match="^gamma 1e\\+30 too large"):
+        fw.translation_kernel(1e30, 0.0)

@@ -1,19 +1,23 @@
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqwalk as fw
 from freqwalk import cli
 from freqwalk.baselines import classical_walk_distribution
 from freqwalk.cli import main, parse_angle
@@ -194,6 +198,14 @@ class TestOversizedInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: delta {float(delta):g} too large") and err.count("\n") == 1
 
+    def test_unaddressable_kernel_names_gamma(self, tmp_path, capsys):
+        # the default half_width needs the kernel of Gamma = 1e30, whose
+        # Bessel recurrence would start at order ~1e30
+        argv = ["evolve", "--gamma", "1e30", "--steps", "1", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma 1e+30 too large") and err.count("\n") == 1
+
     @pytest.mark.parametrize("message", ["", "Unable to allocate 5.82 TiB"])
     def test_memory_error_exits_2(self, message, monkeypatch, tmp_path, capsys):
         def exhausted(*args):
@@ -203,6 +215,26 @@ class TestOversizedInputs:
         argv = ["evolve", "--gamma", "1", "--steps", "1", "--half-width", "8"]
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+
+
+class TestStepsField:
+    @pytest.mark.parametrize("command", ["evolve", "diffusion"])
+    @pytest.mark.parametrize("steps", ["-1", "-3"])
+    def test_negative_steps_named(self, command, steps, capsys):
+        assert main([command, "--gamma", "1", "--steps", steps]) == 1
+        assert capsys.readouterr().err == f"error: steps must be an integer >= 0, got '{steps}'\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_diffusion_of_zero_steps_has_no_rows(self, fmt, tmp_path):
+        out = tmp_path / "d"
+        argv = ["diffusion", "--gamma", "1,3pi", "--steps", "0", "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+        if fmt == "csv":
+            lines = out.read_text().splitlines()
+            assert len(lines) == 3 and lines[2] == "step,model,M"
+        else:
+            doc = json.loads(out.read_text())
+            assert doc["columns"] == ["step", "model", "M"] and doc["rows"] == []
 
 
 class TestBandCommand:
@@ -247,6 +279,7 @@ class TestEvolveCommand:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+        assert list(tmp_path.iterdir()) == []  # step 0 was written, then removed
 
     def test_small_lattice_boundary_mass_is_a_probability(self, tmp_path, capsys):
         # 5 sites, all within EDGE_MARGIN of an edge: each counts once
@@ -286,6 +319,108 @@ class TestEvolveCommand:
         assert [line.split()[0] for line in lines] == ["warning:", "error:"]
         assert "boundary mass" in lines[0] and "step 36" in lines[1]
         assert not out.exists()  # a run that fails in the physics writes nothing
+        assert list(tmp_path.iterdir()) == []  # nor leaves its temporary file
+
+
+class _FullDisk:
+    """A text stream that takes `room` characters, then raises OSError."""
+
+    def __init__(self, out, room: int):
+        self.out, self.room = out, room
+
+    def write(self, text: str) -> None:
+        if len(text) > self.room:
+            self.out.write(text[: self.room])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(text)
+        self.out.write(text)
+
+
+_WALK = ["evolve", "--gamma", "3pi", "--steps", "6", "--half-width", "80"]
+
+
+class TestAtomicOutput:
+    """A dataset reaches --out or stdout whole or not at all."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("existing", [None, "old bytes\n"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_failed_write_leaves_nothing(self, to_file, existing, fmt, tmp_path,
+                                         monkeypatch, capsys):
+        # the stream fails halfway through the rows: 5,000 of ~20,000 characters
+        writer = "_write_csv" if fmt == "csv" else "_write_json"
+        write = getattr(cli, writer)
+        monkeypatch.setattr(cli, writer, lambda out, *parts: write(_FullDisk(out, 5000), *parts))
+        out = tmp_path / "x"
+        if existing is not None:
+            out.write_text(existing)
+        argv = _WALK + ["--format", fmt] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [out] and out.read_text() == existing
+
+    def test_abort_writes_nothing_to_stdout(self, capsys):
+        assert main(["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "20"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "x.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main(_WALK + ["--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_symlink_written_through(self, tmp_path, capsys):
+        (tmp_path / "data").mkdir()
+        target, link = tmp_path / "data" / "x.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(_WALK + ["--out", str(link)]) == 0
+        assert main(_WALK) == 0
+        assert link.is_symlink() and target.read_text() == capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "x.csv"]
+
+    def test_fifo_is_written_not_replaced(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main(_WALK + ["--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive() and stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert main(_WALK) == 0
+        assert got == [capsys.readouterr().out]
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_missing_directory_names_out(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(_WALK + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+
+def test_long_walk_holds_one_step(tmp_path, monkeypatch):
+    # 61 steps of N = 3001 sites: every step's P(m) with its int64 step and
+    # m columns would take 61 * 3001 * 24 bytes = 4.4 MB.  One step's
+    # cells, texts and row strings, the walk's (2, N) arrays and the
+    # spectral blocks take about 1.3 MB.
+    monkeypatch.setattr(cli, "_VERSION", "test")  # no metadata import in the trace
+    argv = ["evolve", "--gamma", "3pi", "--steps", "60", "--half-width", "1500"]
+    cfg = cli.load_config(cli.build_parser().parse_args(argv))
+    tracemalloc.start()
+    try:
+        cli.run(cfg, str(tmp_path / "x.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _echoed_config(path) -> dict:
@@ -379,7 +514,8 @@ class TestDiffusionCommand:
         n = 300
         defaults = {key: f.default for key, f in cli.FIELDS.items() if f.default is not None}
         cfg = dict(defaults, steps=n, gamma=[0.0], half_width=10)
-        _, (step, model, values) = cli.run_diffusion(cfg)
+        _, blocks = cli.run_diffusion(cfg)
+        step, model, values = map(np.concatenate, zip(*blocks))
         classical = values[model == "classical"]
         assert np.array_equal(step[model == "classical"], np.arange(1, n + 1))
         assert np.array_equal(classical, np.sqrt(np.arange(1, n + 1)))
@@ -473,28 +609,68 @@ def csv_tables(draw):
     return columns
 
 
+def _split(columns, cuts) -> list:
+    """The columns as blocks cut at the row indices `cuts` (clipped to the
+    table; a repeated cut gives a block of zero rows)."""
+    n = len(columns[0])
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    return [[c[a:b] for c in columns] for a, b in zip(bounds, bounds[1:])]
+
+
+CUTS = st.just(list(range(13))) | st.lists(st.integers(0, 12), max_size=16)  # 1-row blocks, or any
+
+
+@st.composite
+def shared_blocks(draw):
+    """Blocks in the layout of `evolve`: a 0-d integer (one value for the
+    whole block), one integer array shared by every block, a float column;
+    and the same table as whole columns."""
+    n_rows = draw(st.integers(1, 6))
+    shared = np.array(draw(st.lists(REPEATED_INT64, min_size=n_rows, max_size=n_rows)))
+    keys = draw(st.lists(INT64, max_size=4))
+    floats = [np.array(draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows)))
+              for _ in keys]
+    blocks = [[np.int64(k), shared, f] for k, f in zip(keys, floats)]
+    columns = [np.repeat(np.array(keys, dtype=np.int64), n_rows),
+               np.tile(shared, len(keys)), np.concatenate([[], *floats])]
+    return blocks, columns
+
+
 class TestWriteCsv:
     @settings(max_examples=100, deadline=None)
-    @given(columns=csv_tables(), block_rows=st.integers(1, 5))
-    def test_matches_per_cell_formatter(self, columns, block_rows):
+    @given(columns=csv_tables(), cuts=CUTS)
+    def test_matches_per_cell_formatter(self, columns, cuts):
         header = [f"c{j}" for j in range(len(columns))]
         out = io.StringIO()
-        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
-            cli._write_csv(out, {"experiment": "band"}, header, columns)
+        cli._write_csv(out, {"experiment": "band"}, header, _split(columns, cuts))
         *head, body = out.getvalue().split("\n", 3)
         assert head[2] == ",".join(header)
         assert body == reference_csv_rows(columns)
 
+    @settings(max_examples=50, deadline=None)
+    @given(table=shared_blocks())
+    def test_scalar_and_shared_columns(self, table):
+        blocks, columns = table
+        out = io.StringIO()
+        cli._write_csv(out, {"experiment": "evolve"}, ["a", "b", "c"], blocks)
+        assert out.getvalue().split("\n", 3)[3] == reference_csv_rows(columns)
+
 
 class TestReadmeEvolveDataset:
     def test_matches_per_cell_formatter(self, tmp_path):
-        # 153,153 rows over 37 blocks: the step and m cells recur across blocks
+        # 153,153 rows in 51 blocks, one per step
         argv = ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"]
         out = tmp_path / "evolve.csv"
         assert main(argv + ["--out", str(out)]) == 0
-        header, columns = cli.run_evolve(cli.load_config(cli.build_parser().parse_args(argv)))
+        cfg = cli.load_config(cli.build_parser().parse_args(argv))
+        lattice = fw.LatticeConfig(cfg["half_width"])
+        params = fw.ModulationParams(cfg["gamma"][0], cfg["phi_h"], cfg["phi_v"], cfg["theta"])
+        traj = fw.evolve(fw.make_single_site(0, fw.Polarization.H, lattice), params,
+                         cfg["steps"], record=("prob",))
+        columns = [np.repeat(traj.steps, lattice.n_sites),
+                   np.tile(lattice.sites, len(traj.records)), traj.series("prob").ravel()]
         *head, body = out.read_text().split("\n", 3)
-        assert head[2] == ",".join(header)
+        assert head[2] == "step,m,prob"
         got, want = body.splitlines(), reference_csv_rows(columns).splitlines()
         assert len(got) == len(want)
         # the first differing row, not a diff of 153,153 rows
@@ -502,18 +678,30 @@ class TestReadmeEvolveDataset:
         assert bad is None, f"row {bad}: {got[bad]!r} != {want[bad]!r}"
 
 
+def _json_reference(cfg, header, columns) -> str:
+    doc = {"metadata": cli._metadata(cfg), "columns": header,
+           "rows": [list(r) for r in zip(*(c.tolist() for c in columns))]}
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
 class TestWriteJson:
     @settings(max_examples=100, deadline=None)
-    @given(columns=csv_tables(), block_rows=st.integers(1, 5))
-    def test_matches_json_dump(self, columns, block_rows):
+    @given(columns=csv_tables(), cuts=CUTS)
+    def test_matches_json_dump(self, columns, cuts):
         header = [f"c{j}" for j in range(len(columns))]
         cfg = {"experiment": "band"}
         out = io.StringIO()
-        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
-            cli._write_json(out, cfg, header, columns)
-        doc = {"metadata": cli._metadata(cfg), "columns": header,
-               "rows": [list(r) for r in zip(*(c.tolist() for c in columns))]}
-        assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        cli._write_json(out, cfg, header, _split(columns, cuts))
+        assert out.getvalue() == _json_reference(cfg, header, columns)
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=shared_blocks())
+    def test_scalar_and_shared_columns(self, table):
+        blocks, columns = table
+        cfg = {"experiment": "evolve"}
+        out = io.StringIO()
+        cli._write_json(out, cfg, ["a", "b", "c"], blocks)
+        assert out.getvalue() == _json_reference(cfg, ["a", "b", "c"], columns)
 
 
 # CLI fuzzing.  A draw picks a command and gives each field it uses a
@@ -608,3 +796,4 @@ class TestCliFuzz:
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
         assert len(errors) == (0 if code == 0 else 1), err.getvalue()
         assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert code == 0 or out.getvalue() == ""  # a failed run writes no dataset
