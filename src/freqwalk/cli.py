@@ -24,13 +24,14 @@ from typing import Callable, NamedTuple, TextIO
 import numpy as np
 
 from . import bands, baselines, gates, twoqubit
-from .engine import ENGINES, ModulationParams, _monitored_walk, evolve, translation_kernel
+from .engine import ENGINES, ModulationParams, _monitored_walk, translation_kernel
 from .errors import ConfigurationError, FreqwalkError
 from .lattice import (
     EDGE_MARGIN,
     LatticeConfig,
     LatticeState,
     Polarization,
+    diffusion_distance,
     make_single_site,
     probability_distribution,
 )
@@ -303,11 +304,14 @@ def run_evolve(cfg: dict):
     schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), cfg["steps"])
     sites = state.config.sites  # one array for every block: its cells are formatted once
     blocks = ([np.int64(i), sites, probability_distribution(s)]
-              for i, s in _monitored_walk(state, schedule, cfg["engine"]))
+              for i, (s,) in _monitored_walk((state,), (schedule,), cfg["engine"]))
     return ["step", "m", "prob"], blocks
 
 
 def run_diffusion(cfg: dict):
+    """The classical and DTQW baselines, then the diffusion distance of
+    each Gamma's walk from |0, H>, all Gammas walked in lockstep: a
+    boundary abort names the first step at which any of them leaks."""
     n = cfg["steps"]
     curves = [
         # M(n) = sqrt(n) exactly for the unbiased classical walk; the
@@ -316,9 +320,13 @@ def run_diffusion(cfg: dict):
         ("classical", np.sqrt(np.arange(1, n + 1))),
         ("dtqw", baselines.dtqw_diffusion(n)),
     ]
-    for gamma in cfg["gamma"]:
-        traj = evolve(_origin(cfg), _params(cfg, gamma), n, engine=cfg["engine"])
-        curves.append((f"synthetic:{gamma:.17g}", traj.series("diffusion")[1:]))
+    schedules = [itertools.repeat(_params(cfg, gamma), n) for gamma in cfg["gamma"]]
+    walk = _monitored_walk((_origin(cfg),) * len(schedules), schedules, cfg["engine"])
+    distances = [[diffusion_distance(s) for s in states]
+                 for _, states in itertools.islice(walk, 1, None)]
+    table = np.array(distances, dtype=float).reshape(n, len(schedules))
+    for gamma, values in zip(cfg["gamma"], table.T):
+        curves.append((f"synthetic:{gamma:.17g}", values))
     lengths = [len(values) for _, values in curves]
     step = np.concatenate([np.arange(1, k + 1, dtype=np.int64) for k in lengths])
     model = np.repeat(np.array([label for label, _ in curves], dtype=object), lengths)

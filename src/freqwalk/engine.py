@@ -5,15 +5,17 @@ U(q) = T(q) R(theta) of `uk_matrix`, the only definition of the
 operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
 unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
 steps and transforms back once per step for the boundary monitor and the
-recorders.  `direct` rotates in position space and convolves with the
-truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary,
-amplitudes pushed past the edge are dropped and the leak reported).  The
-two share no numerics and cross-validate each other.
+recorders; walks that share a lattice run in lockstep (`_walk`), one FFT
+call per step for all of them.  `direct` rotates in position space and
+convolves with the truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi}
+(open boundary, amplitudes pushed past the edge are dropped and the leak
+reported).  The two share no numerics and cross-validate each other.
 
 Both operators are tables of the parameters (and N, for the blocks)
 alone, so each engine reads a bounded memo of the last two, read-only:
-`_grid_blocks` and `_direct_kernels`.  A walk looks its operator up once
-per roundtrip and holds no tables of its own.
+`_grid_blocks` and `_direct_kernels`.  A walk looks a member's operator
+up when that member's params change, and holds no more tables than it
+has members.
 """
 
 from __future__ import annotations
@@ -245,10 +247,11 @@ def _grid_blocks(params: ModulationParams, n_sites: int) -> np.ndarray:
     return u
 
 
-def _apply_blocks(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """U(q) b(q) at every grid point, for (2, 2, N) blocks and (2, N)
+def _apply_blocks(u: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = U(q) b(q) at every grid point, for (2, 2, N) blocks and (2, N)
     q-space amplitudes."""
-    return u[:, 0] * b[0] + u[:, 1] * b[1]
+    np.multiply(u[:, 0], b[0], out=out)
+    out += u[:, 1] * b[1]
 
 
 def step(
@@ -261,29 +264,54 @@ def step(
     pushes past the lattice edge and records that norm in the result's
     meta["norm_leak"]; a leak above 1e-6 also raises a warning.
     """
-    return next(_walk(state, [params], check_name("engine", engine, ENGINES)))
+    ((state,),) = _walk((state,), ([params],), check_name("engine", engine, ENGINES))
+    return state
 
 
-def _walk(state: LatticeState, schedule: Schedule, engine: str):
-    """Yield the state after each roundtrip of the schedule.
+def _walk(states, schedules, engine: str):
+    """Step k states on one lattice in lockstep, one schedule (an iterable
+    of ModulationParams) each, all of one length; yield the tuple of the k
+    states after each roundtrip.
 
-    Each roundtrip looks its operator up in the engine's memo, the direct
-    kernels of `_direct_kernels` or the blocks U(q) of `_grid_blocks`; the
-    walk holds no tables of its own, and a walk on the lattice and
-    parameters of a recent one builds nothing.  The spectral engine
-    carries the q-space amplitudes from step to step and transforms back
-    to position space once per step.
+    Each member looks its operator up in the engine's memo, the direct
+    kernels of `_direct_kernels` or the blocks U(q) of `_grid_blocks`,
+    only when its params change, so the walk holds at most k tables and a
+    walk on the lattice and parameters of a recent one builds nothing.
+    The direct engine steps the members one after another.  The spectral
+    engine stacks them into one (k, 2, N) array, carries its q-space
+    amplitudes from step to step and transforms back to position space
+    once per step, one FFT call for all members; pocketfft gives each row
+    the bits it gives that row alone.
     """
+    n = states[0].config.n_sites
+    lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
+    keys = [None] * len(states)  # each member's params, and their tables
+    tables = [None] * len(states)
+
+    def look_up(row):
+        for i, params in enumerate(row):
+            if params != keys[i]:
+                keys[i], tables[i] = params, lookup(params)
+
+    rows = zip(*schedules, strict=True)
     if engine == "direct":
-        for params in schedule:
-            state = _convolve_direct(state, _direct_kernels(params), params.theta)
-            yield state
+        for row in rows:
+            look_up(row)
+            states = tuple(
+                _convolve_direct(s, kernels, params.theta)
+                for s, kernels, params in zip(states, tables, row)
+            )
+            yield states
         return
-    n = state.config.n_sites
-    b = np.fft.ifft(state.amp, axis=1)
-    for params in schedule:
-        b = _apply_blocks(_grid_blocks(params, n), b)
-        yield state.with_amp(np.fft.fft(b, axis=1))
+    b = np.fft.ifft(np.stack([s.amp for s in states]), axis=-1)
+    for row in rows:
+        look_up(row)
+        out = np.empty_like(b)
+        for u, member, product in zip(tables, b, out):
+            _apply_blocks(u, member, product)
+        b = out
+        states = tuple(s.with_amp(amp) for s, amp in zip(states, np.fft.fft(b, axis=-1)))
+        yield states
 
 
 @dataclass
@@ -333,19 +361,21 @@ def evolve(
     check_name("record", record, _RECORDERS, sequence=True)
 
     traj = Trajectory()
-    for i, s in _monitored_walk(state, schedule, engine):
+    for i, (s,) in _monitored_walk((state,), (schedule,), engine):
         traj.records.append({"step": i, **{key: _RECORDERS[key](s, state) for key in record}})
     return traj
 
 
-def _monitored_walk(state: LatticeState, schedule, engine: str):
-    """Yield (step, state) for step 0 (the initial state) to the end of
-    the schedule, any iterable of ModulationParams; raise
-    BoundaryLeakError at the first step whose `boundary_mass` exceeds
-    BOUNDARY_TOL, before yielding it."""
-    yield 0, state
-    for i, state in enumerate(_walk(state, schedule, engine), start=1):
-        mass = boundary_mass(state)
-        if mass > BOUNDARY_TOL:
-            raise BoundaryLeakError(i, mass)
-        yield i, state
+def _monitored_walk(states, schedules, engine: str):
+    """Yield (step, states) for step 0 (the initial states) to the end of
+    the schedules, walked in lockstep by `_walk`; raise BoundaryLeakError
+    at the first step where any member's `boundary_mass` exceeds
+    BOUNDARY_TOL, before yielding it, with the mass of the first such
+    member."""
+    yield 0, tuple(states)
+    for i, states in enumerate(_walk(states, schedules, engine), start=1):
+        for s in states:
+            mass = boundary_mass(s)
+            if mass > BOUNDARY_TOL:
+                raise BoundaryLeakError(i, mass)
+        yield i, states

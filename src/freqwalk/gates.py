@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BRANCHES
-from .engine import ENGINES, ModulationParams, Schedule, step, uk_matrix
+from .engine import ENGINES, ModulationParams, Schedule, _walk, uk_matrix
 from .errors import ConfigurationError, InfeasibleGateError, check_name, check_number
 from .lattice import (
     LatticeConfig,
@@ -141,12 +141,14 @@ def state_fidelity(psi_o: np.ndarray, psi_t: np.ndarray) -> float:
 
 
 def _drive(
-    spin, schedule: Schedule, delta: float, q_star: float, engine: str
-) -> tuple[LatticeState, LatticeState]:
-    """The Gaussian packet with the given spin at q_star, and the state
-    after one `step` per roundtrip of the schedule."""
+    spins, schedules: list[Schedule], delta: float, q_star: float, engine: str
+) -> tuple[tuple[LatticeState, ...], tuple[LatticeState, ...]]:
+    """The Gaussian packets with the given spins at q_star, one lattice
+    for all, and the states after their schedules (all of one length),
+    walked in lockstep one roundtrip at a time: each roundtrip transforms
+    to q-space and back, as a `step` does."""
     check_name("engine", engine, ENGINES)
-    spec = WavepacketSpec(delta=delta, q=q_star, spin=spin)
+    specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     try:
         cfg = LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
@@ -155,19 +157,22 @@ def _drive(
             f"delta {delta:g} too large: its lattice (half_width 4.5 delta) "
             "would exceed the addressable memory"
         ) from None
-    packet = state = make_gaussian(spec, cfg)
-    for params in schedule:
-        state = step(state, params, engine)
-    return packet, state
+    packets = states = tuple(make_gaussian(spec, cfg) for spec in specs)
+    for row in zip(*schedules, strict=True):
+        (states,) = _walk(states, [[params] for params in row], engine)
+    return packets, states
 
 
-def _column(
-    spin, schedule: Schedule, delta: float, q_star: float, engine: str
-) -> np.ndarray:
-    """Raw q* projection of the output over the input packet's norm there."""
-    packet, out = _drive(spin, schedule, delta, q_star, engine)
-    scale = np.linalg.norm(spin_projection_at_q(packet, q_star, normalized=False))
-    return spin_projection_at_q(out, q_star, normalized=False) / scale
+def _columns(
+    spins, schedules: list[Schedule], delta: float, q_star: float, engine: str
+) -> list[np.ndarray]:
+    """Raw q* projection of each output over its input packet's norm there."""
+    packets, outs = _drive(spins, schedules, delta, q_star, engine)
+    return [
+        spin_projection_at_q(out, q_star, normalized=False)
+        / np.linalg.norm(spin_projection_at_q(packet, q_star, normalized=False))
+        for packet, out in zip(packets, outs)
+    ]
 
 
 def execute_gate_lattice(
@@ -178,7 +183,7 @@ def execute_gate_lattice(
 ) -> np.ndarray:
     """Run one gate roundtrip on a narrowband wavepacket and read out the
     spin at the working quasimomentum (normalized)."""
-    _, out = _drive(input_spin, [solved.params], delta, solved.q_star, engine)
+    _, (out,) = _drive([input_spin], [[solved.params]], delta, solved.q_star, engine)
     return spin_projection_at_q(out, solved.q_star)
 
 
@@ -196,15 +201,14 @@ def reconstruct_matrix(
 ) -> GateReport:
     """Column-wise process reconstruction against the gate target.
 
-    Each basis spin is driven through one roundtrip; the raw q*
-    projection of the output, divided by the input packet's own real
-    projection magnitude, gives one column with inter-column phase
+    Both basis spins are driven through one roundtrip, in lockstep; the
+    raw q* projection of each output, divided by its input packet's own
+    real projection magnitude, gives one column with inter-column phase
     intact (the roundtrip block acts pointwise in q).
     """
-    cols = [
-        _column(spin, [solved.params], delta, solved.q_star, engine)
-        for spin in ((1.0, 0.0), (0.0, 1.0))
-    ]
+    cols = _columns(
+        ((1.0, 0.0), (0.0, 1.0)), [[solved.params]] * 2, delta, solved.q_star, engine
+    )
     u_o = np.column_stack(cols)
     target = solved.spec.target
     col_f = tuple(
@@ -269,6 +273,6 @@ def run_preparation(
     """Drive an |H> wavepacket through the 4-gate schedule and compare
     the read-out spin with the target |phi1, phi2>."""
     schedule, _ = prepare_state_sequence(phi1, phi2, q_star)
-    _, out = _drive((1.0, 0.0), schedule, delta, q_star, engine)
+    _, (out,) = _drive([(1.0, 0.0)], [schedule], delta, q_star, engine)
     psi_o = spin_projection_at_q(out, q_star)
     return psi_o, state_fidelity(psi_o, qubit_state(phi1, phi2))

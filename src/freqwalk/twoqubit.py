@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import IDENTITY
 from .errors import ConfigurationError, check_integer, check_name
-from .gates import DEFAULT_DELTA, DEFAULT_Q_STAR, _column, solve_modulation, table_gate
+from .gates import DEFAULT_DELTA, DEFAULT_Q_STAR, _columns, solve_modulation, table_gate
 
 
 def cnot_matrix() -> np.ndarray:
@@ -47,6 +47,35 @@ def sequence_matrix(ops: list[str]) -> np.ndarray:
     return u
 
 
+def _register_columns(
+    ops: list[str], basis_indices, delta: float, q_star: float, engine: str
+) -> list[np.ndarray]:
+    """The 4-vector (0H, 0V, 1H, 1V) of q* projections, with common
+    normalization, of each basis wavepacket driven through the sequence;
+    all packets walk in lockstep, each with the schedule of its own path
+    (an X roundtrip per CNOT on path 1, an idle one on path 0)."""
+    x_params = solve_modulation(table_gate("X"), q_star).params
+    check_name("ops", ops, _MATRICES, sequence=True)
+    paths, spins, schedules = [], [], []
+    for index in basis_indices:
+        path, pol = divmod(index, 2)
+        schedule = []
+        for op in ops:
+            if op == "path_x":
+                path = 1 - path
+            else:  # cnot
+                schedule.append(x_params if path else IDENTITY)
+        paths.append(path)
+        spins.append((1.0, 0.0) if pol == 0 else (0.0, 1.0))
+        schedules.append(schedule)
+    outs = []
+    for path, column in zip(paths, _columns(spins, schedules, delta, q_star, engine)):
+        out = np.zeros(4, dtype=complex)
+        out[2 * path : 2 * path + 2] = column
+        outs.append(out)
+    return outs
+
+
 def execute_two_qubit_lattice(
     ops: list[str],
     basis_index: int,
@@ -58,18 +87,7 @@ def execute_two_qubit_lattice(
     (0H, 0V, 1H, 1V) of q* projections with common normalization."""
     if check_integer("basis_index", basis_index, 0) > 3:
         raise ConfigurationError(f"basis_index must be 0..3, got {basis_index}")
-    path, pol = divmod(basis_index, 2)
-    x_params = solve_modulation(table_gate("X"), q_star).params
-    schedule = []
-    for op in check_name("ops", ops, _MATRICES, sequence=True):
-        if op == "path_x":
-            path = 1 - path
-        else:  # cnot
-            schedule.append(x_params if path else IDENTITY)
-    spin = (1.0, 0.0) if pol == 0 else (0.0, 1.0)
-    out = np.zeros(4, dtype=complex)
-    out[2 * path : 2 * path + 2] = _column(spin, schedule, delta, q_star, engine)
-    return out
+    return _register_columns(ops, [basis_index], delta, q_star, engine)[0]
 
 
 @dataclass(frozen=True)
@@ -86,11 +104,9 @@ def reconstruct_4x4(
     engine: str = "spectral",
 ) -> TwoQubitReport:
     """Column-wise reconstruction of the sequence from the four basis
-    inputs, compared against the analytic matrix product."""
-    cols = [
-        execute_two_qubit_lattice(ops, i, delta, q_star, engine) for i in range(4)
-    ]
-    u_o = np.column_stack(cols)
+    inputs, walked in lockstep, compared against the analytic matrix
+    product."""
+    u_o = np.column_stack(_register_columns(ops, range(4), delta, q_star, engine))
     target = sequence_matrix(ops)
     return TwoQubitReport(
         reconstructed=u_o,

@@ -524,6 +524,68 @@ class TestDiffusionCommand:
         assert np.max(np.abs(classical - binomial)) < 1e-12
 
 
+def _synthetic_rows(text: str, fmt: str) -> list[str]:
+    """The rows of the `synthetic:` models, as written: CSV lines, or the
+    text of each JSON row."""
+    if fmt == "csv":
+        rows = text.splitlines()
+    else:  # each row from its "[" to its "]"
+        rows = [row.split("\n  ]")[0] for row in text.split("\n  [")]
+    return [row for row in rows if "synthetic:" in row]
+
+
+class TestLockstepDiffusion:
+    """`diffusion` walks its Gammas in lockstep: each Gamma's rows keep the
+    bytes of the same command run with that Gamma alone."""
+
+    GAMMAS = ["0.06pi", "1pi", "3pi", "1pi"]  # a repeated Gamma, too
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("engine_name", ["spectral", "direct"])
+    def test_rows_equal_single_gamma_rows(self, fmt, engine_name, tmp_path):
+        # the golden diffusion sizes
+        argv = ["diffusion", "--steps", "12", "--half-width", "160",
+                "--format", fmt, "--engine", engine_name]
+
+        def synthetic(gammas):
+            out = tmp_path / f"{len(gammas)}.{fmt}"
+            assert main(argv + ["--gamma", ",".join(gammas), "--out", str(out)]) == 0
+            return _synthetic_rows(out.read_text(), fmt)
+
+        together = synthetic(self.GAMMAS)
+        assert len(together) == 12 * len(self.GAMMAS)
+        assert together == [row for g in self.GAMMAS for row in synthetic([g])]
+
+    @pytest.mark.parametrize("engine_name, memo", [
+        ("spectral", fw.engine._grid_blocks), ("direct", fw.engine._direct_kernels)])
+    def test_each_gamma_table_built_once(self, engine_name, memo, tmp_path):
+        memo.cache_clear()
+        argv = ["diffusion", "--gamma", "0.06pi,1pi,3pi", "--steps", "12",
+                "--half-width", "160", "--engine", engine_name]
+        assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+        assert memo.cache_info().misses == 3
+
+    def test_abort_at_first_leaking_step(self, tmp_path, capsys):
+        # 1pi is listed first but leaks later than 3pi
+        params = lambda g: fw.ModulationParams(
+            gamma=g, theta=-np.pi / 2, phi_h=0.0, phi_v=0.75 * np.pi)
+        aborts = []
+        for gamma in (np.pi, 3 * np.pi):
+            state = fw.make_single_site(0, fw.Polarization.H, fw.LatticeConfig(60))
+            with pytest.raises(fw.BoundaryLeakError) as err:
+                fw.evolve(state, params(gamma), 40)
+            aborts.append(err.value.step)
+        assert aborts[1] < aborts[0]
+        capsys.readouterr()
+        code = main(["diffusion", "--gamma", "1pi,3pi", "--steps", "40",
+                     "--half-width", "60", "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].endswith(f"at step {aborts[1]}")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReportCommands:
     def test_gate_report_json(self, tmp_path):
         out = tmp_path / "g.json"

@@ -540,7 +540,7 @@ class TestDirectWindow:
         assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
 
         # the walk itself, without the edge abort that `evolve` adds
-        for out in engine._walk(state, [params] * n_steps, "direct"):
+        for (out,) in engine._walk((state,), ([params] * n_steps,), "direct"):
             assert np.array_equal(out.amp, expected)
             expected, _ = whole_lattice_direct(out, kernels, params.theta)
 
@@ -577,3 +577,68 @@ class TestEngineAgreement:
         for a, b in zip(spectral.records[1:], direct.records[1:]):
             assert np.max(np.abs(a["state"].amp - b["state"].amp)) < 1e-8
             assert b["state"].meta["norm_leak"] < 1e-12
+
+
+PRIME_N = (31, 61, 101, 181, 241)
+SMOOTH_N = (63, 81, 105, 175, 245)  # no prime factor above 7
+
+
+def monitored_bytes(states, schedules, engine_name):
+    """The amplitude bytes of every member at each step of a monitored
+    walk, and the step and mass of its boundary abort (None if none)."""
+    steps = []
+    try:
+        for _, members in engine._monitored_walk(states, schedules, engine_name):
+            steps.append([s.amp.tobytes() for s in members])
+    except fw.BoundaryLeakError as err:
+        return steps, (err.step, err.mass)
+    return steps, None
+
+
+@st.composite
+def lockstep_walks(draw):
+    """1-4 members on one lattice of prime or 7-smooth N, each with its own
+    interior state and its own schedule of one length, drawn from a pool of
+    3-4 distinct parameter sets that the members repeat."""
+    n = draw(st.sampled_from(PRIME_N + SMOOTH_N))
+    cfg = fw.LatticeConfig((n - 1) // 2)
+    pool = draw(st.lists(modulations, min_size=3, max_size=4, unique=True))
+    k = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(0, 12))
+    picks = st.integers(0, len(pool) - 1)
+    constant = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    schedules = []
+    for still in constant:
+        if still:  # one params for the whole walk, as in `diffusion`
+            schedules.append([pool[draw(picks)]] * n_steps)
+        else:
+            schedules.append([pool[draw(picks)] for _ in range(n_steps)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    states = [random_interior_state(cfg, rng, support=draw(st.integers(0, 8)))
+              for _ in range(k)]
+    return states, schedules
+
+
+class TestLockstepWalk:
+    """Walks in lockstep give each member the bits of its own walk alone,
+    and abort at the first step where any member leaks."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(walk=lockstep_walks(), engine_name=st.sampled_from(engine.ENGINES))
+    def test_members_match_their_single_walks(self, walk, engine_name):
+        states, schedules = walk
+        steps, abort = monitored_bytes(states, schedules, engine_name)
+        alone = [monitored_bytes([s], [schedule], engine_name)
+                 for s, schedule in zip(states, schedules)]
+        for i, (single, _) in enumerate(alone):
+            alone_steps = [members[0] for members in single[: len(steps)]]
+            assert [members[i] for members in steps] == alone_steps, i
+        aborts = [a for _, a in alone if a is not None]
+        if not aborts:
+            assert abort is None and len(steps) == len(schedules[0]) + 1
+            return
+        first = min(step for step, _ in aborts)
+        # the error carries the mass of the first member that leaks at that step
+        assert abort == next(a for a in aborts if a[0] == first)
+        assert len(steps) == first

@@ -63,6 +63,7 @@ EXPERIMENTS = {
     "prepare(1.3, -2.0)": prepare(1.3, -2.0),
     "cnot": register(["cnot"]),
     "ms": register(["path_x", "cnot", "path_x"]),
+    "cnot,cnot": register(["cnot", "cnot"]),  # two roundtrips of one batch
 }
 RUNS = [(name, delta) for name in EXPERIMENTS for delta in DELTAS]
 
@@ -96,7 +97,7 @@ def test_any_order_gives_the_same_bytes(cold, order):
 # distinct parameter sets per experiment: a preparation's two H share one
 # block, a register's basis inputs share the X and the idle roundtrip
 BLOCK_BUILDS = {"H direct": 0, "prepare(0.75pi, 0.25pi)": 2,
-                "prepare(1.3, -2.0)": 3, "cnot": 2, "ms": 2}
+                "prepare(1.3, -2.0)": 3, "cnot": 2, "ms": 2, "cnot,cnot": 2}
 KERNEL_BUILDS = {"H direct": 1}  # only the direct engine reads kernels
 
 

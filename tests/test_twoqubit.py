@@ -92,9 +92,26 @@ class TestReconstruction:
             assert report.max_abs_error < 1e-3
 
 
+class TestLockstepColumns:
+    """The four basis packets of a reconstruction walk in lockstep; each
+    column keeps the bits of that packet driven alone."""
+
+    @pytest.mark.parametrize("engine", ["spectral", "direct"])
+    @pytest.mark.parametrize(
+        "ops", [[], ["cnot"], ["path_x", "cnot", "path_x"], ["cnot", "cnot"],
+                ["cnot", "path_x", "cnot"]],
+    )
+    def test_columns_equal_single_packets(self, ops, engine):
+        report = reconstruct_4x4(ops, delta=20.0, engine=engine)
+        for i in range(4):
+            alone = fw.execute_two_qubit_lattice(ops, i, delta=20.0, engine=engine)
+            assert report.reconstructed[:, i].tobytes() == alone.tobytes(), i
+
+
 class TestLatticeWork:
     """A basis packet sits on one path, so only its lattice is stepped:
-    one roundtrip per CNOT, none per path-X."""
+    one roundtrip per CNOT, none per path-X.  The basis packets of a
+    reconstruction are the members of one lockstep walk per roundtrip."""
 
     @pytest.mark.parametrize(
         "ops",
@@ -102,15 +119,20 @@ class TestLatticeWork:
          ["cnot", "cnot"], ["cnot", "path_x", "cnot"]],
     )
     def test_one_step_per_cnot(self, ops, monkeypatch):
-        calls = []
-        real_step = gates.step
-        monkeypatch.setattr(
-            gates, "step", lambda *args: calls.append(args) or real_step(*args)
-        )
+        walks = []  # the roundtrips of each member, per walk
+        real_walk = gates._walk
+
+        def counted(states, schedules, engine):
+            schedules = [list(s) for s in schedules]
+            walks.append([len(s) for s in schedules])
+            assert len(states) == len(schedules)
+            return real_walk(states, schedules, engine)
+
+        monkeypatch.setattr(gates, "_walk", counted)
         for i in range(4):
-            calls.clear()
+            walks.clear()
             fw.execute_two_qubit_lattice(ops, i, delta=20.0)
-            assert len(calls) == ops.count("cnot")
-        calls.clear()
+            assert walks == [[1]] * ops.count("cnot")
+        walks.clear()
         reconstruct_4x4(ops, delta=20.0)
-        assert len(calls) == 4 * ops.count("cnot")
+        assert walks == [[1, 1, 1, 1]] * ops.count("cnot")
