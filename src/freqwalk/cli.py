@@ -5,7 +5,7 @@ Commands: band, evolve, diffusion, gate, prepare, cnot.  Parameters come
 from --config (a JSON file) with individual flags taking precedence.
 Angles are radians; a "pi" suffix ("0.27pi", "-0.5pi") means multiples
 of pi.  Exit codes: 0 success, 1 configuration error, 2 numerical or
-I/O failure.
+I/O failure, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -24,8 +24,14 @@ from typing import Callable, NamedTuple, TextIO
 import numpy as np
 
 from . import bands, baselines, gates, twoqubit
-from .engine import ENGINES, ModulationParams, _monitored_walk, translation_kernel
-from .errors import ConfigurationError, FreqwalkError
+from .engine import (
+    ENGINES,
+    ModulationParams,
+    _kernel_reach,
+    _monitored_walk,
+    translation_kernel,
+)
+from .errors import ConfigurationError, FreqwalkError, check_fits
 from .lattice import (
     EDGE_MARGIN,
     LatticeConfig,
@@ -169,19 +175,36 @@ def load_config(args: argparse.Namespace) -> dict:
                 raise ConfigurationError(f"{key} must be {f.what}, got {cfg[key]!r}") from None
         elif args.command in f.required_by:
             raise ConfigurationError(f"missing required field {key!r}")
-    if args.command in ("evolve", "diffusion") and "half_width" not in given:
-        cfg["half_width"] = _walk_half_width(cfg)
+    if args.command in ("evolve", "diffusion"):
+        members = len(cfg["gamma"]) if args.command == "diffusion" else 1
+        if "half_width" in given:
+            _check_walk_fits(members, cfg["half_width"], f"half_width {cfg['half_width']} too large")
+        else:
+            cfg["half_width"] = _walk_half_width(cfg, members)
     cfg["experiment"] = args.command
     return cfg
 
 
-def _walk_half_width(cfg: dict) -> int:
+def _check_walk_fits(members: int, half_width: int, refusal: str) -> None:
+    """Refuse, with `refusal` as the message's head, a walk of `members`
+    states whose (2, N) complex amplitudes alone would exceed physical
+    memory."""
+    nbytes = members * 2 * (2 * half_width + 1) * 16
+    check_fits(f"{refusal}: the walk's amplitudes", nbytes)
+
+
+def _walk_half_width(cfg: dict, members: int) -> int:
     """The default half_width of a walk: steps * lmax + EDGE_MARGIN + 1 (lmax
-    of the widest kernel; `_params` checks each gamma first), rounded up
-    until N = 2 * half_width + 1 has no prime factor above 7 (a fast FFT
-    size)."""
-    lmax = max(translation_kernel(_params(cfg, g).gamma, 0.0).lmax for g in cfg["gamma"])
-    return _fast_size(2 * (cfg["steps"] * lmax + EDGE_MARGIN + 1) + 1) // 2
+    of the widest kernel), rounded up until N = 2 * half_width + 1 has no
+    prime factor above 7 (a fast FFT size).  A walk that could not fit in
+    memory with the closed-form bound on lmax is refused before any Bessel
+    work."""
+    gammas = [_params(cfg, g).gamma for g in cfg["gamma"]]
+    steps = cfg["steps"]
+    reach = steps * _kernel_reach(max(gammas)) + EDGE_MARGIN + 1
+    _check_walk_fits(members, reach, f"gamma {max(gammas):g} too large for steps {steps}")
+    lmax = max(translation_kernel(g, 0.0).lmax for g in gammas)
+    return _fast_size(2 * (steps * lmax + EDGE_MARGIN + 1) + 1) // 2
 
 
 def _fast_size(n: int) -> int:
@@ -214,36 +237,56 @@ def _chunks(columns: list[np.ndarray]):
         yield [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
 
 
-def _write_rows(out: TextIO, row: Callable, sep: str, blocks, int_format: str) -> bool:
+def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
+                int_format: str) -> bool:
     """The rows of every block joined by `sep`; return whether any were
     written.  A block is a list of columns: 1-D arrays of equal length, or
     a 0-d array (a numpy scalar) that stands for its value in every row.
-    Each block is one %-format of the repeated row template `row(kinds)`,
-    given the dtype kind of each column, one cell per column.  An integer
-    cell is `int_format` % value, formatted once per block for a 0-d
-    column, and once for every block that reuses the previous block's
-    array (the `m` column of `evolve`), so `row` gets %s there."""
+    `row(cells)` joins the cells of one row.  An integer cell is the text
+    `int_format` % value, written into the block's template, so the block
+    is one %-format of its float (`float_format`) and text (%s) cells
+    alone.  The template, one %-format of the integer arrays' texts, is
+    kept while the blocks keep their length, their kinds of cell and their
+    integer arrays (the `m` column of `evolve`, held and compared with
+    `is`); it is kept split at its 0-d integer cells (the step of
+    `evolve`), whose texts one join per block puts in."""
     written = False
-    texts = {}  # column position: (the integer array, its cells as text)
+    key, kept, parts = None, [], []  # (length, cells), integer arrays, template
     for block in blocks:
         n = next(len(c) for c in block if c.ndim)
         if not n:
             continue
-        cells = [None] * (len(block) * n)
+        cells, arrays, fills, values = [], [], [], []
         for j, c in enumerate(block):
-            if c.dtype.kind not in "iu":
-                values = [c.item()] * n if c.ndim == 0 else c.tolist()
-            elif c.ndim == 0:
-                values = [int_format % c.item()] * n
-            else:
-                if j not in texts or texts[j][0] is not c:
-                    texts[j] = c, [int_format % v for v in c.tolist()]
-                values = texts[j][1]
-            cells[j :: len(block)] = values
-        template = row("".join(c.dtype.kind for c in block))
-        out.write((sep if written else "") + sep.join([template] * n) % tuple(cells))
+            if c.dtype.kind not in "iu":  # %% to stay a cell of the template
+                cells.append("%" + ("%s" if c.dtype.kind == "O" else float_format))
+                values.append([c.item()] * n if c.ndim == 0 else c.tolist())
+            elif c.ndim:  # a %s that its texts fill
+                cells.append("%s")
+                arrays.append(c)
+            else:  # where the template is split: no format or text has a NUL
+                cells.append("\0")
+                fills.append(int_format % c.item())
+        if (n, cells) != key or any(a is not b for a, b in zip(arrays, kept)):
+            key, kept = (n, cells), arrays
+            texts = [[int_format % v for v in a.tolist()] for a in arrays]
+            parts = (sep.join([row(cells)] * n) % _interleave(texts, n)).split("\0")
+        template = [None] * (2 * len(parts) - 1)
+        template[::2] = parts
+        template[1::2] = fills * n
+        out.write((sep if written else "") + "".join(template) % _interleave(values, n))
         written = True
     return written
+
+
+def _interleave(columns: list[list], n: int) -> tuple:
+    """The cells of `columns`, lists of n values each, in row order."""
+    if len(columns) == 1:
+        return tuple(columns[0])
+    cells = [None] * (len(columns) * n)
+    for j, values in enumerate(columns):
+        cells[j :: len(columns)] = values
+    return tuple(cells)
 
 
 def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
@@ -253,8 +296,8 @@ def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     out.write(f"# tool=freqwalk version={_version()}\n")
     out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
-    row = lambda kinds: ",".join("%s" if k in "Oiu" else "%.17g" for k in kinds) + "\n"
-    _write_rows(out, row, "", blocks, "%.17g")
+    row = lambda cells: ",".join(cells) + "\n"
+    _write_rows(out, row, "", blocks, "%.17g", "%.17g")
 
 
 def _json_cells(column: np.ndarray) -> np.ndarray:
@@ -271,8 +314,8 @@ def _write_json(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     an integer cell is '%d' % int, as `json` writes it."""
     doc = {"metadata": _metadata(cfg), "columns": header, "rows": []}
     out.write(json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")])  # to "rows": [
-    row = lambda kinds: "\n  [\n" + ",\n".join(["   %s"] * len(kinds)) + "\n  ]"
-    if _write_rows(out, row, ",", ([_json_cells(c) for c in b] for b in blocks), "%d"):
+    row = lambda cells: "\n  [\n" + ",\n".join("   " + c for c in cells) + "\n  ]"
+    if _write_rows(out, row, ",", ([_json_cells(c) for c in b] for b in blocks), "%s", "%d"):
         out.write("\n ")
     out.write("]\n}\n")
 
@@ -465,6 +508,8 @@ def main(argv: list[str] | None = None) -> int:
         except (FreqwalkError, OSError, MemoryError) as e:
             code = 1 if isinstance(e, ConfigurationError) else 2
             error = f"error: {str(e) or 'out of memory'}\n"
+        except KeyboardInterrupt:  # `_output` has removed its temporary file
+            code, error = 130, "error: interrupted\n"
     first = {}
     for w in caught:
         first.setdefault((w.filename, w.lineno), w.message)

@@ -21,13 +21,21 @@ has members.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bessel import bessel_j_sequence
-from .errors import BoundaryLeakError, ConfigurationError, check_integer, check_name, check_number
+from .errors import (
+    BoundaryLeakError,
+    ConfigurationError,
+    check_fits,
+    check_integer,
+    check_name,
+    check_number,
+)
 from .lattice import (
     LatticeState,
     boundary_mass,
@@ -118,12 +126,10 @@ def translation_kernel(gamma: float, phi: float) -> TranslationKernel:
         return bessel_j_sequence(order, gamma)
 
     bound = 4 * (int(gamma) // 2 + 2)
-    try:
-        j = sequence(bound)
-    except ConfigurationError:  # orders up to ~2 Gamma unaddressable
-        raise ConfigurationError(
-            f"gamma {gamma:g} too large: its kernel orders would exceed the addressable memory"
-        ) from None
+    # the guess sequence and the two arrays its running sums hold at once;
+    # within physical memory, its orders are addressable
+    check_fits(f"gamma {gamma:g} too large: its kernel search", 3 * 8 * (bound + 1))
+    j = sequence(bound)
     partial = j[0] ** 2 + 2.0 * np.cumsum(np.concatenate(([0.0], j[1:] ** 2)))
     first = np.flatnonzero(1.0 - partial[::4] < KERNEL_TOL)
     lmax = max(0, 4 * int(first[0]) - 4) if first.size else bound
@@ -135,6 +141,19 @@ def translation_kernel(gamma: float, phi: float) -> TranslationKernel:
     while lmax > 0 and _kernel_tail(j[:lmax]) < KERNEL_TOL:
         lmax -= 1
     return _build_kernel(gamma, phi, sequence(lmax))
+
+
+def _kernel_reach(gamma: float) -> int:
+    """An upper bound on `translation_kernel(gamma, phi).lmax`, in closed
+    form and without Bessel work: gamma + 5 gamma^(1/3) + 2.
+
+    The Airy transition of J_l(gamma) near l = gamma puts lmax at
+    gamma + O(gamma^(1/3)) (DLMF 10.19(iii)); lmax - gamma is 4.65 to 5.0
+    gamma^(1/3) for gamma = 1e3 to 1e6, and the 2 covers small gamma,
+    whose few orders sit up to 1.4 above 5 gamma^(1/3).  Only used to
+    refuse a run; the search sets lmax.
+    """
+    return math.ceil(gamma + 5.0 * gamma ** (1 / 3)) + 2
 
 
 def _kernel_tail(j: np.ndarray) -> float:
@@ -247,11 +266,13 @@ def _grid_blocks(params: ModulationParams, n_sites: int) -> np.ndarray:
     return u
 
 
-def _apply_blocks(u: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+def _apply_blocks(
+    u: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
     """out = U(q) b(q) at every grid point, for (2, 2, N) blocks and (2, N)
-    q-space amplitudes."""
+    q-space amplitudes; `scratch`, a (2, N) array, holds the second term."""
     np.multiply(u[:, 0], b[0], out=out)
-    out += u[:, 1] * b[1]
+    out += np.multiply(u[:, 1], b[1], out=scratch)
 
 
 def step(
@@ -304,12 +325,12 @@ def _walk(states, schedules, engine: str):
             yield states
         return
     b = np.fft.ifft(np.stack([s.amp for s in states]), axis=-1)
+    out, scratch = np.empty_like(b), np.empty_like(b[0])  # no state holds b or out
     for row in rows:
         look_up(row)
-        out = np.empty_like(b)
         for u, member, product in zip(tables, b, out):
-            _apply_blocks(u, member, product)
-        b = out
+            _apply_blocks(u, member, product, scratch)
+        b, out = out, b
         states = tuple(s.with_amp(amp) for s, amp in zip(states, np.fft.fft(b, axis=-1)))
         yield states
 

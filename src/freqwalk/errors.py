@@ -3,6 +3,7 @@ that every public entry point makes with them."""
 
 import math
 import operator
+import os
 
 import numpy as np
 
@@ -90,3 +91,23 @@ def check_name(name: str, value, names, sequence: bool = False):
         what = f"a list of names from {choices}" if sequence else f"one of {choices}"
         raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, or the addressable limit where the system
+    does not report them."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        pages = size = -1
+    return pages * size if pages > 0 and size > 0 else np.iinfo(np.intp).max
+
+
+def check_fits(what: str, nbytes: int) -> None:
+    """A ConfigurationError "`what` would exceed physical memory" unless
+    `nbytes`, the size of `what`, fit in it."""
+    limit = physical_memory()
+    if nbytes > limit:
+        raise ConfigurationError(
+            f"{what} would exceed the {limit / 1e9:.3g} GB of physical memory"
+        )

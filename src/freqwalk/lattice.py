@@ -146,13 +146,25 @@ def _envelope(delta: float, q: float, half_width: int) -> np.ndarray:
 
 def probability_distribution(state: LatticeState) -> np.ndarray:
     """P(m) = sum_p |a_{m,p}|^2, in storage (site) order."""
-    return (np.abs(state.amp) ** 2).sum(axis=0)
+    p = np.abs(state.amp)
+    np.square(p, out=p)  # what ** 2 computes, without a second array
+    return p.sum(axis=0)
 
 
 def diffusion_distance(state: LatticeState) -> float:
     """Root-mean-square displacement sqrt(sum_m m^2 P(m))."""
     p = probability_distribution(state)
-    return float(np.sqrt((state.config.sites**2 * p).sum()))
+    return float(np.sqrt((_squared_sites(state.config.half_width) * p).sum()))
+
+
+@functools.lru_cache(maxsize=2)
+def _squared_sites(half_width: int) -> np.ndarray:
+    """m^2 on the sites, read-only: the int64 squares cast to float64, as
+    numpy casts them in `sites**2 * p` (a float m squared would round
+    differently past |m| = 2^26.5)."""
+    squares = (LatticeConfig(half_width).sites ** 2).astype(float)
+    squares.flags.writeable = False
+    return squares
 
 
 def centroid(state: LatticeState) -> float:

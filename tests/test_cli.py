@@ -1,7 +1,9 @@
 import errno
 import io
 import json
+import math
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
-from freqwalk import cli
+from freqwalk import cli, engine, errors
 from freqwalk.baselines import classical_walk_distribution
 from freqwalk.cli import main, parse_angle
 from freqwalk.engine import translation_kernel
@@ -217,6 +219,54 @@ class TestOversizedInputs:
         assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
 
 
+class TestMemoryRefusal:
+    """A walk whose kernel search or amplitudes would not fit in physical
+    memory is refused before any Bessel work: the derived lattice by the
+    closed-form bound on the kernel reach.  The host here has 1 MB, set by
+    hand, so the refusals hold on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def small_host(self, monkeypatch):
+        def no_bessel_work(*args):
+            raise AssertionError("Bessel work before the refusal")
+
+        monkeypatch.setattr(errors, "physical_memory", lambda: 10**6)
+        monkeypatch.setattr(engine, "bessel_j_sequence", no_bessel_work)
+
+    @pytest.mark.parametrize(
+        "argv,head",
+        [(["evolve", "--gamma", "1e4", "--steps", "10"],  # N ~ 2e5: 6.4 MB
+          "gamma 10000 too large for steps 10: the walk's amplitudes"),
+         (["diffusion", "--gamma", "1,1e9", "--steps", "1"],
+          "gamma 1e+09 too large for steps 1: the walk's amplitudes"),
+         (["evolve", "--gamma", "1e5", "--steps", "0"],  # 2e5 orders, 3 arrays: 4.8 MB
+          "gamma 100000 too large: its kernel search"),
+         (["evolve", "--gamma", "1", "--steps", "1", "--half-width", "20000"],
+          "half_width 20000 too large: the walk's amplitudes")],
+    )
+    def test_refused_with_one_error_line(self, argv, head, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {head} would exceed the 0.001 GB of physical memory\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_counts_every_walk_of_a_diffusion(self):
+        # one (2, 20001) complex state is 640 KB, two are 1.28 MB
+        argv = ["diffusion", "--steps", "1", "--half-width", "10000", "--gamma"]
+        assert cli.load_config(cli.build_parser().parse_args(argv + ["1"]))["half_width"] == 10000
+        with pytest.raises(fw.ConfigurationError, match="^half_width 10000 too large"):
+            cli.load_config(cli.build_parser().parse_args(argv + ["1,1"]))
+
+
+@pytest.mark.parametrize("unknown", ["missing", "-1"])
+def test_unreported_memory_is_the_addressable_limit(unknown, monkeypatch):
+    if unknown == "missing":
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        monkeypatch.setattr(os, "sysconf", lambda name: -1)
+    assert errors.physical_memory() == np.iinfo(np.intp).max
+
+
 class TestStepsField:
     @pytest.mark.parametrize("command", ["evolve", "diffusion"])
     @pytest.mark.parametrize("steps", ["-1", "-3"])
@@ -364,6 +414,27 @@ class TestAtomicOutput:
         else:
             assert list(tmp_path.iterdir()) == [out] and out.read_text() == existing
 
+    def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path):
+        # Gamma = 0 never reaches the edge: 10^6 steps would take an hour
+        src = str(Path(cli.__file__).parents[1])
+        argv = [sys.executable, "-m", "freqwalk.cli", "evolve", "--gamma", "0",
+                "--steps", "1000000", "--half-width", "3000", "--out", "x.csv"]
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen(argv, cwd=tmp_path, env=env, stderr=subprocess.PIPE,
+                              text=True) as child:
+            deadline = time.monotonic() + 30
+            while not any(tmp_path.iterdir()):  # the walk is writing its rows
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            child.send_signal(signal.SIGINT)
+            try:
+                err = child.communicate(timeout=30)[1]
+            finally:
+                child.kill()
+        assert child.returncode == 130
+        assert err == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_abort_writes_nothing_to_stdout(self, capsys):
         assert main(["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "20"]) == 2
         assert capsys.readouterr().out == ""
@@ -462,7 +533,10 @@ class TestDefaultHalfWidth:
     # lmax = 7 at gamma = 1: a scan over the odd sizes from N = 140,000,000,013
     # up to the next fast size, 3^19 * 5^3, would take 2.6e9 steps
     @pytest.mark.parametrize("steps", [10**10, 10**15, 10**20])
-    def test_huge_walk_sized_at_once(self, steps):
+    def test_huge_walk_sized_at_once(self, steps, monkeypatch):
+        # on a host with memory enough for any walk: on a real one these walks
+        # are refused at once (TestMemoryRefusal), and sizing must not hang either
+        monkeypatch.setattr(errors, "physical_memory", lambda: math.inf)
         argv = ["evolve", "--gamma", "1", "--steps", str(steps)]
         start = time.perf_counter()
         half_width = cli.load_config(cli.build_parser().parse_args(argv))["half_width"]
@@ -698,6 +772,42 @@ def shared_blocks(draw):
     return blocks, columns
 
 
+@st.composite
+def template_blocks(draw):
+    """Blocks whose columns keep their kinds: a 0-d integer ("step"), an
+    integer array that blocks of one length reuse ("shared": the same
+    object, an equal copy, or new values), a new integer array of any sign
+    ("fresh"), text and floats (non-finite ones included); block lengths
+    change, and may be 0.  Returns the blocks and the same table as whole
+    columns."""
+    kinds = draw(st.lists(st.sampled_from(["step", "shared", "fresh", "text", "float"]),
+                          min_size=1, max_size=5).filter(lambda ks: set(ks) != {"step"}))
+    shared = {}  # column: the array that the next block of its length may reuse
+    blocks, columns = [], [[] for _ in kinds]
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from([0, 1, 2, 3]))
+        block = []
+        for j, kind in enumerate(kinds):
+            if kind == "step":
+                c = np.int64(draw(INT64))
+            elif kind in ("shared", "fresh"):
+                reuse = kind == "shared" and j in shared and len(shared[j]) == n
+                how = draw(st.sampled_from(["same", "copy", "new"])) if reuse else "new"
+                if how == "new":
+                    c = np.array(draw(st.lists(REPEATED_INT64 | INT64, min_size=n, max_size=n)),
+                                 dtype=np.int64)
+                else:
+                    c = shared[j] if how == "same" else shared[j].copy()
+                shared[j] = c
+            else:
+                cells, dtype = COLUMN_KINDS[kind]
+                c = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=dtype)
+            block.append(c)
+            columns[j].append(np.full(n, c) if c.ndim == 0 else c)
+        blocks.append(block)
+    return blocks, [np.concatenate(c) for c in columns]
+
+
 class TestWriteCsv:
     @settings(max_examples=100, deadline=None)
     @given(columns=csv_tables(), cuts=CUTS)
@@ -715,6 +825,15 @@ class TestWriteCsv:
         blocks, columns = table
         out = io.StringIO()
         cli._write_csv(out, {"experiment": "evolve"}, ["a", "b", "c"], blocks)
+        assert out.getvalue().split("\n", 3)[3] == reference_csv_rows(columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=template_blocks())
+    def test_template_follows_each_block(self, table):
+        blocks, columns = table
+        header = [f"c{j}" for j in range(len(columns))]
+        out = io.StringIO()
+        cli._write_csv(out, {"experiment": "band"}, header, blocks)
         assert out.getvalue().split("\n", 3)[3] == reference_csv_rows(columns)
 
 
@@ -764,6 +883,16 @@ class TestWriteJson:
         out = io.StringIO()
         cli._write_json(out, cfg, ["a", "b", "c"], blocks)
         assert out.getvalue() == _json_reference(cfg, ["a", "b", "c"], columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=template_blocks())
+    def test_template_follows_each_block(self, table):
+        blocks, columns = table
+        header = [f"c{j}" for j in range(len(columns))]
+        cfg = {"experiment": "band"}
+        out = io.StringIO()
+        cli._write_json(out, cfg, header, blocks)
+        assert out.getvalue() == _json_reference(cfg, header, columns)
 
 
 # CLI fuzzing.  A draw picks a command and gives each field it uses a

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
@@ -229,6 +229,21 @@ class TestKernel:
     def test_each_sequence_computed_once(self, gamma, orders, bessel_orders):
         fw.translation_kernel(gamma, 0.0)
         assert bessel_orders == orders
+
+
+class TestKernelReach:
+    """The closed-form bound that refuses a huge Gamma before any Bessel
+    work holds wherever the search runs: on KERNEL_GAMMAS, and log-uniform
+    from 1e-9 (J_0 alone) to 1e5 (0.25 s a kernel).  The examples sit
+    closest to it: lmax 3 from Gamma = 0.0324, and lmax - Gamma exactly 5
+    Gamma^(1/3) at 1000."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gamma=st.sampled_from(KERNEL_GAMMAS) | st.floats(-9, 5).map(lambda e: 10.0**e))
+    @example(gamma=0.0330)
+    @example(gamma=1000.0)
+    def test_bounds_the_search(self, gamma):
+        assert fw.translation_kernel(gamma, 0.0).lmax <= engine._kernel_reach(gamma)
 
 
 class TestRotation:

@@ -13,6 +13,10 @@ match byte for byte and their numbers to 1e-12.
 
 import argparse
 import json
+import os
+import re
+import shlex
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -109,6 +113,86 @@ def test_script_compares_unless_told_to_write(tmp_path, monkeypatch, capsys):
     assert main(["--write"]) == 0
     assert stale.read_bytes() == fresh
     assert main([]) == 0
+
+
+README = Path(__file__).parents[1] / "README.md"
+SIZE_FLAGS = ("--steps", "--half-width", "--delta", "--n-k")
+# the golden file of each README command, at the golden sizes
+README_GOLDEN = {argv[0]: name for name, argv in COMMANDS.items()
+                 if "--format" not in argv and "--engine" not in argv}
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `freqwalk` command in the README's CLI `sh` block,
+    its `\\` continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    block = next(b for b in blocks if "\nfreqwalk " in b)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("freqwalk ")]
+
+
+def _split(argv: list[str], flags) -> tuple[list[str], list[str]]:
+    """The arguments of `argv` other than the `flags` and their values, and
+    those flags with their values."""
+    rest, taken = [], []
+    for i, arg in enumerate(argv):
+        (taken if arg in flags or (i and argv[i - 1] in flags) else rest).append(arg)
+    return rest, taken
+
+
+def test_readme_lists_every_command():
+    assert sorted(argv[0] for argv in readme_commands()) == sorted(README_GOLDEN)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs(argv, tmp_path, monkeypatch):
+    # as written: it parses and configures; at the golden sizes it runs and
+    # writes its golden file
+    cli.load_config(cli.build_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_VERSION", VERSION)
+    name = README_GOLDEN[argv[0]]
+    sizes = _split(COMMANDS[name], SIZE_FLAGS)[1]
+    out = tmp_path / name
+    assert cli.main(_split(argv, SIZE_FLAGS + ("--out",))[0] + sizes + ["--out", str(out)]) == 0
+    assert _same(name, out)
+
+
+# Each golden command, and the direct engine where the golden runs the
+# spectral one, in a fresh interpreter with its own hash seed, BLAS thread
+# count and heap layout (random-sized allocations made before the import).
+_REPEATS = {
+    **COMMANDS,
+    **{name.replace(".", "_direct."): argv + ["--engine", "direct"]
+       for name, argv in COMMANDS.items()
+       if argv[0] not in ("band",) and "--engine" not in argv},
+}
+_CHILD = """
+import json, os, random, sys
+rng = random.Random(int(sys.argv[1]))
+pad = [bytearray(rng.randrange(1, 1 << 17)) for _ in range(rng.randrange(1, 64))]
+from freqwalk import cli
+cli._VERSION = "golden"
+for name, argv in json.loads(sys.argv[2]).items():
+    if cli.main(argv + ["--out", os.path.join(sys.argv[3], name)]) != 0:
+        sys.exit(name + ": command failed")
+"""
+
+
+def test_repeat_runs_in_fresh_interpreters(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    runs = []
+    for seed, threads in ((1, "1"), (2, "2")):
+        out = tmp_path / str(seed)
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed),
+                   OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", _CHILD, str(seed), json.dumps(_REPEATS), str(out)],
+                       env=env, check=True, timeout=120)
+        runs.append(out)
+    for name in _REPEATS:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    for name in COMMANDS:
+        assert _same(name, runs[0] / name), name
 
 
 def _same(name: str, out: Path) -> bool:

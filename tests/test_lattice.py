@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk import Polarization as P
+from freqwalk import lattice
 from freqwalk.lattice import EDGE_MARGIN
 
 CFG = fw.LatticeConfig(8)
@@ -119,6 +120,24 @@ def test_diffusion_matches_brute_force():
         for m in range(-8, 9)
     )
     assert fw.diffusion_distance(s) ** 2 == pytest.approx(brute, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_widths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       complex_amp=st.booleans(), seed=st.integers(0, 2**31))
+def test_observables_keep_the_bits_of_their_formulas(half_widths, complex_amp, seed):
+    # the m^2 table is memoized for the last two lattices: cold, warm or
+    # evicted, it gives the bits of sites**2 * p
+    rng = np.random.default_rng(seed)
+    for half_width in half_widths:
+        cfg = fw.LatticeConfig(half_width)
+        amp = rng.normal(size=(2, cfg.n_sites)) * (1j if complex_amp else 1.0)
+        s = fw.LatticeState(cfg, amp)
+        p = (np.abs(amp) ** 2).sum(axis=0)
+        assert fw.probability_distribution(s).tobytes() == p.tobytes()
+        rms = np.sqrt((cfg.sites**2 * p).sum())
+        assert np.float64(fw.diffusion_distance(s)).tobytes() == rms.tobytes()
+    assert not lattice._squared_sites(half_widths[-1]).flags.writeable
 
 
 def test_centroid():
