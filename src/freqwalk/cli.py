@@ -305,6 +305,8 @@ def _json_cells(column: np.ndarray) -> np.ndarray:
     as `json` does: text, and the non-finite floats (NaN, Infinity)."""
     if column.dtype != object and np.isfinite(column).all():
         return column
+    if not column.ndim:  # still stands for its value in every row
+        return np.array(json.dumps(column.item()), dtype=object)
     return np.array([json.dumps(v) for v in column.tolist()], dtype=object)
 
 

@@ -9,7 +9,10 @@ recorders; walks that share a lattice run in lockstep (`_walk`), one FFT
 call per step for all of them.  `direct` rotates in position space and
 convolves with the truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi}
 (open boundary, amplitudes pushed past the edge are dropped and the leak
-reported).  The two share no numerics and cross-validate each other.
+reported); it convolves the V row on a worker thread while the caller
+convolves the H row, each row the same `np.convolve` call as alone, so
+the bits do not depend on the threads.  The two share no numerics and
+cross-validate each other.
 
 Both operators are tables of the parameters (and N, for the blocks)
 alone, so each engine reads a bounded memo of the last two, read-only:
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -206,6 +210,20 @@ def _direct_kernels(
     return kernels
 
 
+@functools.cache
+def _row_pool():
+    """The one worker thread of `_convolve_direct` (numpy's correlate loop
+    releases the GIL).  Built on the first direct step, so importing
+    freqwalk does not import concurrent.futures; a forked child builds
+    its own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="freqwalk-direct")
+
+
+os.register_at_fork(after_in_child=_row_pool.cache_clear)
+
+
 def _convolve_direct(
     state: LatticeState,
     kernels: tuple[TranslationKernel, TranslationKernel],
@@ -219,6 +237,9 @@ def _convolve_direct(
     nonzero is then the same full-length kernel dot product as over the
     whole lattice, so the result does not depend on the window (up to the
     sign of zero); the cost scales with the occupied sites, not with N.
+    The V row is convolved on the `_row_pool` thread while this thread
+    convolves the H row; the warnings, the copy into the lattice and the
+    leak sum (H row first) stay in this thread.
     """
     edge = boundary_mass(state)
     if edge > 1e-9:
@@ -235,9 +256,10 @@ def _convolve_direct(
     # allocated after the rotation, so it does not add to the peak memory
     # of the rotation's temporaries
     amp = np.zeros_like(state.amp)
+    v_row = _row_pool().submit(np.convolve, window[1], kernels[1].coeffs, "full")
+    fulls = (np.convolve(window[0], kernels[0].coeffs, "full"), v_row.result())
     leak = 0.0
-    for row, kern in enumerate(kernels):
-        full = np.convolve(window[row], kern.coeffs, mode="full")
+    for row, (kern, full) in enumerate(zip(kernels, fulls)):
         start = a - kern.lmax  # the site of full[0]
         lo, hi = max(0, start), min(n, start + full.size)
         amp[row, lo:hi] = full[lo - start : hi - start]

@@ -414,11 +414,14 @@ class TestAtomicOutput:
         else:
             assert list(tmp_path.iterdir()) == [out] and out.read_text() == existing
 
-    def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path):
-        # Gamma = 0 never reaches the edge: 10^6 steps would take an hour
+    @pytest.mark.parametrize("engine_name", ["spectral", "direct"])
+    def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path, engine_name):
+        # Gamma = 0 never reaches the edge: 10^6 steps would take an hour.
+        # The direct engine's worker thread must not hold up the exit
         src = str(Path(cli.__file__).parents[1])
         argv = [sys.executable, "-m", "freqwalk.cli", "evolve", "--gamma", "0",
-                "--steps", "1000000", "--half-width", "3000", "--out", "x.csv"]
+                "--steps", "1000000", "--half-width", "3000", "--out", "x.csv",
+                "--engine", engine_name]
         env = dict(os.environ, PYTHONPATH=src)
         with subprocess.Popen(argv, cwd=tmp_path, env=env, stderr=subprocess.PIPE,
                               text=True) as child:
@@ -893,6 +896,19 @@ class TestWriteJson:
         out = io.StringIO()
         cli._write_json(out, cfg, header, blocks)
         assert out.getvalue() == _json_reference(cfg, header, columns)
+
+    @pytest.mark.parametrize("value", [np.float64("nan"), np.float64("inf"),
+                                       np.float64("-inf"), np.array("ab", dtype=object)],
+                             ids=["nan", "inf", "-inf", "text"])
+    def test_scalar_text_and_non_finite_columns(self, value):
+        # a 0-d column stands for its value in every row of its block
+        floats = [np.array([1.0, 2.5]), np.array([]), np.array([-3.0])]
+        blocks = [[np.asarray(value), f] for f in floats]
+        columns = [np.full(3, value.item(), dtype=value.dtype), np.concatenate(floats)]
+        cfg = {"experiment": "evolve"}
+        out = io.StringIO()
+        cli._write_json(out, cfg, ["a", "b"], blocks)
+        assert out.getvalue() == _json_reference(cfg, ["a", "b"], columns)
 
 
 # CLI fuzzing.  A draw picks a command and gives each field it uses a

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -558,6 +564,102 @@ class TestDirectWindow:
         for (out,) in engine._walk((state,), ([params] * n_steps,), "direct"):
             assert np.array_equal(out.amp, expected)
             expected, _ = whole_lattice_direct(out, kernels, params.theta)
+
+
+def one_thread_direct(state, kernels, theta):
+    """`_convolve_direct` with both rows convolved in this thread, H then
+    V: the same window, the same np.convolve calls, and the leak summed in
+    row order."""
+    sites = np.flatnonzero(state.amp.any(axis=0))
+    amp = np.zeros_like(state.amp)
+    if not sites.size:
+        return amp, 0.0
+    n, pad = state.config.n_sites, 2 * max(kern.lmax for kern in kernels)
+    a = max(0, sites[0] - pad)
+    window = engine._rotate(state.amp[:, a : sites[-1] + pad + 1], theta)
+    leak = 0.0
+    for row, kern in enumerate(kernels):
+        full = np.convolve(window[row], kern.coeffs, mode="full")
+        start = a - kern.lmax
+        lo, hi = max(0, start), min(n, start + full.size)
+        amp[row, lo:hi] = full[lo - start : hi - start]
+        dropped = np.concatenate([full[: lo - start], full[hi - start :]])
+        leak += float((np.abs(dropped) ** 2).sum())
+    return amp, leak
+
+
+class TestDirectRows:
+    """The direct engine convolves its V row on a worker thread while the
+    caller convolves the H row; every bit must be that of the two rows
+    convolved one after the other."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        state=sparse_states(),
+        gamma=st.floats(0.0, 10.0),
+        lmaxes=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        phis=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+        theta=st.floats(-4 * np.pi, 4 * np.pi),
+    )
+    def test_matches_rows_in_one_thread(self, state, gamma, lmaxes, phis, theta):
+        # kernels of different lmax per row, so a swap of rows shows
+        kernels = tuple(
+            engine._build_kernel(gamma, phi, bessel_j_sequence(lmax, gamma))
+            for lmax, phi in zip(lmaxes, phis)
+        )
+        expected, leak = one_thread_direct(state, kernels, theta)
+        out = engine._convolve_direct(state, kernels, theta)
+        assert np.array_equal(out.amp, expected)
+        assert out.meta["norm_leak"] == leak
+
+    def test_callers_on_many_threads_get_their_own_rows(self):
+        # every caller shares the one worker; a V row handed to the wrong
+        # caller, or lost, breaks the bits of some caller
+        rng = np.random.default_rng(3)
+        cases = []
+        for gamma in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0):
+            state = random_interior_state(fw.LatticeConfig(150), rng)
+            kernels = engine._direct_kernels(fw.ModulationParams(gamma=gamma, phi_v=1.0))
+            cases.append((state, kernels, one_thread_direct(state, kernels, 0.4)[0]))
+        mismatches = []
+
+        def run(state, kernels, expected):
+            for _ in range(30):
+                out = engine._convolve_direct(state, kernels, 0.4)
+                if not np.array_equal(out.amp, expected):
+                    mismatches.append(kernels[0].gamma)
+
+        threads = [threading.Thread(target=run, args=case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_forked_child_steps(self):
+        # a forked child has no copy of the parent's worker thread; it must
+        # build its own rather than wait on the parent's
+        script = (
+            "import os, signal, numpy as np, freqwalk as fw\n"
+            "s = fw.make_single_site(0, fw.Polarization.H, fw.LatticeConfig(40))\n"
+            "p = fw.ModulationParams(gamma=np.pi, theta=0.3)\n"
+            "a = fw.step(s, p, 'direct')\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(10)  # a child that waits forever ends\n"
+            "    os._exit(0 if np.array_equal(fw.step(s, p, 'direct').amp, a.amp) else 1)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n"
+        )
+        src = str(Path(engine.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=20)
 
 
 class TestEngineAgreement:
