@@ -175,6 +175,10 @@ def load_config(args: argparse.Namespace) -> dict:
                 raise ConfigurationError(f"{key} must be {f.what}, got {cfg[key]!r}") from None
         elif args.command in f.required_by:
             raise ConfigurationError(f"missing required field {key!r}")
+    if args.command in ("band", "evolve", "gate") and len(cfg.get("gamma", ())) > 1:
+        raise ConfigurationError(
+            f"{args.command} takes one gamma, got {len(cfg['gamma'])} (a list is for diffusion)"
+        )
     if args.command in ("evolve", "diffusion"):
         members = len(cfg["gamma"]) if args.command == "diffusion" else 1
         if "half_width" in given:
@@ -461,17 +465,20 @@ def _output(path: str | None):
     if path and (not os.path.exists(path) or os.path.isfile(path)):
         target = os.path.realpath(path)  # a symlink is written through
         temporary = os.path.join(os.path.dirname(target), f"freqwalk-{os.urandom(6).hex()}.tmp")
-        try:  # 0o666 less the umask, as open(path, "w") creates a file
-            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except OSError as e:  # name the path the user gave
-            raise OSError(e.errno, e.strerror, path) from None
+        created = True  # from the `open` call on, an interrupt may find the file made
         try:
-            with open(fd, "w", newline="") as out:
+            try:  # "x": a new file, 0o666 less the umask; its descriptor is never loose
+                out = open(temporary, "x", newline="")
+            except OSError as e:  # nothing was made: name the path the user gave
+                created = False
+                raise OSError(e.errno, e.strerror, path) from None
+            with out:
                 yield out
             os.replace(temporary, target)
         except BaseException:
-            with suppress(FileNotFoundError):
-                os.unlink(temporary)
+            if created:
+                with suppress(FileNotFoundError):
+                    os.unlink(temporary)
             raise
         return
     with tempfile.TemporaryFile("w+", newline="") as spool:

@@ -15,10 +15,10 @@ the bits do not depend on the threads.  The two share no numerics and
 cross-validate each other.
 
 Both operators are tables of the parameters (and N, for the blocks)
-alone, so each engine reads a bounded memo of the last two, read-only:
-`_grid_blocks` and `_direct_kernels`.  A walk looks a member's operator
-up when that member's params change, and holds no more tables than it
-has members.
+alone, each a `lattice._table`: `_grid_blocks`, the (2, 2, N) blocks
+U(q), and `_direct_kernels`, the (2, 2 lmax + 1) hop taps of the H and V
+rows.  A walk looks a member's operator up when that member's params
+change, and holds no more tables than it has members.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .errors import (
 )
 from .lattice import (
     LatticeState,
+    _table,
     boundary_mass,
     centroid,
     diffusion_distance,
@@ -189,25 +190,19 @@ def apply_rotation(state: LatticeState, theta: float) -> LatticeState:
     return state.with_amp(_rotate(state.amp, check_number("theta", theta)))
 
 
-@functools.lru_cache(maxsize=2)
-def _direct_kernels(
-    params: ModulationParams,
-) -> tuple[TranslationKernel, TranslationKernel]:
-    """The H-row and V-row kernels of the direct translation, read-only.
-
-    Memoized for the last two params, like `_grid_blocks`.
-    """
+@_table
+def _direct_kernels(params: ModulationParams) -> np.ndarray:
+    """The hop taps of the direct translation, a (2, 2 lmax + 1) array:
+    row 0 the H-row kernel, row 1 the V-row kernel, order l at index
+    l + lmax, both from one Bessel sequence."""
     base_lmax = translation_kernel(params.gamma, params.phi_h).lmax
     # a few guard orders past the tolerance cutoff: the Bessel tail
     # decays super-exponentially there, so this buys ~4 extra digits
     # of agreement with the exact (spectral) translation for free
     j = bessel_j_sequence(base_lmax + 8, params.gamma)
-    kernels = tuple(
-        _build_kernel(params.gamma, phi, j) for phi in (params.phi_h, params.phi_v)
+    return np.array(
+        [_build_kernel(params.gamma, phi, j).coeffs for phi in (params.phi_h, params.phi_v)]
     )
-    for kern in kernels:
-        kern.coeffs.flags.writeable = False
-    return kernels
 
 
 @functools.cache
@@ -224,13 +219,9 @@ def _row_pool():
 os.register_at_fork(after_in_child=_row_pool.cache_clear)
 
 
-def _convolve_direct(
-    state: LatticeState,
-    kernels: tuple[TranslationKernel, TranslationKernel],
-    theta: float,
-) -> LatticeState:
+def _convolve_direct(state: LatticeState, taps: np.ndarray, theta: float) -> LatticeState:
     """Rotate by R(theta), then convolve each polarization row with its
-    kernel, open boundary.
+    row of `taps` (a `_direct_kernels` table), open boundary.
 
     Only the occupied window is worked on: the sites from 2*lmax before the
     first to 2*lmax after the last nonzero site.  Every output that can be
@@ -250,18 +241,19 @@ def _convolve_direct(
         return state.with_amp(np.zeros_like(state.amp), norm_leak=0.0)
     n = state.config.n_sites
     last = n - 1 - int(occupied[::-1].argmax())
-    pad = 2 * max(kern.lmax for kern in kernels)
+    lmax = taps.shape[1] // 2
+    pad = 2 * lmax
     a = max(0, first - pad)
     window = _rotate(state.amp[:, a : last + pad + 1], theta)
     # allocated after the rotation, so it does not add to the peak memory
     # of the rotation's temporaries
     amp = np.zeros_like(state.amp)
-    v_row = _row_pool().submit(np.convolve, window[1], kernels[1].coeffs, "full")
-    fulls = (np.convolve(window[0], kernels[0].coeffs, "full"), v_row.result())
+    v_row = _row_pool().submit(np.convolve, window[1], taps[1], "full")
+    fulls = (np.convolve(window[0], taps[0], "full"), v_row.result())
+    start = a - lmax  # the site of full[0]
+    lo, hi = max(0, start), min(n, start + fulls[0].size)
     leak = 0.0
-    for row, (kern, full) in enumerate(zip(kernels, fulls)):
-        start = a - kern.lmax  # the site of full[0]
-        lo, hi = max(0, start), min(n, start + full.size)
+    for row, full in enumerate(fulls):
         amp[row, lo:hi] = full[lo - start : hi - start]
         dropped = np.concatenate([full[: lo - start], full[hi - start :]])
         leak += float((np.abs(dropped) ** 2).sum())
@@ -275,17 +267,10 @@ def _q_grid(n_sites: int) -> np.ndarray:
     return 2 * np.pi * np.fft.fftfreq(n_sites)
 
 
-@functools.lru_cache(maxsize=2)
+@_table
 def _grid_blocks(params: ModulationParams, n_sites: int) -> np.ndarray:
-    """`uk_matrix` on the FFT grid of an n_sites lattice, read-only.
-
-    Memoized for the last two (params, n_sites): enough for every
-    experiment to reuse its tables (the H and Rz of a preparation, the X
-    and the idle roundtrip of a register) without holding more.
-    """
-    u = uk_matrix(params, _q_grid(n_sites))
-    u.flags.writeable = False
-    return u
+    """`uk_matrix` on the FFT grid of an n_sites lattice."""
+    return uk_matrix(params, _q_grid(n_sites))
 
 
 def _apply_blocks(
@@ -316,8 +301,8 @@ def _walk(states, schedules, engine: str):
     of ModulationParams) each, all of one length; yield the tuple of the k
     states after each roundtrip.
 
-    Each member looks its operator up in the engine's memo, the direct
-    kernels of `_direct_kernels` or the blocks U(q) of `_grid_blocks`,
+    Each member looks its operator up in the engine's table, the direct
+    taps of `_direct_kernels` or the blocks U(q) of `_grid_blocks`,
     only when its params change, so the walk holds at most k tables and a
     walk on the lattice and parameters of a recent one builds nothing.
     The direct engine steps the members one after another.  The spectral
@@ -341,8 +326,8 @@ def _walk(states, schedules, engine: str):
         for row in rows:
             look_up(row)
             states = tuple(
-                _convolve_direct(s, kernels, params.theta)
-                for s, kernels, params in zip(states, tables, row)
+                _convolve_direct(s, taps, params.theta)
+                for s, taps, params in zip(states, tables, row)
             )
             yield states
         return

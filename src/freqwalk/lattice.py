@@ -20,6 +20,20 @@ from .errors import ConfigurationError, check_integer, check_number
 EDGE_MARGIN = 5  # sites counted as "boundary" by the truncation monitor
 
 
+def _table(build):
+    """`build`, a lattice table of its arguments alone, memoized for its
+    last two keys and returned read-only.  Two are enough for every
+    experiment to reuse its tables (the H and Rz of a preparation, the X
+    and the idle roundtrip of a register) without holding more."""
+
+    def read_only(*key):
+        array = build(*key)
+        array.flags.writeable = False
+        return array
+
+    return functools.lru_cache(maxsize=2)(functools.wraps(build)(read_only))
+
+
 class Polarization(enum.Enum):
     H = 0
     V = 1
@@ -115,8 +129,8 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
 
     Requires the envelope to be negligible (< 1e-8) at the lattice edge,
     otherwise the truncation would be visible in the state.  The envelope
-    is a table of (delta, q, half_width) alone, memoized for the last two
-    keys: a gate experiment drives every basis spin on the same packet.
+    is a `_table` of (delta, q, half_width): a gate experiment drives every
+    basis spin on the same packet.
     """
     ratio = cfg.half_width / spec.delta
     # a float product past the double range is inf, not an OverflowError
@@ -132,16 +146,14 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
     return LatticeState(cfg, amp / np.linalg.norm(amp))
 
 
-@functools.lru_cache(maxsize=2)
+@_table
 def _envelope(delta: float, q: float, half_width: int) -> np.ndarray:
-    """exp(-m^2/delta^2) exp(-i q m) on the sites, read-only."""
+    """exp(-m^2/delta^2) exp(-i q m) on the sites."""
     m = LatticeConfig(half_width).sites
     # sites too far out for (m/delta)^2 to be a double have envelope
     # exp(-inf) = 0, which is exact
     with np.errstate(over="ignore"):
-        envelope = np.exp(-(m / delta) ** 2) * np.exp(-1j * q * m)
-    envelope.flags.writeable = False
-    return envelope
+        return np.exp(-(m / delta) ** 2) * np.exp(-1j * q * m)
 
 
 def probability_distribution(state: LatticeState) -> np.ndarray:
@@ -157,14 +169,12 @@ def diffusion_distance(state: LatticeState) -> float:
     return float(np.sqrt((_squared_sites(state.config.half_width) * p).sum()))
 
 
-@functools.lru_cache(maxsize=2)
+@_table
 def _squared_sites(half_width: int) -> np.ndarray:
-    """m^2 on the sites, read-only: the int64 squares cast to float64, as
-    numpy casts them in `sites**2 * p` (a float m squared would round
-    differently past |m| = 2^26.5)."""
-    squares = (LatticeConfig(half_width).sites ** 2).astype(float)
-    squares.flags.writeable = False
-    return squares
+    """m^2 on the sites: the int64 squares cast to float64, as numpy casts
+    them in `sites**2 * p` (a float m squared would round differently past
+    |m| = 2^26.5)."""
+    return (LatticeConfig(half_width).sites ** 2).astype(float)
 
 
 def centroid(state: LatticeState) -> float:
@@ -202,8 +212,8 @@ def spin_projection_at_q(
     which conserves quasimomentum.  With normalized=False the raw
     (unnormalized) projection is returned, preserving relative phase and
     magnitude between different states.  The plane wave e^{+i q m} is a
-    table of (q, half_width) alone, memoized for the last two keys: a gate
-    experiment reads its input and output packets at the same q.
+    `_table` of (q, half_width): a gate experiment reads its input and
+    output packets at the same q.
     """
     check_number("q", q)  # a NaN key would evict a real `_plane_wave` table
     v = state.amp @ _plane_wave(q, state.config.half_width)
@@ -215,9 +225,7 @@ def spin_projection_at_q(
     return v / n
 
 
-@functools.lru_cache(maxsize=2)
+@_table
 def _plane_wave(q: float, half_width: int) -> np.ndarray:
-    """e^{+i q m} on the sites, read-only."""
-    phase = np.exp(1j * q * LatticeConfig(half_width).sites)
-    phase.flags.writeable = False
-    return phase
+    """e^{+i q m} on the sites."""
+    return np.exp(1j * q * LatticeConfig(half_width).sites)

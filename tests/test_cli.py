@@ -127,6 +127,23 @@ class TestConfigHandling:
         assert err.startswith("error: ") and err.count("\n") == 1 and name in err
         assert "usage" not in err
 
+    @pytest.mark.parametrize("by_config", [False, True])
+    @pytest.mark.parametrize("argv", [["band", "--n-k", "16"],
+                                      ["evolve", "--steps", "2", "--half-width", "40"],
+                                      ["gate", "--gate-name", "X"]])
+    def test_one_gamma_outside_diffusion(self, argv, by_config, tmp_path, capsys):
+        # each of these runs one Gamma: a list must not run its first alone
+        if by_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"gamma": ["1pi", "3pi"]}))
+            argv = argv + ["--config", str(cfg)]
+        else:
+            argv = argv + ["--gamma", "1pi,3pi"]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[0]} takes one gamma, got 2 (a list is for diffusion)\n"
+        assert not (tmp_path / "x").exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["band", "--help"])
@@ -438,6 +455,28 @@ class TestAtomicOutput:
         assert err == "error: interrupted\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_interrupt_once_the_file_exists_leaves_nothing(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the interrupt lands as the temporary file is made, before any row
+        def interrupted_open(*args, **kwargs):
+            open(*args, **kwargs).close()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "open", interrupted_open, raising=False)
+        assert main(_WALK + ["--out", str(tmp_path / "x.csv")]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_taken_temporary_name_is_left_alone(self, tmp_path, monkeypatch, capsys):
+        # a file that holds the temporary name is not ours to remove
+        monkeypatch.setattr(cli.os, "urandom", lambda n: bytes(n))
+        theirs = tmp_path / f"freqwalk-{bytes(6).hex()}.tmp"
+        theirs.write_text("theirs\n")
+        out = str(tmp_path / "x.csv")
+        assert main(_WALK + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {out!r}\n"
+        assert list(tmp_path.iterdir()) == [theirs] and theirs.read_text() == "theirs\n"
+
     def test_abort_writes_nothing_to_stdout(self, capsys):
         assert main(["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "20"]) == 2
         assert capsys.readouterr().out == ""
@@ -527,7 +566,7 @@ class TestDefaultHalfWidth:
     @given(gamma=st.lists(st.floats(0, 40), min_size=1, max_size=3),
            steps=st.integers(0, 200))
     def test_fast_size_past_the_reach(self, gamma, steps):
-        argv = ["evolve", "--gamma", ",".join(map(repr, gamma)), "--steps", str(steps)]
+        argv = ["diffusion", "--gamma", ",".join(map(repr, gamma)), "--steps", str(steps)]
         half_width = cli.load_config(cli.build_parser().parse_args(argv))["half_width"]
         lmax = max(translation_kernel(g, 0.0).lmax for g in gamma)
         assert half_width >= steps * lmax + EDGE_MARGIN + 1
@@ -559,13 +598,21 @@ def _strip_fast_factors(n: int) -> int:
 
 
 def test_import_leaves_package_metadata_unloaded():
-    # the version is looked up when the first dataset is written
+    # the version is looked up when the first dataset is written, and the
+    # direct engine's worker thread is built on the first direct step: each
+    # import would add 8-20 ms to every run
     src = str(Path(cli.__file__).parents[1])
-    code = "import sys, freqwalk.cli; print('importlib.metadata' in sys.modules)"
+    code = (
+        "import sys, freqwalk.cli, freqwalk as fw\n"
+        "print('importlib.metadata' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "s = fw.make_single_site(0, fw.Polarization.H, fw.LatticeConfig(10))\n"
+        "fw.step(s, fw.ModulationParams(gamma=1.0))\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "False False\nFalse\n"
 
 
 class TestDiffusionCommand:

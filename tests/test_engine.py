@@ -478,8 +478,12 @@ class TestDirectKernelCache:
     def test_rows_share_one_sequence(self, bessel_orders):
         # the search's orders at pi, then lmax + 8 = 19 once for both rows
         engine._direct_kernels.cache_clear()
-        engine._direct_kernels(fw.ModulationParams(gamma=np.pi, **FIG2))
+        params = fw.ModulationParams(gamma=np.pi, **FIG2)
+        taps = engine._direct_kernels(params)
         assert bessel_orders == [12, 8, 11, 19]
+        j = bessel_j_sequence(19, np.pi)
+        rows = [engine._build_kernel(np.pi, phi, j).coeffs for phi in (params.phi_h, params.phi_v)]
+        assert taps.shape == (2, 39) and taps.tobytes() == b"".join(r.tobytes() for r in rows)
 
     def test_schedule_matches_direct_steps_bitwise(self):
         cfg = fw.LatticeConfig(80)
@@ -494,17 +498,17 @@ class TestDirectKernelCache:
             assert np.array_equal(rec["state"].amp, expected.amp)
 
 
-def whole_lattice_direct(state, kernels, theta):
+def whole_lattice_direct(state, taps, theta):
     """The direct roundtrip over every site: rotate the whole lattice,
-    convolve each row in full and keep the n on-lattice outputs; the leak
-    is the difference of the two sums."""
+    convolve each row with its row of taps in full and keep the n
+    on-lattice outputs; the leak is the difference of the two sums."""
     rotated = fw.apply_rotation(state, theta).amp
-    n = state.config.n_sites
+    n, lmax = state.config.n_sites, taps.shape[1] // 2
     amp = np.empty_like(rotated)
     leak = 0.0
-    for row, kern in enumerate(kernels):
-        full = np.convolve(rotated[row], kern.coeffs, mode="full")
-        amp[row] = full[kern.lmax : kern.lmax + n]
+    for row, kern in enumerate(taps):
+        full = np.convolve(rotated[row], kern, mode="full")
+        amp[row] = full[lmax : lmax + n]
         leak += float((np.abs(full) ** 2).sum() - (np.abs(amp[row]) ** 2).sum())
     return amp, leak
 
@@ -549,10 +553,10 @@ class TestDirectWindow:
         n_steps=st.integers(1, 3),
     )
     def test_matches_whole_lattice(self, state, params, n_steps):
-        kernels = engine._direct_kernels(params)
-        expected, leak = whole_lattice_direct(state, kernels, params.theta)
+        taps = engine._direct_kernels(params)
+        expected, leak = whole_lattice_direct(state, taps, params.theta)
 
-        out = engine._convolve_direct(state, kernels, params.theta)
+        out = engine._convolve_direct(state, taps, params.theta)
         assert np.array_equal(out.amp, expected)
         assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
 
@@ -563,10 +567,10 @@ class TestDirectWindow:
         # the walk itself, without the edge abort that `evolve` adds
         for (out,) in engine._walk((state,), ([params] * n_steps,), "direct"):
             assert np.array_equal(out.amp, expected)
-            expected, _ = whole_lattice_direct(out, kernels, params.theta)
+            expected, _ = whole_lattice_direct(out, taps, params.theta)
 
 
-def one_thread_direct(state, kernels, theta):
+def one_thread_direct(state, taps, theta):
     """`_convolve_direct` with both rows convolved in this thread, H then
     V: the same window, the same np.convolve calls, and the leak summed in
     row order."""
@@ -574,13 +578,13 @@ def one_thread_direct(state, kernels, theta):
     amp = np.zeros_like(state.amp)
     if not sites.size:
         return amp, 0.0
-    n, pad = state.config.n_sites, 2 * max(kern.lmax for kern in kernels)
-    a = max(0, sites[0] - pad)
-    window = engine._rotate(state.amp[:, a : sites[-1] + pad + 1], theta)
+    n, lmax = state.config.n_sites, taps.shape[1] // 2
+    a = max(0, sites[0] - 2 * lmax)
+    window = engine._rotate(state.amp[:, a : sites[-1] + 2 * lmax + 1], theta)
     leak = 0.0
-    for row, kern in enumerate(kernels):
-        full = np.convolve(window[row], kern.coeffs, mode="full")
-        start = a - kern.lmax
+    for row, kern in enumerate(taps):
+        full = np.convolve(window[row], kern, mode="full")
+        start = a - lmax
         lo, hi = max(0, start), min(n, start + full.size)
         amp[row, lo:hi] = full[lo - start : hi - start]
         dropped = np.concatenate([full[: lo - start], full[hi - start :]])
@@ -598,18 +602,16 @@ class TestDirectRows:
     @given(
         state=sparse_states(),
         gamma=st.floats(0.0, 10.0),
-        lmaxes=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        lmax=st.integers(0, 60),
         phis=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
         theta=st.floats(-4 * np.pi, 4 * np.pi),
     )
-    def test_matches_rows_in_one_thread(self, state, gamma, lmaxes, phis, theta):
-        # kernels of different lmax per row, so a swap of rows shows
-        kernels = tuple(
-            engine._build_kernel(gamma, phi, bessel_j_sequence(lmax, gamma))
-            for lmax, phi in zip(lmaxes, phis)
-        )
-        expected, leak = one_thread_direct(state, kernels, theta)
-        out = engine._convolve_direct(state, kernels, theta)
+    def test_matches_rows_in_one_thread(self, state, gamma, lmax, phis, theta):
+        # the rows differ in their phase, so a swap of rows shows
+        j = bessel_j_sequence(lmax, gamma)
+        taps = np.array([engine._build_kernel(gamma, phi, j).coeffs for phi in phis])
+        expected, leak = one_thread_direct(state, taps, theta)
+        out = engine._convolve_direct(state, taps, theta)
         assert np.array_equal(out.amp, expected)
         assert out.meta["norm_leak"] == leak
 
@@ -620,15 +622,15 @@ class TestDirectRows:
         cases = []
         for gamma in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0):
             state = random_interior_state(fw.LatticeConfig(150), rng)
-            kernels = engine._direct_kernels(fw.ModulationParams(gamma=gamma, phi_v=1.0))
-            cases.append((state, kernels, one_thread_direct(state, kernels, 0.4)[0]))
+            taps = engine._direct_kernels(fw.ModulationParams(gamma=gamma, phi_v=1.0))
+            cases.append((gamma, state, taps, one_thread_direct(state, taps, 0.4)[0]))
         mismatches = []
 
-        def run(state, kernels, expected):
+        def run(gamma, state, taps, expected):
             for _ in range(30):
-                out = engine._convolve_direct(state, kernels, 0.4)
+                out = engine._convolve_direct(state, taps, 0.4)
                 if not np.array_equal(out.amp, expected):
-                    mismatches.append(kernels[0].gamma)
+                    mismatches.append(gamma)
 
         threads = [threading.Thread(target=run, args=case) for case in cases]
         interval = sys.getswitchinterval()
@@ -686,7 +688,7 @@ class TestEngineAgreement:
     def test_spectral_matches_direct(self, pool, picks, support, spare, seed):
         schedule = [pool[i % len(pool)] for i in picks]
         # each direct roundtrip moves amplitude at most its kernel's lmax
-        reach = sum(engine._direct_kernels(p)[0].lmax for p in schedule)
+        reach = sum(engine._direct_kernels(p).shape[1] // 2 for p in schedule)
         cfg = fw.LatticeConfig(support + reach + EDGE_MARGIN + 1 + spare)
         s0 = random_interior_state(cfg, np.random.default_rng(seed), support)
         spectral = fw.evolve(s0, schedule, record=("state",))

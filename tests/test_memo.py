@@ -1,10 +1,14 @@
-"""The memoized lattice tables: the spectral blocks on the FFT grid, the
-packet envelope, the read-out plane wave and the direct kernels.
+"""The memoized lattice tables (`lattice._table`): the spectral blocks on
+the FFT grid, the packet envelope, the read-out plane wave, the direct
+taps and the m^2 table.
 
-Every gate, preparation and two-qubit report must be the same bytes
-whatever the memos hold: built cold, read warm, or left behind by other
-experiments on another lattice in any order.
+Every gate, preparation, two-qubit report and diffusion curve must be the
+same bytes whatever the memos hold: built cold, read warm, or left behind
+by other experiments on another lattice in any order.
 """
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import freqwalk as fw
 from freqwalk import engine, lattice
 
 MEMOS = (engine._grid_blocks, lattice._envelope, lattice._plane_wave,
-         engine._direct_kernels)
+         engine._direct_kernels, lattice._squared_sites)
 DELTAS = (20.0, 37.5)  # lattices of 181 and 339 sites, the same params
 
 
@@ -51,6 +55,12 @@ def register(ops):
     return run
 
 
+def diffusion(delta):
+    state = fw.make_single_site(0, fw.Polarization.H, fw.LatticeConfig(int(4 * delta)))
+    params = fw.ModulationParams(gamma=np.pi, phi_v=0.75 * np.pi, theta=-np.pi / 2)
+    return as_bytes(fw.evolve(state, params, 3).series("diffusion"))
+
+
 EXPERIMENTS = {
     "X": gate("X"),
     "Y": gate("Y"),
@@ -64,6 +74,7 @@ EXPERIMENTS = {
     "cnot": register(["cnot"]),
     "ms": register(["path_x", "cnot", "path_x"]),
     "cnot,cnot": register(["cnot", "cnot"]),  # two roundtrips of one batch
+    "diffusion": diffusion,
 }
 RUNS = [(name, delta) for name in EXPERIMENTS for delta in DELTAS]
 
@@ -94,20 +105,22 @@ def test_any_order_gives_the_same_bytes(cold, order):
             assert memo.cache_info().currsize <= 2
 
 
-# distinct parameter sets per experiment: a preparation's two H share one
-# block, a register's basis inputs share the X and the idle roundtrip
-BLOCK_BUILDS = {"H direct": 0, "prepare(0.75pi, 0.25pi)": 2,
-                "prepare(1.3, -2.0)": 3, "cnot": 2, "ms": 2, "cnot,cnot": 2}
-KERNEL_BUILDS = {"H direct": 1}  # only the direct engine reads kernels
+# the tables each experiment builds, in the order of MEMOS: one per
+# distinct parameter set (a preparation's two H share one block, a
+# register's basis inputs share the X and the idle roundtrip); only the
+# direct engine reads taps, only a diffusion curve reads m^2
+BUILDS = {"H direct": (0, 1, 1, 1, 0), "prepare(0.75pi, 0.25pi)": (2, 1, 1, 0, 0),
+          "prepare(1.3, -2.0)": (3, 1, 1, 0, 0), "cnot": (2, 1, 1, 0, 0),
+          "ms": (2, 1, 1, 0, 0), "cnot,cnot": (2, 1, 1, 0, 0),
+          "diffusion": (1, 0, 0, 0, 1)}
 
 
 def test_each_table_built_once_per_experiment():
     for name, delta in RUNS:
         clear_memos()
         EXPERIMENTS[name](delta)
-        misses = [memo.cache_info().misses for memo in MEMOS]
-        assert misses == [BLOCK_BUILDS.get(name, 1), 1, 1,
-                          KERNEL_BUILDS.get(name, 0)], name
+        misses = tuple(memo.cache_info().misses for memo in MEMOS)
+        assert misses == BUILDS.get(name, (1, 1, 1, 0, 0)), name
 
 
 def test_equal_keys_give_the_same_bytes():
@@ -136,9 +149,8 @@ def test_equal_keys_give_the_same_bytes():
 
 @pytest.mark.parametrize(
     "memo, args",
-    [(engine._grid_blocks, (fw.ModulationParams(gamma=1.0), 9)),
-     (lattice._envelope, (2.0, 0.3, 9)),
-     (lattice._plane_wave, (0.3, 9))],
+    list(zip(MEMOS, [(fw.ModulationParams(gamma=1.0), 9), (2.0, 0.3, 9), (0.3, 9),
+                     (fw.ModulationParams(gamma=1.0, phi_v=0.4),), (9,)])),
 )
 def test_tables_are_read_only(memo, args):
     table = memo(*args)
@@ -147,9 +159,11 @@ def test_tables_are_read_only(memo, args):
     assert memo.cache_info().maxsize == 2
 
 
-def test_direct_kernels_are_read_only():
-    kernels = engine._direct_kernels(fw.ModulationParams(gamma=1.0, phi_v=0.4))
-    for kern in kernels:
-        with pytest.raises(ValueError, match="read-only"):
-            kern.coeffs[0] = 0
-    assert engine._direct_kernels.cache_info().maxsize == 2
+def test_every_memo_is_tested():
+    # a memo missing from MEMOS would escape the cold and warm bit tests;
+    # `_row_pool` holds the direct engine's worker thread, not a table
+    modules = [fw] + [importlib.import_module(f"freqwalk.{m.name}")
+                      for m in pkgutil.iter_modules(fw.__path__)]
+    memos = {value for module in modules for value in vars(module).values()
+             if hasattr(value, "cache_info")}
+    assert memos == {*MEMOS, engine._row_pool}
