@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, check_integer, check_number
+from .errors import ConfigurationError, check_fits, check_integer, check_number
 
 # Below this argument the power series converges fast and is free of the
 # cancellation that sets in for x >~ 10.
@@ -55,16 +55,13 @@ def bessel_j_sequence(lmax: int, x: float) -> np.ndarray:
     """J_0(x) .. J_lmax(x) for x >= 0, via one backward recurrence.
 
     Rescales on the way down to avoid overflow when x is small compared
-    with the starting order.  An lmax whose output array, or an x whose
-    starting order, cannot be addressed is a ConfigurationError, as
-    LatticeConfig refuses a lattice.
+    with the starting order.  An lmax whose output array would not fit in
+    physical memory (`check_fits`, as LatticeConfig refuses a lattice), or
+    an x whose starting order cannot be addressed, is a ConfigurationError.
     """
     check_integer("lmax", lmax, 0)
     check_number("x", x, "real >= 0")
-    if (lmax + 1) * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise ConfigurationError(
-            f"lmax {lmax} too large: J_0 .. J_lmax would exceed the addressable memory"
-        )
+    check_fits(f"lmax {lmax} too large: J_0 .. J_lmax", 8 * (lmax + 1))
     if x > _SERIES_CUTOFF and _miller_start(lmax, x) > np.iinfo(np.intp).max:
         raise ConfigurationError(
             f"x {x:g} too large: the recurrence would start past the addressable orders"

@@ -180,7 +180,7 @@ def load_config(args: argparse.Namespace) -> dict:
             f"{args.command} takes one gamma, got {len(cfg['gamma'])} (a list is for diffusion)"
         )
     if args.command in ("evolve", "diffusion"):
-        members = len(cfg["gamma"]) if args.command == "diffusion" else 1
+        members = len(cfg["gamma"])
         if "half_width" in given:
             _check_walk_fits(members, cfg["half_width"], f"half_width {cfg['half_width']} too large")
         else:

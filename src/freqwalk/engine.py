@@ -17,8 +17,9 @@ cross-validate each other.
 Both operators are tables of the parameters (and N, for the blocks)
 alone, each a `lattice._table`: `_grid_blocks`, the (2, 2, N) blocks
 U(q), and `_direct_kernels`, the (2, 2 lmax + 1) hop taps of the H and V
-rows.  A walk looks a member's operator up when that member's params
-change, and holds no more tables than it has members.
+rows.  A walk keeps the tables of its current row's params, looks up
+only the params the previous row lacked, and holds no more tables than
+it has members; members with equal params share one.
 """
 
 from __future__ import annotations
@@ -301,10 +302,12 @@ def _walk(states, schedules, engine: str):
     of ModulationParams) each, all of one length; yield the tuple of the k
     states after each roundtrip.
 
-    Each member looks its operator up in the engine's table, the direct
-    taps of `_direct_kernels` or the blocks U(q) of `_grid_blocks`,
-    only when its params change, so the walk holds at most k tables and a
-    walk on the lattice and parameters of a recent one builds nothing.
+    The walk keeps one dict of the current row's tables (the direct taps
+    of `_direct_kernels` or the blocks U(q) of `_grid_blocks`), keyed by
+    params.  Members with equal params share one table, and a row looks up
+    only the params the previous row lacked, so the walk holds at most k
+    tables and a walk on the lattice and parameters of a recent one builds
+    nothing.
     The direct engine steps the members one after another.  The spectral
     engine stacks them into one (k, 2, N) array, carries its q-space
     amplitudes from step to step and transforms back to position space
@@ -313,30 +316,22 @@ def _walk(states, schedules, engine: str):
     """
     n = states[0].config.n_sites
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
-    keys = [None] * len(states)  # each member's params, and their tables
-    tables = [None] * len(states)
-
-    def look_up(row):
-        for i, params in enumerate(row):
-            if params != keys[i]:
-                keys[i], tables[i] = params, lookup(params)
-
+    tables = {}  # the current row's params and their tables
     rows = zip(*schedules, strict=True)
     if engine == "direct":
         for row in rows:
-            look_up(row)
+            tables = {p: tables[p] if p in tables else lookup(p) for p in row}
             states = tuple(
-                _convolve_direct(s, taps, params.theta)
-                for s, taps, params in zip(states, tables, row)
+                _convolve_direct(s, tables[p], p.theta) for s, p in zip(states, row)
             )
             yield states
         return
     b = np.fft.ifft(np.stack([s.amp for s in states]), axis=-1)
     out, scratch = np.empty_like(b), np.empty_like(b[0])  # no state holds b or out
     for row in rows:
-        look_up(row)
-        for u, member, product in zip(tables, b, out):
-            _apply_blocks(u, member, product, scratch)
+        tables = {p: tables[p] if p in tables else lookup(p) for p in row}
+        for p, member, product in zip(row, b, out):
+            _apply_blocks(tables[p], member, product, scratch)
         b, out = out, b
         states = tuple(s.with_amp(amp) for s, amp in zip(states, np.fft.fft(b, axis=-1)))
         yield states

@@ -103,7 +103,7 @@ def physical_memory() -> int:
     return pages * size if pages > 0 and size > 0 else np.iinfo(np.intp).max
 
 
-def check_fits(what: str, nbytes: int) -> None:
+def check_fits(what: str, nbytes: float) -> None:
     """A ConfigurationError "`what` would exceed physical memory" unless
     `nbytes`, the size of `what`, fit in it."""
     limit = physical_memory()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bands import BRANCHES
 from .engine import ENGINES, ModulationParams, Schedule, _walk, uk_matrix
-from .errors import ConfigurationError, InfeasibleGateError, check_name, check_number
+from .errors import ConfigurationError, InfeasibleGateError, check_fits, check_name, check_number
 from .lattice import (
     LatticeConfig,
     LatticeState,
@@ -149,14 +149,12 @@ def _drive(
     to q-space and back, as a `step` does."""
     check_name("engine", engine, ENGINES)
     specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
+    # every packet's (2, N) amplitudes, 9 delta + 3 >= N counted in floats:
+    # inf, not an OverflowError, for a delta near the double range
+    check_fits(f"delta {delta:g} too large: its lattice (half_width 4.5 delta)",
+               len(specs) * 32 * (9 * delta + 3))
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
-    try:
-        cfg = LatticeConfig(half_width=int(math.ceil(4.5 * delta)))
-    except (ConfigurationError, OverflowError):  # 4.5 * delta unaddressable or inf
-        raise ConfigurationError(
-            f"delta {delta:g} too large: its lattice (half_width 4.5 delta) "
-            "would exceed the addressable memory"
-        ) from None
+    cfg = LatticeConfig(half_width=math.ceil(4.5 * delta))
     packets = states = tuple(make_gaussian(spec, cfg) for spec in specs)
     for row in zip(*schedules, strict=True):
         (states,) = _walk(states, [[params] for params in row], engine)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, check_integer, check_number
+from .errors import ConfigurationError, check_fits, check_integer, check_number
 
 EDGE_MARGIN = 5  # sites counted as "boundary" by the truncation monitor
 
@@ -44,17 +44,16 @@ class LatticeConfig:
     """Truncated frequency lattice: sites m in [-half_width, half_width].
 
     Units are dimensionless: mode spacing = 1, reference frequency = 0.
+    A half_width whose (2, N) complex amplitudes would not fit in physical
+    memory is a ConfigurationError (`check_fits`), raised before any array
+    exists.
     """
 
     half_width: int
 
     def __post_init__(self):
         hw = check_integer("half_width", self.half_width, 1)
-        if 2 * (2 * hw + 1) * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
-            raise ConfigurationError(
-                f"half_width {hw} too large: its (2, N) complex amplitudes "
-                "would exceed the addressable memory"
-            )
+        check_fits(f"half_width {hw} too large: its (2, N) complex amplitudes", 32 * (2 * hw + 1))
         object.__setattr__(self, "half_width", hw)
 
     @property

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
-from freqwalk import cli, engine, errors
+from freqwalk import cli, engine, errors, gates
 from freqwalk.baselines import classical_walk_distribution
 from freqwalk.cli import main, parse_angle
 from freqwalk.engine import translation_kernel
@@ -237,18 +237,23 @@ class TestOversizedInputs:
 
 
 class TestMemoryRefusal:
-    """A walk whose kernel search or amplitudes would not fit in physical
-    memory is refused before any Bessel work: the derived lattice by the
-    closed-form bound on the kernel reach.  The host here has 1 MB, set by
-    hand, so the refusals hold on any machine."""
+    """A walk whose kernel search or amplitudes, or a gate run whose
+    packets, would not fit in physical memory is refused before any Bessel
+    work or packet: the derived lattice by the closed-form bound on the
+    kernel reach.  The host here has 1 MB, set by hand, so the refusals
+    hold on any machine."""
 
     @pytest.fixture(autouse=True)
     def small_host(self, monkeypatch):
-        def no_bessel_work(*args):
-            raise AssertionError("Bessel work before the refusal")
+        def forbidden(work):
+            def raising(*args):
+                raise AssertionError(f"{work} before the refusal")
+
+            return raising
 
         monkeypatch.setattr(errors, "physical_memory", lambda: 10**6)
-        monkeypatch.setattr(engine, "bessel_j_sequence", no_bessel_work)
+        monkeypatch.setattr(engine, "bessel_j_sequence", forbidden("Bessel work"))
+        monkeypatch.setattr(gates, "make_gaussian", forbidden("a packet"))
 
     @pytest.mark.parametrize(
         "argv,head",
@@ -259,7 +264,12 @@ class TestMemoryRefusal:
          (["evolve", "--gamma", "1e5", "--steps", "0"],  # 2e5 orders, 3 arrays: 4.8 MB
           "gamma 100000 too large: its kernel search"),
          (["evolve", "--gamma", "1", "--steps", "1", "--half-width", "20000"],
-          "half_width 20000 too large: the walk's amplitudes")],
+          "half_width 20000 too large: the walk's amplitudes"),
+         # N = 90001: one packet is 2.9 MB
+         *[(argv + ["--delta", "10000"],
+            "delta 10000 too large: its lattice (half_width 4.5 delta)")
+           for argv in (["gate", "--gate-name", "X"],
+                        ["prepare", "--phi1", "0", "--phi2", "0"], ["cnot"])]],
     )
     def test_refused_with_one_error_line(self, argv, head, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk import Polarization as P
-from freqwalk import lattice
+from freqwalk import errors, lattice
 from freqwalk.lattice import EDGE_MARGIN
 
 CFG = fw.LatticeConfig(8)
@@ -31,6 +31,18 @@ def test_half_width_rejected(half_width):
 def test_half_width_past_addressable_memory_rejected(half_width):
     with pytest.raises(fw.ConfigurationError, match="too large"):
         fw.LatticeConfig(half_width)
+
+
+def test_sizes_past_physical_memory_rejected(monkeypatch):
+    # a host of 10^4 bytes: (2, 401) complex amplitudes take 12,832 of them,
+    # (2, 201) 6,432; J_0 .. J_2000 take 16,008, J_0 .. J_1000 8,008
+    monkeypatch.setattr(errors, "physical_memory", lambda: 10**4)
+    with pytest.raises(fw.ConfigurationError, match="^half_width 200 too large"):
+        fw.LatticeConfig(200)
+    with pytest.raises(fw.ConfigurationError, match="^lmax 2000 too large"):
+        fw.bessel_j_sequence(2000, 3.0)
+    assert fw.LatticeConfig(100).n_sites == 201
+    assert fw.bessel_j_sequence(1000, 3.0).shape == (1001,)
 
 
 def _with(amp, site, value):
