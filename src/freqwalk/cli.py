@@ -192,7 +192,9 @@ def load_config(args: argparse.Namespace) -> dict:
 def _check_walk_fits(members: int, half_width: int, refusal: str) -> None:
     """Refuse, with `refusal` as the message's head, a walk of `members`
     states whose (2, N) complex amplitudes alone would exceed physical
-    memory."""
+    memory.  The spectral walk's chunks of roundtrips add at most about
+    2 * engine._CHUNK_BYTES to that, or two roundtrips' amplitudes when
+    one roundtrip is larger."""
     nbytes = members * 2 * (2 * half_width + 1) * 16
     check_fits(f"{refusal}: the walk's amplitudes", nbytes)
 

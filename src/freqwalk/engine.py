@@ -4,9 +4,12 @@ The walk conserves quasimomentum, so one roundtrip is the 2x2 block
 U(q) = T(q) R(theta) of `uk_matrix`, the only definition of the
 operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
 unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
-steps and transforms back once per step for the boundary monitor and the
-recorders; walks that share a lattice run in lockstep (`_walk`), one FFT
-call per step for all of them.  `direct` rotates in position space and
+steps and transforms back for the boundary monitor and the recorders, one
+FFT call per chunk of roundtrips (`_CHUNK_BYTES`); walks that share a
+lattice run in lockstep (`_walk`), one FFT call per chunk for all of them.
+No read-out feeds back into the q-space amplitudes, and pocketfft gives
+each row the bits it gives that row alone, so the chunking does not
+change a bit.  `direct` rotates in position space and
 convolves with the truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi}
 (open boundary, amplitudes pushed past the edge are dropped and the leak
 reported); it convolves the V row on a worker thread while the caller
@@ -25,6 +28,7 @@ it has members; members with equal params share one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import warnings
@@ -55,6 +59,7 @@ from .lattice import (
 KERNEL_TOL = 1e-12
 BOUNDARY_TOL = 1e-6
 ENGINES = ("spectral", "direct")
+_CHUNK_BYTES = 1 << 19  # q-space rows per FFT call: amortizes its fixed cost, bounds look-ahead
 
 
 @dataclass(frozen=True)
@@ -309,10 +314,17 @@ def _walk(states, schedules, engine: str):
     tables and a walk on the lattice and parameters of a recent one builds
     nothing.
     The direct engine steps the members one after another.  The spectral
-    engine stacks them into one (k, 2, N) array, carries its q-space
-    amplitudes from step to step and transforms back to position space
-    once per step, one FFT call for all members; pocketfft gives each row
-    the bits it gives that row alone.
+    engine stacks them into one (k, 2, N) array and carries its q-space
+    amplitudes from step to step.  It propagates up to
+    `_CHUNK_BYTES // b.nbytes` roundtrips ahead (at least one) into one
+    (steps, k, 2, N) chunk, each row from the previous one, and transforms
+    the chunk back to position space with one FFT call; then it yields its
+    roundtrips one by one.  No read-out feeds back into the q-space rows,
+    and pocketfft gives each row the bits it gives that row alone, so the
+    states have the bits of one FFT call per roundtrip.  Each chunk is a
+    new array, so a state the caller keeps is never overwritten; a state
+    is built only when it is yielded, so the at most steps - 1 roundtrips
+    past a boundary abort are computed and thrown away, never validated.
     """
     n = states[0].config.n_sites
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
@@ -327,14 +339,20 @@ def _walk(states, schedules, engine: str):
             yield states
         return
     b = np.fft.ifft(np.stack([s.amp for s in states]), axis=-1)
-    out, scratch = np.empty_like(b), np.empty_like(b[0])  # no state holds b or out
-    for row in rows:
-        tables = {p: tables[p] if p in tables else lookup(p) for p in row}
-        for p, member, product in zip(row, b, out):
-            _apply_blocks(tables[p], member, product, scratch)
-        b, out = out, b
-        states = tuple(s.with_amp(amp) for s, amp in zip(states, np.fft.fft(b, axis=-1)))
-        yield states
+    steps = max(1, _CHUNK_BYTES // b.nbytes)
+    scratch = np.empty_like(b[0])
+    while chunk_rows := list(itertools.islice(rows, steps)):
+        chunk = np.empty((len(chunk_rows), *b.shape), b.dtype)
+        for row, out in zip(chunk_rows, chunk):
+            tables = {p: tables[p] if p in tables else lookup(p) for p in row}
+            for p, member, product in zip(row, b, out):
+                _apply_blocks(tables[p], member, product, scratch)
+            b = out
+        b = b.copy()  # the next chunk's start; the transform overwrites the chunk
+        np.fft.fft(chunk, axis=-1, out=chunk)
+        for amps in chunk:
+            states = tuple(s.with_amp(amp) for s, amp in zip(states, amps))
+            yield states
 
 
 @dataclass

@@ -761,3 +761,83 @@ class TestLockstepWalk:
         # the error carries the mass of the first member that leaks at that step
         assert abort == next(a for a in aborts if a[0] == first)
         assert len(steps) == first
+
+
+def walk_by_roundtrip(state, schedule):
+    """The position-space amplitudes of a member walked alone with one FFT
+    call per roundtrip, its q-space amplitudes carried from step to step."""
+    n = state.config.n_sites
+    b = np.fft.ifft(state.amp, axis=-1)
+    for params in schedule:
+        out = np.empty_like(b)
+        engine._apply_blocks(engine._grid_blocks(params, n), b, out, np.empty_like(b))
+        b = out
+        yield np.fft.fft(b, axis=-1)
+
+
+class TestChunkedWalk:
+    """The spectral walk transforms a chunk of roundtrips per FFT call with
+    the bits of one call per roundtrip, and looks ahead at most one chunk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_chunks_match_one_fft_per_roundtrip(self, data):
+        n = data.draw(st.sampled_from(PRIME_N + SMOOTH_N))
+        cfg = fw.LatticeConfig((n - 1) // 2)
+        k = data.draw(st.integers(1, 3))
+        per_chunk = data.draw(st.integers(1, 3))
+        n_steps = data.draw(st.sampled_from(
+            (0, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1)))
+        # params drawn per roundtrip from a pool, so they change inside a chunk
+        pool = data.draw(st.lists(modulations, min_size=2, max_size=3, unique=True))
+        picks = st.integers(0, len(pool) - 1)
+        schedules = [[pool[data.draw(picks)] for _ in range(n_steps)] for _ in range(k)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        states = [random_interior_state(cfg, rng, support=data.draw(st.integers(0, 8)))
+                  for _ in range(k)]
+        step_bytes = k * 2 * n * 16
+        budget = per_chunk * step_bytes + data.draw(st.integers(0, step_bytes - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CHUNK_BYTES", budget)
+            steps, abort = monitored_bytes(states, schedules, "spectral")
+
+        expected, leak = [[s.amp.tobytes() for s in states]], None
+        walks = [walk_by_roundtrip(s, schedule) for s, schedule in zip(states, schedules)]
+        for i, amps in enumerate(zip(*walks), start=1):
+            masses = [fw.boundary_mass(s.with_amp(a)) for s, a in zip(states, amps)]
+            leak = next(((i, m) for m in masses if m > BOUNDARY_TOL), None)
+            if leak is not None:
+                break
+            expected.append([a.tobytes() for a in amps])
+        assert steps == expected
+        assert abort == leak
+
+    def test_one_forward_fft_per_chunk(self, monkeypatch):
+        """A 100-step walk at N = 2101 transforms 7 roundtrips per call."""
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
+        s = fw.make_single_site(0, P.H, fw.LatticeConfig(1050))
+        params = fw.ModulationParams(gamma=3 * np.pi, phi_v=0.75 * np.pi, theta=-0.5 * np.pi)
+        traj = fw.evolve(s, params, n_steps=100)
+        assert traj.steps == list(range(101))
+        assert len(calls) == 15  # ceil(100 / (2**19 // 67232)), 67232 bytes a roundtrip
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_looks_ahead_at_most_one_chunk(self, k):
+        n_steps, pulled = 17, [0] * k
+        cfg = fw.LatticeConfig(1050)
+        params = fw.ModulationParams(gamma=1.0, theta=0.3)
+
+        def schedule(member):
+            for _ in range(n_steps):
+                pulled[member] += 1
+                yield params
+
+        per_chunk = engine._CHUNK_BYTES // (k * 2 * cfg.n_sites * 16)
+        states = [fw.make_single_site(0, P.H, cfg)] * k
+        walk = engine._walk(states, [schedule(m) for m in range(k)], "spectral")
+        for j, _ in enumerate(walk, start=1):
+            # the rows of the chunk that holds step j, and none past it
+            assert pulled == [min(n_steps, -(-j // per_chunk) * per_chunk)] * k
+        assert j == n_steps
