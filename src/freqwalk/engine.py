@@ -349,7 +349,7 @@ def _walk(states, schedules, engine: str):
                 _apply_blocks(tables[p], member, product, scratch)
             b = out
         b = b.copy()  # the next chunk's start; the transform overwrites the chunk
-        np.fft.fft(chunk, axis=-1, out=chunk)
+        np.fft.fft(chunk, axis=-1, out=chunk)  # in place (numpy >= 2.0): one chunk alive, not two
         for amps in chunk:
             states = tuple(s.with_amp(amp) for s, amp in zip(states, amps))
             yield states
