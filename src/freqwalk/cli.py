@@ -28,7 +28,7 @@ from .engine import (
     ENGINES,
     ModulationParams,
     _kernel_reach,
-    _monitored_walk,
+    _monitored_chunks,
     translation_kernel,
 )
 from .errors import ConfigurationError, FreqwalkError, check_fits
@@ -37,9 +37,9 @@ from .lattice import (
     LatticeConfig,
     LatticeState,
     Polarization,
-    diffusion_distance,
+    _diffusion_distances,
+    _probabilities,
     make_single_site,
-    probability_distribution,
 )
 
 _VERSION = None  # set on the first write: importlib.metadata takes ~20 ms to import
@@ -349,13 +349,15 @@ def _origin(cfg: dict) -> LatticeState:
 
 def run_evolve(cfg: dict):
     """The header, and one block of rows (step, m, P(m)) per step, made
-    as the walk reaches that step: no more than one step's P(m) is held,
-    and a boundary abort at step k raises while block k is asked for."""
+    as the walk reaches that step: P(m) is read from the walk's chunk one
+    row at a time, so no more than one step's P(m) is held, and a
+    boundary abort at step k raises while block k is asked for."""
     state = _origin(cfg)
     schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), cfg["steps"])
     sites = state.config.sites  # one array for every block: its cells are formatted once
-    blocks = ([np.int64(i), sites, probability_distribution(s)]
-              for i, (s,) in _monitored_walk((state,), (schedule,), cfg["engine"]))
+    walk = _monitored_chunks((state,), (schedule,), cfg["engine"])
+    blocks = ([np.int64(first + j), sites, _probabilities(amp)]
+              for first, amps, _ in walk for j, amp in enumerate(amps[:, 0]))
     return ["step", "m", "prob"], blocks
 
 
@@ -372,10 +374,10 @@ def run_diffusion(cfg: dict):
         ("dtqw", baselines.dtqw_diffusion(n)),
     ]
     schedules = [itertools.repeat(_params(cfg, gamma), n) for gamma in cfg["gamma"]]
-    walk = _monitored_walk((_origin(cfg),) * len(schedules), schedules, cfg["engine"])
-    distances = [[diffusion_distance(s) for s in states]
-                 for _, states in itertools.islice(walk, 1, None)]
-    table = np.array(distances, dtype=float).reshape(n, len(schedules))
+    walk = _monitored_chunks((_origin(cfg),) * len(schedules), schedules, cfg["engine"])
+    # one (rows, Gammas) array per chunk past step 0
+    distances = [_diffusion_distances(amps) for _, amps, _ in itertools.islice(walk, 1, None)]
+    table = np.concatenate([np.empty((0, len(schedules))), *distances])
     for gamma, values in zip(cfg["gamma"], table.T):
         curves.append((f"synthetic:{gamma:.17g}", values))
     lengths = [len(values) for _, values in curves]

@@ -6,10 +6,16 @@ operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
 unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
 steps and transforms back for the boundary monitor and the recorders, one
 FFT call per chunk of roundtrips (`_CHUNK_BYTES`); walks that share a
-lattice run in lockstep (`_walk`), one FFT call per chunk for all of them.
-No read-out feeds back into the q-space amplitudes, and pocketfft gives
-each row the bits it gives that row alone, so the chunking does not
-change a bit.  `direct` rotates in position space and
+lattice run in lockstep (`_chunks`), one FFT call per chunk for all of
+them.  No read-out feeds back into the q-space amplitudes, and pocketfft
+gives each row the bits it gives that row alone, so the chunking does not
+change a bit.  A walk fills one chunk buffer, allocated once, and hands
+out read-only views of it: a chunk, and every state built on it, is valid
+until the walk is asked for its next chunk; a caller that keeps a state
+longer keeps a copy (`_kept`).  The boundary monitor and the read-outs
+(`lattice._probabilities`, `_diffusion_distances`, `_boundary_masses`)
+read a whole chunk at a time, each row with the bits of that state alone.
+`direct` rotates in position space and
 convolves with the truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi}
 (open boundary, amplitudes pushed past the edge are dropped and the leak
 reported); it convolves the V row on a worker thread while the caller
@@ -47,11 +53,12 @@ from .errors import (
 )
 from .lattice import (
     LatticeState,
+    _boundary_masses,
+    _diffusion_distances,
+    _probabilities,
     _table,
     boundary_mass,
     centroid,
-    diffusion_distance,
-    probability_distribution,
     reduce_angle,
     return_probability,
 )
@@ -299,13 +306,25 @@ def step(
     meta["norm_leak"]; a leak above 1e-6 also raises a warning.
     """
     ((state,),) = _walk((state,), ([params],), check_name("engine", engine, ENGINES))
-    return state
+    return _kept(state)
 
 
-def _walk(states, schedules, engine: str):
+def _kept(state: LatticeState) -> LatticeState:
+    """`state` with its own copy of the amplitudes, for a caller that keeps
+    a state of `_walk`, a view that the walk's next chunk overwrites."""
+    return state.with_amp(state.amp.copy(), **state.meta)
+
+
+def _chunks(states, schedules, engine: str):
     """Step k states on one lattice in lockstep, one schedule (an iterable
-    of ModulationParams) each, all of one length; yield the tuple of the k
-    states after each roundtrip.
+    of ModulationParams) each, all of one length; yield (amps, metas) per
+    chunk of roundtrips.  `amps` is a read-only (rows, k, 2, N) array of
+    the position-space amplitudes after each roundtrip of the chunk, valid
+    until the walk is asked for its next chunk; `metas` holds, per row, the
+    k meta dicts of the states (the direct engine's norm leak), or is None
+    for none.  Non-finite amplitudes are a ConfigurationError, as for a
+    state: the direct engine's states check their own, the spectral engine
+    checks each chunk once.
 
     The walk keeps one dict of the current row's tables (the direct taps
     of `_direct_kernels` or the blocks U(q) of `_grid_blocks`), keyed by
@@ -313,18 +332,18 @@ def _walk(states, schedules, engine: str):
     only the params the previous row lacked, so the walk holds at most k
     tables and a walk on the lattice and parameters of a recent one builds
     nothing.
-    The direct engine steps the members one after another.  The spectral
-    engine stacks them into one (k, 2, N) array and carries its q-space
-    amplitudes from step to step.  It propagates up to
-    `_CHUNK_BYTES // b.nbytes` roundtrips ahead (at least one) into one
-    (steps, k, 2, N) chunk, each row from the previous one, and transforms
-    the chunk back to position space with one FFT call; then it yields its
-    roundtrips one by one.  No read-out feeds back into the q-space rows,
-    and pocketfft gives each row the bits it gives that row alone, so the
-    states have the bits of one FFT call per roundtrip.  Each chunk is a
-    new array, so a state the caller keeps is never overwritten; a state
-    is built only when it is yielded, so the at most steps - 1 roundtrips
-    past a boundary abort are computed and thrown away, never validated.
+    The direct engine steps the members one after another, one roundtrip
+    per chunk.  The spectral engine stacks them into one (k, 2, N) array
+    and carries its q-space amplitudes from step to step.  It propagates up
+    to `_CHUNK_BYTES // start.nbytes` roundtrips ahead (at least one) into
+    one chunk, each row from the previous one, and transforms the chunk
+    back to position space with one FFT call.  No read-out feeds back into
+    the q-space rows, and pocketfft gives each row the bits it gives that
+    row alone, so the rows have the bits of one FFT call per roundtrip.
+    The walk allocates two buffers, once: the chunk, as long as the first
+    chunk, and the next chunk's q-space start, and refills both for every
+    chunk.  The at most rows - 1 roundtrips past a boundary abort are
+    computed and thrown away.
     """
     n = states[0].config.n_sites
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
@@ -336,23 +355,59 @@ def _walk(states, schedules, engine: str):
             states = tuple(
                 _convolve_direct(s, tables[p], p.theta) for s, p in zip(states, row)
             )
-            yield states
+            yield _read_only(_stacked(states)), [tuple(s.meta for s in states)]
         return
-    b = np.fft.ifft(np.stack([s.amp for s in states]), axis=-1)
-    steps = max(1, _CHUNK_BYTES // b.nbytes)
-    scratch = np.empty_like(b[0])
+    start = np.fft.ifft(_stacked(states)[0], axis=-1)
+    steps = max(1, _CHUNK_BYTES // start.nbytes)
+    scratch = np.empty_like(start[0])
+    buffer = None
     while chunk_rows := list(itertools.islice(rows, steps)):
-        chunk = np.empty((len(chunk_rows), *b.shape), b.dtype)
+        if buffer is None:  # no later chunk is longer than the first
+            buffer = np.empty((len(chunk_rows), *start.shape), start.dtype)
+        chunk = buffer[: len(chunk_rows)]
+        b = start
         for row, out in zip(chunk_rows, chunk):
             tables = {p: tables[p] if p in tables else lookup(p) for p in row}
             for p, member, product in zip(row, b, out):
                 _apply_blocks(tables[p], member, product, scratch)
             b = out
-        b = b.copy()  # the next chunk's start; the transform overwrites the chunk
-        np.fft.fft(chunk, axis=-1, out=chunk)  # in place (numpy >= 2.0): one chunk alive, not two
-        for amps in chunk:
-            states = tuple(s.with_amp(amp) for s, amp in zip(states, amps))
-            yield states
+        np.copyto(start, b)  # the next chunk's start; the transform overwrites the chunk
+        np.fft.fft(chunk, axis=-1, out=chunk)  # in place (numpy >= 2.0)
+        # what a state checks, once per chunk: its real and imaginary parts
+        # as one float array take half the time of complex isfinite
+        if not np.isfinite(chunk.view(chunk.real.dtype)).all():
+            raise ConfigurationError("non-finite amplitudes")
+        yield _read_only(chunk), None
+
+
+def _stacked(states) -> np.ndarray:
+    """The amplitudes of k states as one (1, k, 2, N) chunk: a view of one
+    state's array, a copy of several."""
+    if len(states) == 1:
+        return states[0].amp[None, None]
+    return np.stack([s.amp for s in states])[None]
+
+
+def _read_only(amps: np.ndarray) -> np.ndarray:
+    """`amps`, flagged read-only: the flag of this view alone."""
+    amps.flags.writeable = False
+    return amps
+
+
+def _row_states(states, amps, metas):
+    """The k states of each row of a chunk of `_chunks`: views of `amps`,
+    with the chunk's meta dicts."""
+    metas = itertools.repeat(({},) * len(states)) if metas is None else metas
+    for row, meta in zip(amps, metas):
+        yield tuple(s.with_amp(a, **m) for s, a, m in zip(states, row, meta))
+
+
+def _walk(states, schedules, engine: str):
+    """The walk of `_chunks`, as the tuple of the k states after each
+    roundtrip.  The states are views of the chunk: a state the caller
+    keeps past the walk's next chunk must be copied (`_kept`)."""
+    for amps, metas in _chunks(states, schedules, engine):
+        yield from _row_states(states, amps, metas)
 
 
 @dataclass
@@ -369,13 +424,15 @@ class Trajectory:
         return np.asarray([r[key] for r in self.records])
 
 
+# each reads one member's rows of a chunk, (rows, 2, N) amplitudes and a
+# meta dict per row, given the walk's initial state s0; one value per row
 _RECORDERS = {
-    "prob": lambda s, s0: probability_distribution(s),
-    "diffusion": lambda s, s0: diffusion_distance(s),
-    "centroid": lambda s, s0: centroid(s),
-    "return": lambda s, s0: return_probability(s, s0),
-    "boundary": lambda s, s0: boundary_mass(s),
-    "state": lambda s, s0: s,
+    "prob": lambda amps, metas, s0: list(_probabilities(amps)),
+    "diffusion": lambda amps, metas, s0: _diffusion_distances(amps).tolist(),
+    "centroid": lambda amps, metas, s0: [centroid(s0.with_amp(a)) for a in amps],
+    "return": lambda amps, metas, s0: [return_probability(s0.with_amp(a), s0) for a in amps],
+    "boundary": lambda amps, metas, s0: _boundary_masses(amps).tolist(),
+    "state": lambda amps, metas, s0: [s0.with_amp(a.copy(), **m) for a, m in zip(amps, metas)],
 }
 
 
@@ -391,8 +448,9 @@ def evolve(
 
     Aborts with BoundaryLeakError once `boundary_mass` exceeds
     BOUNDARY_TOL, since past that point the truncation falsifies the
-    dynamics.  The walk and its abort rule are `_monitored_walk`, which
-    the CLI's `evolve` streams from without keeping the records.
+    dynamics.  The walk and its abort rule are `_monitored_chunks`, which
+    the CLI's `evolve` and `diffusion` stream from without keeping the
+    records; each recorder reads a whole chunk.
     """
     if isinstance(schedule, ModulationParams):
         schedule = [schedule] * check_integer("n_steps", n_steps, 0)
@@ -402,21 +460,38 @@ def evolve(
     check_name("record", record, _RECORDERS, sequence=True)
 
     traj = Trajectory()
-    for i, (s,) in _monitored_walk((state,), (schedule,), engine):
-        traj.records.append({"step": i, **{key: _RECORDERS[key](s, state) for key in record}})
+    for first, amps, metas in _monitored_chunks((state,), (schedule,), engine):
+        metas = itertools.repeat({}) if metas is None else [m[0] for m in metas]
+        columns = {key: _RECORDERS[key](amps[:, 0], metas, state) for key in record}
+        for j in range(len(amps)):
+            traj.records.append({"step": first + j, **{k: c[j] for k, c in columns.items()}})
     return traj
 
 
+def _monitored_chunks(states, schedules, engine: str):
+    """Yield (step, amps, metas) per chunk: step 0, the initial states as a
+    one-row chunk, then the chunks of `_chunks`, each with the step of its
+    first row.  At the first step where any member's `boundary_mass` exceeds
+    BOUNDARY_TOL, the rows before it are yielded as a chunk of their own,
+    then BoundaryLeakError is raised with that step and the mass of the
+    first such member."""
+    yield 0, _read_only(_stacked(states)), [tuple(s.meta for s in states)]
+    first = 1
+    for amps, metas in _chunks(states, schedules, engine):
+        masses = _boundary_masses(amps)  # (rows, k)
+        over = masses > BOUNDARY_TOL
+        if over.any():
+            row, member = np.unravel_index(over.argmax(), over.shape)  # the first, row by row
+            if row:
+                yield first, amps[:row], None if metas is None else metas[:row]
+            raise BoundaryLeakError(first + int(row), float(masses[row, member]))
+        yield first, amps, metas
+        first += len(amps)
+
+
 def _monitored_walk(states, schedules, engine: str):
-    """Yield (step, states) for step 0 (the initial states) to the end of
-    the schedules, walked in lockstep by `_walk`; raise BoundaryLeakError
-    at the first step where any member's `boundary_mass` exceeds
-    BOUNDARY_TOL, before yielding it, with the mass of the first such
-    member."""
-    yield 0, tuple(states)
-    for i, states in enumerate(_walk(states, schedules, engine), start=1):
-        for s in states:
-            mass = boundary_mass(s)
-            if mass > BOUNDARY_TOL:
-                raise BoundaryLeakError(i, mass)
-        yield i, states
+    """The walk of `_monitored_chunks` as (step, states), step 0 the
+    initial states, one step at a time; the states are views, as in
+    `_walk`."""
+    for first, amps, metas in _monitored_chunks(states, schedules, engine):
+        yield from enumerate(_row_states(states, amps, metas), start=first)

@@ -146,7 +146,9 @@ def _drive(
     """The Gaussian packets with the given spins at q_star, one lattice
     for all, and the states after their schedules (all of one length),
     walked in lockstep one roundtrip at a time: each roundtrip transforms
-    to q-space and back, as a `step` does."""
+    to q-space and back, as a `step` does.  Each roundtrip is a walk of
+    its own, which ends after its one chunk, so the states it yields (read-
+    only views of that chunk) are never refilled and are kept uncopied."""
     check_name("engine", engine, ENGINES)
     specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
     # every packet's (2, N) amplitudes, 9 delta + 3 >= N counted in floats:

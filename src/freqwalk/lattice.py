@@ -4,6 +4,12 @@ A state lives on sites m in [-M, M] with a two-component polarization
 (pseudo-spin) per site, stored as a (2, N) complex array with row 0 = H,
 row 1 = V and column index m + M.  States are treated as immutable
 values: every operation returns a new state.
+
+P(m), the diffusion distance M and the boundary mass are each written
+once, for a (..., 2, N) stack of amplitudes (`_probabilities`,
+`_diffusion_distances`, `_boundary_masses`), so a walk reads out a whole
+chunk of states in one pass; the per-state functions call them on one
+state, and every state of a stack gets the bits of that state alone.
 """
 
 from __future__ import annotations
@@ -157,15 +163,29 @@ def _envelope(delta: float, q: float, half_width: int) -> np.ndarray:
 
 def probability_distribution(state: LatticeState) -> np.ndarray:
     """P(m) = sum_p |a_{m,p}|^2, in storage (site) order."""
-    p = np.abs(state.amp)
+    return _probabilities(state.amp)
+
+
+def _probabilities(amp: np.ndarray) -> np.ndarray:
+    """P(m) of each state in `amp`, a (..., 2, N) array of amplitudes: an
+    (..., N) array.  Each state's P(m) has the bits of that state alone
+    (an elementwise sum over the polarization axis)."""
+    p = np.abs(amp)
     np.square(p, out=p)  # what ** 2 computes, without a second array
-    return p.sum(axis=0)
+    return p.sum(axis=-2)
 
 
 def diffusion_distance(state: LatticeState) -> float:
     """Root-mean-square displacement sqrt(sum_m m^2 P(m))."""
-    p = probability_distribution(state)
-    return float(np.sqrt((_squared_sites(state.config.half_width) * p).sum()))
+    return float(_diffusion_distances(state.amp))
+
+
+def _diffusion_distances(amp: np.ndarray) -> np.ndarray:
+    """sqrt(sum_m m^2 P(m)) of each state in a (..., 2, N) array: an (...)
+    array, each entry one pairwise sum over its own contiguous row, as
+    for that state alone."""
+    p = _probabilities(amp)
+    return np.sqrt((_squared_sites(p.shape[-1] // 2) * p).sum(axis=-1))
 
 
 @_table
@@ -194,12 +214,18 @@ def boundary_mass(state: LatticeState) -> float:
     Reads only the edge columns.  A lattice of at most 2*EDGE_MARGIN sites
     is all boundary, so its mass is the total probability.
     """
-    n = state.config.n_sites
+    return float(_boundary_masses(state.amp))
+
+
+def _boundary_masses(amp: np.ndarray) -> np.ndarray:
+    """`boundary_mass` of each state in a (..., 2, N) array: an (...) array,
+    each entry summed as for that state alone."""
+    n = amp.shape[-1]
     if n <= 2 * EDGE_MARGIN:
-        return float(probability_distribution(state).sum())
-    left = (np.abs(state.amp[:, :EDGE_MARGIN]) ** 2).sum(axis=0)
-    right = (np.abs(state.amp[:, n - EDGE_MARGIN :]) ** 2).sum(axis=0)
-    return float(left.sum() + right.sum())
+        return _probabilities(amp).sum(axis=-1)
+    left = (np.abs(amp[..., :EDGE_MARGIN]) ** 2).sum(axis=-2)
+    right = (np.abs(amp[..., n - EDGE_MARGIN :]) ** 2).sum(axis=-2)
+    return left.sum(axis=-1) + right.sum(axis=-1)
 
 
 def spin_projection_at_q(

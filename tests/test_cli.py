@@ -445,25 +445,42 @@ class TestAtomicOutput:
     def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path, engine_name):
         # Gamma = 0 never reaches the edge: 10^6 steps would take an hour.
         # The direct engine's worker thread must not hold up the exit
+        # A failure keeps its cause: the child's exit code and whole stderr,
+        # with every thread's stack if it hangs (-X faulthandler, SIGABRT)
         src = str(Path(cli.__file__).parents[1])
-        argv = [sys.executable, "-m", "freqwalk.cli", "evolve", "--gamma", "0",
-                "--steps", "1000000", "--half-width", "3000", "--out", "x.csv",
-                "--engine", engine_name]
+        argv = [sys.executable, "-X", "faulthandler", "-m", "freqwalk.cli", "evolve",
+                "--gamma", "0", "--steps", "1000000", "--half-width", "3000",
+                "--out", "x.csv", "--engine", engine_name]
         env = dict(os.environ, PYTHONPATH=src)
         with subprocess.Popen(argv, cwd=tmp_path, env=env, stderr=subprocess.PIPE,
                               text=True) as child:
+
+            def stopped() -> str:
+                """The child's stderr once it has exited, aborted if it still runs."""
+                if child.poll() is None:
+                    child.send_signal(signal.SIGABRT)
+                try:
+                    return child.communicate(timeout=30)[1]
+                except subprocess.TimeoutExpired:
+                    child.kill()
+                    return child.communicate()[1]
+
             deadline = time.monotonic() + 30
             while not any(tmp_path.iterdir()):  # the walk is writing its rows
-                assert child.poll() is None and time.monotonic() < deadline
+                assert child.poll() is None and time.monotonic() < deadline, (
+                    f"before SIGINT: {stopped()!r}, exit {child.returncode}")
                 time.sleep(0.01)
             child.send_signal(signal.SIGINT)
             try:
                 err = child.communicate(timeout=30)[1]
+            except subprocess.TimeoutExpired:
+                err = "no exit 30 s after SIGINT: " + stopped()
             finally:
                 child.kill()
-        assert child.returncode == 130
-        assert err == "error: interrupted\n"
-        assert list(tmp_path.iterdir()) == []
+        why = f"exit {child.returncode}, stderr {err!r}"
+        assert child.returncode == 130, why
+        assert err == "error: interrupted\n", why
+        assert list(tmp_path.iterdir()) == [], why
 
     def test_interrupt_once_the_file_exists_leaves_nothing(self, tmp_path, monkeypatch,
                                                           capsys):

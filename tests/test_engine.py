@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk import Polarization as P
-from freqwalk import engine
+from freqwalk import engine, gates, lattice
 from freqwalk.bessel import _miller_start, bessel_j, bessel_j_sequence
 from freqwalk.engine import BOUNDARY_TOL, KERNEL_TOL
 from freqwalk.lattice import EDGE_MARGIN
@@ -841,3 +841,117 @@ class TestChunkedWalk:
             # the rows of the chunk that holds step j, and none past it
             assert pulled == [min(n_steps, -(-j // per_chunk) * per_chunk)] * k
         assert j == n_steps
+
+
+class TestChunkReadouts:
+    """The read-outs of a whole chunk give each row the bits of the
+    per-state read-out of that row alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_their_states_alone(self, data):
+        n = data.draw(st.sampled_from(PRIME_N + SMOOTH_N + (5, 9)))  # N <= 10: all boundary
+        cfg = fw.LatticeConfig((n - 1) // 2)
+        k = data.draw(st.integers(1, 3))
+        rows = data.draw(st.integers(1, 7))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        shape = (rows, k, 2, n)
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        amps *= 10.0 ** rng.uniform(-12, 0, size=shape)  # magnitudes that round apart
+        amps[rng.random(size=shape) < 0.2] = 0.0
+        amps.flags.writeable = False  # as a walk's chunk
+        probs = lattice._probabilities(amps)
+        distances = lattice._diffusion_distances(amps)
+        masses = lattice._boundary_masses(amps)
+        for r, i in np.ndindex(rows, k):
+            alone = fw.LatticeState(cfg, amps[r, i].copy())
+            assert probs[r, i].tobytes() == fw.probability_distribution(alone).tobytes()
+            assert distances[r, i].tobytes() == np.float64(fw.diffusion_distance(alone)).tobytes()
+            assert masses[r, i].tobytes() == np.float64(fw.boundary_mass(alone)).tobytes()
+
+
+def by_roundtrip_bytes(state, schedule):
+    return [state.amp.tobytes()] + [a.tobytes() for a in walk_by_roundtrip(state, schedule)]
+
+
+class TestKeptStates:
+    """The spectral walk refills one chunk buffer: what a caller keeps past
+    the next chunk is a copy, and the chunk itself cannot be written."""
+
+    CFG = fw.LatticeConfig(60)
+    PARAMS = fw.ModulationParams(gamma=1.0, **FIG2)
+    STEPS = 7
+
+    @pytest.fixture(autouse=True)
+    def two_roundtrips_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 2 * 2 * self.CFG.n_sites * 16)
+
+    def start(self):
+        return random_interior_state(self.CFG, np.random.default_rng(3), support=5)
+
+    def test_walk_states_hold_until_the_next_chunk(self):
+        s0 = self.start()
+        expected = by_roundtrip_bytes(s0, [self.PARAMS] * self.STEPS)
+        kept, raw = [], []
+        for i, (s,) in enumerate(engine._walk((s0,), ([self.PARAMS] * self.STEPS,), "spectral"),
+                                 start=1):
+            assert not s.amp.flags.writeable
+            raw.append(s)
+            if i % 2 == 0:  # the chunk's last row: its states are still valid
+                assert [r.amp.tobytes() for r in raw[-2:]] == expected[i - 1 : i + 1]
+            kept.append(engine._kept(s))
+        assert [s.amp.tobytes() for s in kept] == expected[1:]
+        assert all(s.amp.flags.writeable for s in kept)
+
+    def test_evolve_keeps_its_states(self):
+        s0 = self.start()
+        traj = fw.evolve(s0, self.PARAMS, self.STEPS, record=("state",))
+        expected = by_roundtrip_bytes(s0, [self.PARAMS] * self.STEPS)
+        assert [r["state"].amp.tobytes() for r in traj.records] == expected
+
+    def test_step_keeps_its_states(self):
+        states, taken = [self.start()], []
+        for _ in range(self.STEPS):
+            states.append(fw.step(states[-1], self.PARAMS))
+            taken.append(states[-1].amp.tobytes())
+        assert [s.amp.tobytes() for s in states[1:]] == taken
+        assert all(s.amp.flags.writeable for s in states)
+
+    def test_gate_drive_keeps_its_states(self):
+        spins = [(1.0, 0.0), (0.0, 1.0)]
+        schedules = [[self.PARAMS] * 3] * 2
+        packets, outs = gates._drive(spins, schedules, 8.0, 0.3, "spectral")
+        taken = [s.amp.tobytes() for s in outs]
+        gates._drive(spins[::-1], schedules, 8.0, 0.3, "spectral")
+        assert [s.amp.tobytes() for s in outs] == taken
+        # each roundtrip of the drive is a walk of its own, as a `step` is
+        for packet, out in zip(packets, outs):
+            state = packet
+            for params in schedules[0]:
+                state = fw.step(state, params)
+            assert out.amp.tobytes() == state.amp.tobytes()
+
+    @pytest.mark.parametrize("engine_name", engine.ENGINES)
+    def test_chunks_are_read_only(self, engine_name):
+        s0 = self.start()
+        chunks = engine._chunks((s0, s0), ([self.PARAMS] * 5,) * 2, engine_name)
+        first, _ = next(chunks)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0, 0, 0] = 0
+        second, _ = next(chunks)
+        # the spectral walk refills one buffer; the direct walk stacks anew
+        assert np.shares_memory(first, second) == (engine_name == "spectral")
+
+
+def test_spectral_walk_refuses_a_non_finite_chunk(monkeypatch):
+    # one NaN in the blocks of the chunk's second roundtrip, none in its first
+    cfg = fw.LatticeConfig(10)
+    params = fw.ModulationParams(gamma=1.0, theta=0.3)
+    blocks = engine.uk_matrix(params, engine._q_grid(cfg.n_sites))
+    blocks[1, 1, 3] = complex(0.0, np.nan)
+    monkeypatch.setattr(engine, "_grid_blocks", lambda p, n: blocks if p == params else
+                        engine.uk_matrix(p, engine._q_grid(n)))
+    state = fw.make_single_site(0, P.H, cfg)
+    walk = engine._chunks((state,), ([engine.IDENTITY, params],), "spectral")
+    with pytest.raises(fw.ConfigurationError, match="non-finite amplitudes"):
+        next(walk)
