@@ -315,7 +315,7 @@ def _kept(state: LatticeState) -> LatticeState:
     return state.with_amp(state.amp.copy(), **state.meta)
 
 
-def _chunks(states, schedules, engine: str):
+def _chunks(states, schedules, engine: str, start=None):
     """Step k states on one lattice in lockstep, one schedule (an iterable
     of ModulationParams) each, all of one length; yield (amps, metas) per
     chunk of roundtrips.  `amps` is a read-only (rows, k, 2, N) array of
@@ -333,17 +333,19 @@ def _chunks(states, schedules, engine: str):
     tables and a walk on the lattice and parameters of a recent one builds
     nothing.
     The direct engine steps the members one after another, one roundtrip
-    per chunk.  The spectral engine stacks them into one (k, 2, N) array
-    and carries its q-space amplitudes from step to step.  It propagates up
-    to `_CHUNK_BYTES // start.nbytes` roundtrips ahead (at least one) into
-    one chunk, each row from the previous one, and transforms the chunk
-    back to position space with one FFT call.  No read-out feeds back into
-    the q-space rows, and pocketfft gives each row the bits it gives that
-    row alone, so the rows have the bits of one FFT call per roundtrip.
-    The walk allocates two buffers, once: the chunk, as long as the first
-    chunk, and the next chunk's q-space start, and refills both for every
-    chunk.  The at most rows - 1 roundtrips past a boundary abort are
-    computed and thrown away.
+    per chunk, and ignores `start`.  The spectral engine stacks them into one (k, 2, N) array
+    and carries its q-space amplitudes from step to step.  They start from
+    `start`, a writable (k, 2, N) array with the bits of the states' ifft
+    that the walk takes over, if the caller holds one, else from that
+    ifft.  It propagates up to `_CHUNK_BYTES // start.nbytes` roundtrips
+    ahead (at least one) into one chunk, each row from the previous one,
+    and transforms the chunk back to position space with one FFT call.  No
+    read-out feeds back into the q-space rows, and pocketfft gives each row
+    the bits it gives that row alone, so the rows have the bits of one FFT
+    call per roundtrip.  The walk allocates the chunk once, as long as the
+    first chunk, and refills it and the q-space start for every chunk.  The
+    at most rows - 1 roundtrips past a boundary abort are computed and
+    thrown away.
     """
     n = states[0].config.n_sites
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
@@ -357,7 +359,8 @@ def _chunks(states, schedules, engine: str):
             )
             yield _read_only(_stacked(states)), [tuple(s.meta for s in states)]
         return
-    start = np.fft.ifft(_stacked(states)[0], axis=-1)
+    if start is None:
+        start = np.fft.ifft(_stacked(states)[0], axis=-1)
     steps = max(1, _CHUNK_BYTES // start.nbytes)
     scratch = np.empty_like(start[0])
     buffer = None
@@ -402,11 +405,11 @@ def _row_states(states, amps, metas):
         yield tuple(s.with_amp(a, **m) for s, a, m in zip(states, row, meta))
 
 
-def _walk(states, schedules, engine: str):
+def _walk(states, schedules, engine: str, start=None):
     """The walk of `_chunks`, as the tuple of the k states after each
     roundtrip.  The states are views of the chunk: a state the caller
     keeps past the walk's next chunk must be copied (`_kept`)."""
-    for amps, metas in _chunks(states, schedules, engine):
+    for amps, metas in _chunks(states, schedules, engine, start):
         yield from _row_states(states, amps, metas)
 
 

@@ -23,7 +23,9 @@ from .lattice import (
     LatticeConfig,
     LatticeState,
     WavepacketSpec,
-    make_gaussian,
+    _packet,
+    _packet_key,
+    _packet_q,
     reduce_angle,
     spin_projection_at_q,
 )
@@ -145,10 +147,14 @@ def _drive(
 ) -> tuple[tuple[LatticeState, ...], tuple[LatticeState, ...]]:
     """The Gaussian packets with the given spins at q_star, one lattice
     for all, and the states after their schedules (all of one length),
-    walked in lockstep one roundtrip at a time: each roundtrip transforms
-    to q-space and back, as a `step` does.  Each roundtrip is a walk of
-    its own, which ends after its one chunk, so the states it yields (read-
-    only views of that chunk) are never refilled and are kept uncopied."""
+    walked in lockstep one roundtrip at a time.  The packets are the
+    read-only `_packet` tables.  Each roundtrip is a walk of its own, as a
+    `step` is, which ends after its one chunk, so the states it yields
+    (read-only views of that chunk) are never refilled and are kept
+    uncopied.  On the spectral engine the first roundtrip starts from the
+    packets' stored q-space rows (`_packet_q`, the bits of their ifft), so
+    a drive on packets that an earlier drive built does not transform them
+    again; each later roundtrip transforms its states to q-space and back."""
     check_name("engine", engine, ENGINES)
     specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
     # every packet's (2, N) amplitudes, 9 delta + 3 >= N counted in floats:
@@ -157,9 +163,13 @@ def _drive(
                len(specs) * 32 * (9 * delta + 3))
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     cfg = LatticeConfig(half_width=math.ceil(4.5 * delta))
-    packets = states = tuple(make_gaussian(spec, cfg) for spec in specs)
-    for row in zip(*schedules, strict=True):
-        (states,) = _walk(states, [[params] for params in row], engine)
+    keys = [_packet_key(spec, cfg) for spec in specs]
+    packets = states = tuple(LatticeState(cfg, _packet(*key)) for key in keys)
+    for i, row in enumerate(zip(*schedules, strict=True)):
+        start = None
+        if engine == "spectral" and not i:
+            start = np.stack([_packet_q(*key) for key in keys])
+        (states,) = _walk(states, [[params] for params in row], engine, start)
     return packets, states
 
 

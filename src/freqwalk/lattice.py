@@ -111,7 +111,7 @@ class WavepacketSpec:
 
     def __post_init__(self):
         check_number("delta", self.delta, "real > 0")
-        check_number("q", self.q)  # a NaN key would evict a real `_envelope` table
+        check_number("q", self.q)  # a NaN key would evict a real `_packet` table
         spin = check_number("spin", self.spin, "complex array")
         if spin.shape != (2,) or abs(np.linalg.norm(spin) - 1.0) > 1e-9:
             raise ConfigurationError(f"spin must be a unit 2-vector, got {self.spin!r}")
@@ -133,10 +133,18 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
     """Unit-norm Gaussian wavepacket carrying quasimomentum and spin.
 
     Requires the envelope to be negligible (< 1e-8) at the lattice edge,
-    otherwise the truncation would be visible in the state.  The envelope
-    is a `_table` of (delta, q, half_width): a gate experiment drives every
-    basis spin on the same packet.
+    otherwise the truncation would be visible in the state.  The state owns
+    a copy of the `_packet` table of its `_packet_key`.
     """
+    return LatticeState(cfg, _packet(*_packet_key(spec, cfg)).copy())
+
+
+def _packet_key(spec: WavepacketSpec, cfg: LatticeConfig) -> tuple:
+    """(delta, q, spin, half_width), the key of the `_packet` and `_packet_q`
+    tables of a packet: a ConfigurationError if its envelope is not
+    negligible at the lattice edge.  The spin, validated by `spec`, is a
+    pair of Python complex values with -0.0 folded to 0.0, so equal spins
+    given as ints, floats or an array share one table."""
     ratio = cfg.half_width / spec.delta
     # a float product past the double range is inf, not an OverflowError
     # as from **, and exp(-inf) is the edge envelope 0 that it stands for
@@ -146,9 +154,27 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
             f"delta={spec.delta} too wide for half_width={cfg.half_width} "
             f"(edge envelope {edge:.2e} >= 1e-8)"
         )
-    envelope = _envelope(spec.delta, spec.q, cfg.half_width)
-    amp = np.array([spec.spin[0] * envelope, spec.spin[1] * envelope])
-    return LatticeState(cfg, amp / np.linalg.norm(amp))
+    # x + 0.0 is 0.0 for x = -0.0 and x otherwise
+    spin = tuple(complex(z.real + 0.0, z.imag + 0.0) for z in map(complex, spec.spin))
+    return spec.delta, spec.q, spin, cfg.half_width
+
+
+@_table
+def _packet(delta: float, q: float, spin: tuple, half_width: int) -> np.ndarray:
+    """The unit-norm (2, N) amplitudes of a Gaussian packet: its `_envelope`
+    times each spin component.  A gate experiment drives the same two basis
+    spins, H and V, on every packet of one width."""
+    envelope = _envelope(delta, q, half_width)
+    amp = np.array([spin[0] * envelope, spin[1] * envelope])
+    return amp / np.linalg.norm(amp)
+
+
+@_table
+def _packet_q(delta: float, q: float, spin: tuple, half_width: int) -> np.ndarray:
+    """The q-space amplitudes of a `_packet`, its rows' `np.fft.ifft`: the
+    bits that each row has in the transform of any stack of states, so a
+    spectral walk may start from them."""
+    return np.fft.ifft(_packet(delta, q, spin, half_width), axis=-1)
 
 
 @_table

@@ -253,7 +253,9 @@ class TestMemoryRefusal:
 
         monkeypatch.setattr(errors, "physical_memory", lambda: 10**6)
         monkeypatch.setattr(engine, "bessel_j_sequence", forbidden("Bessel work"))
-        monkeypatch.setattr(gates, "make_gaussian", forbidden("a packet"))
+        # the packet builders of every gate, preparation and register drive
+        monkeypatch.setattr(gates, "_packet", forbidden("a packet"))
+        monkeypatch.setattr(gates, "_packet_q", forbidden("a packet"))
 
     @pytest.mark.parametrize(
         "argv,head",
@@ -554,6 +556,10 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_VERSION", "test")  # no metadata import in the trace
     argv = ["evolve", "--gamma", "3pi", "--steps", "60", "--half-width", "1500"]
     cfg = cli.load_config(cli.build_parser().parse_args(argv))
+    # the first-use tables (the spectral blocks, m^2) and imports, as any
+    # earlier run on this lattice leaves them, so the test does not depend
+    # on which tests ran before it
+    cli.run({**cfg, "steps": 1}, str(tmp_path / "warm.csv"))
     tracemalloc.start()
     try:
         cli.run(cfg, str(tmp_path / "x.csv"))

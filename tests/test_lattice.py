@@ -232,6 +232,7 @@ def test_boundary_mass_reads_edges(half_width, seed, scale):
 
 _SITE = fw.make_single_site(0, P.H, CFG)
 _PARAMS = fw.ModulationParams(1.0)
+_X = fw.solve_modulation(fw.table_gate("X"))
 
 
 @pytest.mark.parametrize(
@@ -250,17 +251,21 @@ _PARAMS = fw.ModulationParams(1.0)
      lambda: fw.evolve(_SITE, [_PARAMS, _PARAMS], n_steps=3),
      lambda: fw.table_gate("X", 0.3),
      lambda: fw.uk_matrix(_PARAMS, [[0.1], [0.2, 0.3]]),
-     lambda: fw.ModulationParams(gamma=10**400)],
+     lambda: fw.ModulationParams(gamma=10**400),
+     # a gate drive keys its packet tables by the spin only once it is valid
+     lambda: fw.execute_gate_lattice(_X, 1.0, delta=20.0),
+     lambda: fw.execute_gate_lattice(_X, (np.nan, 0), delta=20.0),
+     lambda: fw.execute_gate_lattice(_X, (1, 0, 0), delta=20.0)],
     ids=["q-nan", "q-inf", "phi-inf", "phi-nan",
          "basis-float", "basis-bool", "packet-q-nan", "packet-spin-nan",
          "gate-fidelity-empty", "hs-distance-empty", "state-fidelity-empty",
          "schedule-length-mismatch", "angle-for-fixed-gate", "q-ragged",
-         "gamma-past-float-range"],
+         "gamma-past-float-range", "gate-spin-scalar", "gate-spin-nan", "gate-spin-shape"],
 )
 def test_bad_library_input_is_a_configuration_error(call):
     # none may reach a memo, where a NaN key would evict a real table
     memos = (fw.lattice._plane_wave, fw.lattice._envelope, fw.engine._grid_blocks,
-             fw.engine._direct_kernels)
+             fw.engine._direct_kernels, fw.lattice._packet, fw.lattice._packet_q)
     before = [memo.cache_info() for memo in memos]
     with pytest.raises(fw.ConfigurationError):
         call()

@@ -1,6 +1,7 @@
 """The memoized lattice tables (`lattice._table`): the spectral blocks on
 the FFT grid, the packet envelope, the read-out plane wave, the direct
-taps and the m^2 table.
+taps, the m^2 table, and each basis packet and its q-space amplitudes,
+from which a gate drive's first spectral roundtrip starts.
 
 Every gate, preparation, two-qubit report and diffusion curve must be the
 same bytes whatever the memos hold: built cold, read warm, or left behind
@@ -19,7 +20,8 @@ import freqwalk as fw
 from freqwalk import engine, lattice
 
 MEMOS = (engine._grid_blocks, lattice._envelope, lattice._plane_wave,
-         engine._direct_kernels, lattice._squared_sites)
+         engine._direct_kernels, lattice._squared_sites, lattice._packet,
+         lattice._packet_q)
 DELTAS = (20.0, 37.5)  # lattices of 181 and 339 sites, the same params
 
 
@@ -107,12 +109,14 @@ def test_any_order_gives_the_same_bytes(cold, order):
 
 # the tables each experiment builds, in the order of MEMOS: one per
 # distinct parameter set (a preparation's two H share one block, a
-# register's basis inputs share the X and the idle roundtrip); only the
-# direct engine reads taps, only a diffusion curve reads m^2
-BUILDS = {"H direct": (0, 1, 1, 1, 0), "prepare(0.75pi, 0.25pi)": (2, 1, 1, 0, 0),
-          "prepare(1.3, -2.0)": (3, 1, 1, 0, 0), "cnot": (2, 1, 1, 0, 0),
-          "ms": (2, 1, 1, 0, 0), "cnot,cnot": (2, 1, 1, 0, 0),
-          "diffusion": (1, 0, 0, 0, 1)}
+# register's basis inputs share the X and the idle roundtrip) and one
+# packet per basis spin (a preparation drives H alone, a register's four
+# inputs share H and V); only the direct engine reads taps, only the
+# spectral engine reads q-space packets, only a diffusion curve reads m^2
+BUILDS = {"H direct": (0, 1, 1, 1, 0, 2, 0), "prepare(0.75pi, 0.25pi)": (2, 1, 1, 0, 0, 1, 1),
+          "prepare(1.3, -2.0)": (3, 1, 1, 0, 0, 1, 1), "cnot": (2, 1, 1, 0, 0, 2, 2),
+          "ms": (2, 1, 1, 0, 0, 2, 2), "cnot,cnot": (2, 1, 1, 0, 0, 2, 2),
+          "diffusion": (1, 0, 0, 0, 1, 0, 0)}
 
 
 def test_each_table_built_once_per_experiment():
@@ -120,7 +124,7 @@ def test_each_table_built_once_per_experiment():
         clear_memos()
         EXPERIMENTS[name](delta)
         misses = tuple(memo.cache_info().misses for memo in MEMOS)
-        assert misses == BUILDS.get(name, (1, 1, 1, 0, 0)), name
+        assert misses == BUILDS.get(name, (1, 1, 1, 0, 0, 2, 2)), name
 
 
 def test_equal_keys_give_the_same_bytes():
@@ -150,7 +154,8 @@ def test_equal_keys_give_the_same_bytes():
 @pytest.mark.parametrize(
     "memo, args",
     list(zip(MEMOS, [(fw.ModulationParams(gamma=1.0), 9), (2.0, 0.3, 9), (0.3, 9),
-                     (fw.ModulationParams(gamma=1.0, phi_v=0.4),), (9,)])),
+                     (fw.ModulationParams(gamma=1.0, phi_v=0.4),), (9,),
+                     (2.0, 0.3, (1j, 0j), 9), (2.0, 0.3, (1j, 0j), 9)])),
 )
 def test_tables_are_read_only(memo, args):
     table = memo(*args)
@@ -167,3 +172,45 @@ def test_every_memo_is_tested():
     memos = {value for module in modules for value in vars(module).values()
              if hasattr(value, "cache_info")}
     assert memos == {*MEMOS, engine._row_pool}
+
+
+def test_warm_drives_start_from_the_stored_q_space_rows(monkeypatch):
+    """A drive's first spectral roundtrip starts from its packets' stored
+    q-space rows, so a warm reconstruction makes no inverse FFT and a warm
+    preparation makes one per later roundtrip, 3 of its 4, of 2 rows each."""
+    solved = fw.solve_modulation(fw.table_gate("H"))
+    runs = (lambda: fw.reconstruct_matrix(solved, delta=20.0),
+            lambda: fw.run_preparation(0.75 * np.pi, 0.25 * np.pi, delta=20.0))
+    for run in runs:
+        run()
+    rows = []
+    real_ifft = np.fft.ifft
+
+    def counted(a, *args, **kwargs):
+        rows.append(a.size // a.shape[-1])
+        return real_ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    runs[0]()
+    assert rows == []
+    runs[1]()
+    assert rows == [2, 2, 2]
+
+
+def test_equal_spins_share_one_packet():
+    """Equal spins, -0.0 and 0.0 parts included, share one packet table,
+    with the same bytes whichever of them builds it."""
+    cfg = fw.LatticeConfig(12)
+    spins = ((1, -0.0), (1 + 0j, complex(-0.0, -0.0)), (1, 0), (1.0, 0.0), np.array([1, 0]))
+    specs = [fw.WavepacketSpec(2.0, 0.3, spin) for spin in spins]
+    amps = set()
+    for spec in specs:
+        lattice._packet.cache_clear()
+        amps.add(fw.make_gaussian(spec, cfg).amp.tobytes())
+    amps |= {fw.make_gaussian(spec, cfg).amp.tobytes() for spec in specs}
+    assert len(amps) == 1
+    assert lattice._packet.cache_info()[1:] == (1, 2, 1)  # misses, maxsize, currsize
+    keys = {lattice._packet_key(spec, cfg) for spec in specs}
+    assert len(keys) == 1
+    assert not np.signbit(np.array(keys.pop()[2]).view(float)).any()
+

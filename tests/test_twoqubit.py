@@ -122,11 +122,11 @@ class TestLatticeWork:
         walks = []  # the roundtrips of each member, per walk
         real_walk = gates._walk
 
-        def counted(states, schedules, engine):
+        def counted(states, schedules, engine, start=None):
             schedules = [list(s) for s in schedules]
             walks.append([len(s) for s in schedules])
             assert len(states) == len(schedules)
-            return real_walk(states, schedules, engine)
+            return real_walk(states, schedules, engine, start)
 
         monkeypatch.setattr(gates, "_walk", counted)
         for i in range(4):
