@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,9 @@ import tempfile
 import threading
 import time
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+import uuid
+import warnings
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
-from freqwalk import cli, engine, errors, gates
+from freqwalk import _helper, cli, engine, errors, gates
 from freqwalk.baselines import classical_walk_distribution
 from freqwalk.cli import main, parse_angle
 from freqwalk.engine import translation_kernel
@@ -418,6 +421,18 @@ class _FullDisk:
 _WALK = ["evolve", "--gamma", "3pi", "--steps", "6", "--half-width", "80"]
 
 
+def _processes_with(token: str) -> list[int]:
+    """The pids of the live processes whose environment holds `token`
+    (as FREQWALK_TEST_TOKEN), read from /proc."""
+    entry = f"FREQWALK_TEST_TOKEN={token}\0".encode()
+    pids = []
+    for environ in Path("/proc").glob("[0-9]*/environ"):
+        with suppress(OSError):  # gone, or another user's
+            if entry in environ.read_bytes():
+                pids.append(int(environ.parent.name))
+    return pids
+
+
 class TestAtomicOutput:
     """A dataset reaches --out or stdout whole or not at all."""
 
@@ -446,14 +461,17 @@ class TestAtomicOutput:
     @pytest.mark.parametrize("engine_name", ["spectral", "direct"])
     def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path, engine_name):
         # Gamma = 0 never reaches the edge: 10^6 steps would take an hour.
-        # The direct engine's worker thread must not hold up the exit
+        # The direct engine's worker thread must not hold up the exit, and
+        # on 2 CPUs the blocks of N = 6001 cells go in part to a helper
+        # process, which must be gone with the child.
         # A failure keeps its cause: the child's exit code and whole stderr,
         # with every thread's stack if it hangs (-X faulthandler, SIGABRT)
         src = str(Path(cli.__file__).parents[1])
         argv = [sys.executable, "-X", "faulthandler", "-m", "freqwalk.cli", "evolve",
                 "--gamma", "0", "--steps", "1000000", "--half-width", "3000",
                 "--out", "x.csv", "--engine", engine_name]
-        env = dict(os.environ, PYTHONPATH=src)
+        token = uuid.uuid4().hex
+        env = dict(os.environ, PYTHONPATH=src, FREQWALK_TEST_TOKEN=token)
         with subprocess.Popen(argv, cwd=tmp_path, env=env, stderr=subprocess.PIPE,
                               text=True) as child:
 
@@ -483,6 +501,33 @@ class TestAtomicOutput:
         assert child.returncode == 130, why
         assert err == "error: interrupted\n", why
         assert list(tmp_path.iterdir()) == [], why
+        if sys.platform.startswith("linux"):
+            assert _processes_with(token) == [], why
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    @pytest.mark.skipif(cli._cpus() < 2, reason="one CPU: the writer forks no helper")
+    def test_killed_writer_leaves_no_helper(self, tmp_path):
+        # the helper exits at the EOF of the pipe that the killed writer held
+        src = str(Path(cli.__file__).parents[1])
+        argv = [sys.executable, "-m", "freqwalk.cli", "evolve", "--gamma", "0",
+                "--steps", "1000000", "--half-width", "3000", "--out", "x.csv"]
+        token = uuid.uuid4().hex
+        env = dict(os.environ, PYTHONPATH=src, FREQWALK_TEST_TOKEN=token)
+        try:
+            with subprocess.Popen(argv, cwd=tmp_path, env=env,
+                                  stderr=subprocess.DEVNULL) as child:
+                deadline = time.monotonic() + 30
+                while _processes_with(token) in ([], [child.pid]):  # no helper yet
+                    assert child.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                child.kill()
+            deadline = time.monotonic() + 1
+            while _processes_with(token) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _processes_with(token) == []
+        finally:
+            for pid in _processes_with(token):
+                os.kill(pid, signal.SIGKILL)
 
     def test_interrupt_once_the_file_exists_leaves_nothing(self, tmp_path, monkeypatch,
                                                           capsys):
@@ -989,6 +1034,125 @@ class TestWriteJson:
         out = io.StringIO()
         cli._write_json(out, cfg, ["a", "b"], blocks)
         assert out.getvalue() == _json_reference(cfg, ["a", "b"], columns)
+
+
+_README_EVOLVE = ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"]
+# Python >= 3.12 warns so when a process with threads forks
+_FORK_WARNING = ("This process (pid=%d) is multi-threaded, use of fork() may lead to "
+                 "deadlocks in the child.")
+
+
+def _helper_blocks():
+    """Blocks of the helper's size in the layouts of evolve and diffusion: a
+    0-d integer, an integer array shared by the blocks of one length, floats
+    with non-finite cells, and text; a short and an empty block among them.
+    Returns the blocks and the same table as whole columns."""
+    rng = np.random.default_rng(7)
+    n = cli._HELPER_CELLS // 2  # two cells of each row fill the %-format
+    shared = np.arange(n) - n // 2
+    blocks = []
+    for k, rows in enumerate([n, n, 3, n, 0, n, n]):
+        floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        floats[::97], floats[1::101], floats[2::103] = np.nan, np.inf, -np.inf
+        text = np.array([f"t{k}é{i % 7}" for i in range(rows)], dtype=object)
+        blocks.append([np.int64(k), shared if rows == n else np.arange(rows), floats, text])
+    columns = [np.concatenate([np.full(len(b[1]), b[0]) for b in blocks])]
+    columns += [np.concatenate([b[j] for b in blocks]) for j in (1, 2, 3)]
+    return blocks, columns
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFormattingHelper:
+    """Once a stream reaches, past its first block, a block of at least
+    _HELPER_CELLS cells, every other such block is formatted by a process
+    forked from the writer: the bytes are the serial writer's, and no
+    process or file outlives the run."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the forks the writer makes, on 2 CPUs, each fork
+        warned of as Python >= 3.12 warns of it."""
+        made, fork = [], os.fork
+
+        def warned_fork():
+            warnings.warn(_FORK_WARNING % os.getpid(), DeprecationWarning, stacklevel=2)
+            pid = fork()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warned_fork)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        return made
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_bytes_as_one_process(self, fmt, forks, monkeypatch):
+        blocks, columns = _helper_blocks()
+        header, cfg = ["step", "m", "x", "label"], {"experiment": "evolve"}
+        texts = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            out = io.StringIO()
+            (cli._write_csv if fmt == "csv" else cli._write_json)(out, cfg, header, blocks)
+            texts.append(out.getvalue())
+        assert len(forks) == 1
+        assert texts[0] == texts[1]
+        if fmt == "csv":
+            assert texts[0].split("\n", 3)[3] == reference_csv_rows(columns)
+        else:
+            assert texts[0] == _json_reference(cfg, header, columns)
+        _assert_no_child()
+
+    def test_forks_for_streams_of_large_blocks(self, forks, tmp_path, capsys):
+        band = ["band", "--gamma", "3pi", "--n-k", "1024", "--out", str(tmp_path / "b.csv")]
+        assert main(band) == 0
+        assert forks == []  # one block of 1024 rows
+        assert main(_README_EVOLVE + ["--out", str(tmp_path / "e.csv")]) == 0
+        assert len(forks) == 1
+        assert capsys.readouterr().err == ""  # the fork warned of nothing
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "e.csv"]
+        _assert_no_child()
+
+    def test_boundary_abort_leaves_no_process(self, forks, tmp_path, capsys):
+        # 2001 P(m) cells a block; the walk leaks at step 131
+        argv = ["evolve", "--gamma", "3pi", "--steps", "1000", "--half-width", "1000"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert len(forks) == 1
+        assert capsys.readouterr().err.endswith("at step 131\n")
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
+
+    @pytest.mark.parametrize("blocks", [3, 4], ids=["helper_idle", "helper_busy"])
+    def test_interrupt_leaves_no_process(self, blocks, forks, tmp_path, monkeypatch, capsys):
+        evolve = cli._TABULAR["evolve"]
+
+        def interrupted(cfg):
+            header, stream = evolve(cfg)
+
+            def cut():
+                yield from itertools.islice(stream, blocks)
+                raise KeyboardInterrupt
+
+            return header, cut()
+
+        monkeypatch.setitem(cli._TABULAR, "evolve", interrupted)
+        assert main(_README_EVOLVE + ["--out", str(tmp_path / "x.csv")]) == 130
+        assert len(forks) == 1
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
+
+    def test_helper_that_exits_is_an_io_error(self, forks, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(_helper, "serve", lambda jobs, texts: os._exit(0))
+        assert main(_README_EVOLVE + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert len(forks) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] the row formatting process exited\n"
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
 
 
 # CLI fuzzing.  A draw picks a command and gives each field it uses a
