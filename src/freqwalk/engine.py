@@ -9,19 +9,22 @@ FFT call per chunk of roundtrips (`_CHUNK_BYTES`); walks that share a
 lattice run in lockstep (`_chunks`), one FFT call per chunk for all of
 them.  No read-out feeds back into the q-space amplitudes, and pocketfft
 gives each row the bits it gives that row alone, so the chunking does not
-change a bit.  A walk fills one chunk buffer, allocated once, and hands
-out read-only views of it: a chunk, and every state built on it, is valid
-until the walk is asked for its next chunk; a caller that keeps a state
-longer keeps a copy (`_kept`).  The boundary monitor and the read-outs
-(`lattice._probabilities`, `_diffusion_distances`, `_boundary_masses`)
-read a whole chunk at a time, each row with the bits of that state alone.
-`direct` rotates in position space and
+change a bit.  `direct` rotates in position space and
 convolves with the truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi}
 (open boundary, amplitudes pushed past the edge are dropped and the leak
 reported); it convolves the V row on a worker thread while the caller
 convolves the H row, each row the same `np.convolve` call as alone, so
 the bits do not depend on the threads.  The two share no numerics and
 cross-validate each other.
+
+Both engines hand out the walk the same way: `_chunks` refills one
+complex128 chunk buffer, allocated once, and yields read-only views of
+it, each valid until the walk is asked for its next chunk; a caller that
+keeps amplitudes longer keeps a copy.  A walk runs in complex128,
+whatever the dtype of its states.  The boundary monitor and the
+read-outs (`lattice._probabilities`, `_diffusion_distances`,
+`_boundary_masses`) read a whole chunk at a time, each row with the bits
+of that state alone.
 
 Both operators are tables of the parameters (and N, for the blocks)
 alone, each a `lattice._table`: `_grid_blocks`, the (2, 2, N) blocks
@@ -57,7 +60,6 @@ from .lattice import (
     _diffusion_distances,
     _probabilities,
     _table,
-    boundary_mass,
     centroid,
     reduce_angle,
     return_probability,
@@ -232,47 +234,49 @@ def _row_pool():
 os.register_at_fork(after_in_child=_row_pool.cache_clear)
 
 
-def _convolve_direct(state: LatticeState, taps: np.ndarray, theta: float) -> LatticeState:
-    """Rotate by R(theta), then convolve each polarization row with its
-    row of `taps` (a `_direct_kernels` table), open boundary.
+def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.ndarray) -> float:
+    """Rotate the (2, N) amplitudes `amp` by R(theta), then convolve each
+    polarization row with its row of `taps` (a `_direct_kernels` table),
+    open boundary, into `out`; return the norm pushed past the lattice edge.
 
     Only the occupied window is worked on: the sites from 2*lmax before the
     first to 2*lmax after the last nonzero site.  Every output that can be
     nonzero is then the same full-length kernel dot product as over the
     whole lattice, so the result does not depend on the window (up to the
     sign of zero); the cost scales with the occupied sites, not with N.
-    The V row is convolved on the `_row_pool` thread while this thread
-    convolves the H row; the warnings, the copy into the lattice and the
-    leak sum (H row first) stay in this thread.
+    The window is rotated into a copy before `out` is written, so `out` may
+    be `amp` itself.  The V row is convolved on the `_row_pool` thread while
+    this thread convolves the H row; the warnings, the copy into `out` and
+    the leak sum (H row first) stay in this thread.
     """
-    edge = boundary_mass(state)
+    edge = float(_boundary_masses(amp))
     if edge > 1e-9:
         warnings.warn(f"boundary mass {edge:.2e} before direct translation")
-    occupied = state.amp.any(axis=0)
+    occupied = amp.any(axis=0)
     first = int(occupied.argmax())  # the first True, found without an index array
     if not occupied[first]:
-        return state.with_amp(np.zeros_like(state.amp), norm_leak=0.0)
-    n = state.config.n_sites
+        out[...] = 0
+        return 0.0
+    n = amp.shape[1]
     last = n - 1 - int(occupied[::-1].argmax())
     lmax = taps.shape[1] // 2
     pad = 2 * lmax
     a = max(0, first - pad)
-    window = _rotate(state.amp[:, a : last + pad + 1], theta)
-    # allocated after the rotation, so it does not add to the peak memory
-    # of the rotation's temporaries
-    amp = np.zeros_like(state.amp)
+    window = _rotate(amp[:, a : last + pad + 1], theta)
     v_row = _row_pool().submit(np.convolve, window[1], taps[1], "full")
     fulls = (np.convolve(window[0], taps[0], "full"), v_row.result())
     start = a - lmax  # the site of full[0]
     lo, hi = max(0, start), min(n, start + fulls[0].size)
+    out[:, :lo] = 0
+    out[:, hi:] = 0
     leak = 0.0
     for row, full in enumerate(fulls):
-        amp[row, lo:hi] = full[lo - start : hi - start]
+        out[row, lo:hi] = full[lo - start : hi - start]
         dropped = np.concatenate([full[: lo - start], full[hi - start :]])
         leak += float((np.abs(dropped) ** 2).sum())
     if leak > 1e-6:
         warnings.warn(f"norm leak {leak:.2e} past lattice edge")
-    return state.with_amp(amp, norm_leak=leak)
+    return leak
 
 
 def _q_grid(n_sites: int) -> np.ndarray:
@@ -303,28 +307,32 @@ def step(
 
     The spectral engine is periodic.  The direct engine drops what it
     pushes past the lattice edge and records that norm in the result's
-    meta["norm_leak"]; a leak above 1e-6 also raises a warning.
+    meta["norm_leak"]; a leak above 1e-6 also raises a warning.  The
+    result is complex128, whatever the dtype of `state`.
     """
-    ((state,),) = _walk((state,), ([params],), check_name("engine", engine, ENGINES))
-    return _kept(state)
+    ((amps, leaks),) = _chunks((state,), ([params],), check_name("engine", engine, ENGINES))
+    return state.with_amp(amps[0, 0].copy(), **_metas(amps, leaks)[0])
 
 
-def _kept(state: LatticeState) -> LatticeState:
-    """`state` with its own copy of the amplitudes, for a caller that keeps
-    a state of `_walk`, a view that the walk's next chunk overwrites."""
-    return state.with_amp(state.amp.copy(), **state.meta)
+def _metas(amps: np.ndarray, leaks) -> list[dict]:
+    """The meta dicts of the first member's states in a chunk of `_chunks`:
+    the direct engine's norm leak, none on the spectral engine."""
+    if leaks is None:
+        return [{}] * len(amps)
+    return [{"norm_leak": float(leak)} for leak in leaks[:, 0]]
 
 
 def _chunks(states, schedules, engine: str, start=None):
     """Step k states on one lattice in lockstep, one schedule (an iterable
-    of ModulationParams) each, all of one length; yield (amps, metas) per
-    chunk of roundtrips.  `amps` is a read-only (rows, k, 2, N) array of
-    the position-space amplitudes after each roundtrip of the chunk, valid
-    until the walk is asked for its next chunk; `metas` holds, per row, the
-    k meta dicts of the states (the direct engine's norm leak), or is None
-    for none.  Non-finite amplitudes are a ConfigurationError, as for a
-    state: the direct engine's states check their own, the spectral engine
-    checks each chunk once.
+    of ModulationParams) each, all of one length; yield (amps, leaks) per
+    chunk of roundtrips.  `amps` is a read-only (rows, k, 2, N) complex128
+    view of the position-space amplitudes after each roundtrip of the
+    chunk; `leaks` is the direct engine's (rows, k) norm leak, None on the
+    spectral engine.  Both engines refill one buffer, allocated once, so a
+    chunk is valid until the walk is asked for its next chunk: a caller
+    that keeps amplitudes longer keeps a copy.  A walk runs in complex128,
+    whatever the dtype of the states.  Non-finite amplitudes are a
+    ConfigurationError, as for a state, checked once per chunk.
 
     The walk keeps one dict of the current row's tables (the direct taps
     of `_direct_kernels` or the blocks U(q) of `_grid_blocks`), keyed by
@@ -332,32 +340,33 @@ def _chunks(states, schedules, engine: str, start=None):
     only the params the previous row lacked, so the walk holds at most k
     tables and a walk on the lattice and parameters of a recent one builds
     nothing.
-    The direct engine steps the members one after another, one roundtrip
-    per chunk, and ignores `start`.  The spectral engine stacks them into one (k, 2, N) array
-    and carries its q-space amplitudes from step to step.  They start from
-    `start`, a writable (k, 2, N) array with the bits of the states' ifft
-    that the walk takes over, if the caller holds one, else from that
-    ifft.  It propagates up to `_CHUNK_BYTES // start.nbytes` roundtrips
-    ahead (at least one) into one chunk, each row from the previous one,
-    and transforms the chunk back to position space with one FFT call.  No
-    read-out feeds back into the q-space rows, and pocketfft gives each row
-    the bits it gives that row alone, so the rows have the bits of one FFT
-    call per roundtrip.  The walk allocates the chunk once, as long as the
-    first chunk, and refills it and the q-space start for every chunk.  The
-    at most rows - 1 roundtrips past a boundary abort are computed and
-    thrown away.
+    The direct engine steps the members one after another in place, one
+    roundtrip per chunk, and ignores `start`.  The spectral engine carries
+    the members' q-space amplitudes from step to step.  They start from
+    `start`, a writable (k, 2, N) complex128 array with the bits of the
+    states' ifft that the walk takes over, if the caller holds one, else
+    from that ifft.  It propagates up to `_CHUNK_BYTES // start.nbytes`
+    roundtrips ahead (at least one) into one chunk, each row from the
+    previous one, and transforms the chunk back to position space with one
+    FFT call.  No read-out feeds back into the q-space rows, and pocketfft
+    gives each row the bits it gives that row alone, so the rows have the
+    bits of one FFT call per roundtrip.  The chunk buffer is as long as the
+    first chunk; the q-space start is refilled for every chunk too.  The at
+    most rows - 1 roundtrips past a boundary abort are computed and thrown
+    away.
     """
     n = states[0].config.n_sites
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
     tables = {}  # the current row's params and their tables
     rows = zip(*schedules, strict=True)
     if engine == "direct":
+        buffer = _stacked(states).copy()
         for row in rows:
             tables = {p: tables[p] if p in tables else lookup(p) for p in row}
-            states = tuple(
-                _convolve_direct(s, tables[p], p.theta) for s, p in zip(states, row)
-            )
-            yield _read_only(_stacked(states)), [tuple(s.meta for s in states)]
+            leaks = np.array([[_convolve_direct(amp, tables[p], p.theta, amp)
+                               for p, amp in zip(row, buffer[0])]])
+            _check_finite(buffer)
+            yield _read_only(buffer[:]), leaks
         return
     if start is None:
         start = np.fft.ifft(_stacked(states)[0], axis=-1)
@@ -376,41 +385,30 @@ def _chunks(states, schedules, engine: str, start=None):
             b = out
         np.copyto(start, b)  # the next chunk's start; the transform overwrites the chunk
         np.fft.fft(chunk, axis=-1, out=chunk)  # in place (numpy >= 2.0)
-        # what a state checks, once per chunk: its real and imaginary parts
-        # as one float array take half the time of complex isfinite
-        if not np.isfinite(chunk.view(chunk.real.dtype)).all():
-            raise ConfigurationError("non-finite amplitudes")
+        _check_finite(chunk)
         yield _read_only(chunk), None
 
 
+def _check_finite(chunk: np.ndarray) -> None:
+    """What a state checks, once for a whole complex chunk: its real and
+    imaginary parts as one float array take half the time of complex
+    isfinite."""
+    if not np.isfinite(chunk.view(chunk.real.dtype)).all():
+        raise ConfigurationError("non-finite amplitudes")
+
+
 def _stacked(states) -> np.ndarray:
-    """The amplitudes of k states as one (1, k, 2, N) chunk: a view of one
-    state's array, a copy of several."""
+    """The amplitudes of k states as one complex128 (1, k, 2, N) chunk: a
+    view of one complex128 state's array, else a copy."""
     if len(states) == 1:
-        return states[0].amp[None, None]
-    return np.stack([s.amp for s in states])[None]
+        return states[0].amp.astype(complex, copy=False)[None, None]
+    return np.stack([s.amp for s in states]).astype(complex, copy=False)[None]
 
 
 def _read_only(amps: np.ndarray) -> np.ndarray:
     """`amps`, flagged read-only: the flag of this view alone."""
     amps.flags.writeable = False
     return amps
-
-
-def _row_states(states, amps, metas):
-    """The k states of each row of a chunk of `_chunks`: views of `amps`,
-    with the chunk's meta dicts."""
-    metas = itertools.repeat(({},) * len(states)) if metas is None else metas
-    for row, meta in zip(amps, metas):
-        yield tuple(s.with_amp(a, **m) for s, a, m in zip(states, row, meta))
-
-
-def _walk(states, schedules, engine: str, start=None):
-    """The walk of `_chunks`, as the tuple of the k states after each
-    roundtrip.  The states are views of the chunk: a state the caller
-    keeps past the walk's next chunk must be copied (`_kept`)."""
-    for amps, metas in _chunks(states, schedules, engine, start):
-        yield from _row_states(states, amps, metas)
 
 
 @dataclass
@@ -463,8 +461,8 @@ def evolve(
     check_name("record", record, _RECORDERS, sequence=True)
 
     traj = Trajectory()
-    for first, amps, metas in _monitored_chunks((state,), (schedule,), engine):
-        metas = itertools.repeat({}) if metas is None else [m[0] for m in metas]
+    for first, amps, leaks in _monitored_chunks((state,), (schedule,), engine):
+        metas = _metas(amps, leaks) if first else [state.meta]
         columns = {key: _RECORDERS[key](amps[:, 0], metas, state) for key in record}
         for j in range(len(amps)):
             traj.records.append({"step": first + j, **{k: c[j] for k, c in columns.items()}})
@@ -472,29 +470,21 @@ def evolve(
 
 
 def _monitored_chunks(states, schedules, engine: str):
-    """Yield (step, amps, metas) per chunk: step 0, the initial states as a
-    one-row chunk, then the chunks of `_chunks`, each with the step of its
-    first row.  At the first step where any member's `boundary_mass` exceeds
-    BOUNDARY_TOL, the rows before it are yielded as a chunk of their own,
-    then BoundaryLeakError is raised with that step and the mass of the
-    first such member."""
-    yield 0, _read_only(_stacked(states)), [tuple(s.meta for s in states)]
+    """Yield (step, amps, leaks) per chunk: step 0, the initial states as a
+    one-row chunk with no leaks, then the chunks of `_chunks`, each with the
+    step of its first row.  At the first step where any member's
+    `boundary_mass` exceeds BOUNDARY_TOL, the rows before it are yielded as
+    a chunk of their own, then BoundaryLeakError is raised with that step
+    and the mass of the first such member."""
+    yield 0, _read_only(_stacked(states)), None
     first = 1
-    for amps, metas in _chunks(states, schedules, engine):
+    for amps, leaks in _chunks(states, schedules, engine):
         masses = _boundary_masses(amps)  # (rows, k)
         over = masses > BOUNDARY_TOL
         if over.any():
             row, member = np.unravel_index(over.argmax(), over.shape)  # the first, row by row
             if row:
-                yield first, amps[:row], None if metas is None else metas[:row]
+                yield first, amps[:row], None if leaks is None else leaks[:row]
             raise BoundaryLeakError(first + int(row), float(masses[row, member]))
-        yield first, amps, metas
+        yield first, amps, leaks
         first += len(amps)
-
-
-def _monitored_walk(states, schedules, engine: str):
-    """The walk of `_monitored_chunks` as (step, states), step 0 the
-    initial states, one step at a time; the states are views, as in
-    `_walk`."""
-    for first, amps, metas in _monitored_chunks(states, schedules, engine):
-        yield from enumerate(_row_states(states, amps, metas), start=first)

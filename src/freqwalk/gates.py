@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BRANCHES
-from .engine import ENGINES, ModulationParams, Schedule, _walk, uk_matrix
+from .engine import ENGINES, ModulationParams, Schedule, _chunks, uk_matrix
 from .errors import ConfigurationError, InfeasibleGateError, check_fits, check_name, check_number
 from .lattice import (
     LatticeConfig,
@@ -149,9 +149,10 @@ def _drive(
     for all, and the states after their schedules (all of one length),
     walked in lockstep one roundtrip at a time.  The packets are the
     read-only `_packet` tables.  Each roundtrip is a walk of its own, as a
-    `step` is, which ends after its one chunk, so the states it yields
-    (read-only views of that chunk) are never refilled and are kept
-    uncopied.  On the spectral engine the first roundtrip starts from the
+    `step` is.  On either engine a walk hands out read-only complex128
+    views of one buffer, valid until its next chunk; a roundtrip's walk
+    ends after its one chunk, which is never refilled, so its states are
+    views of that chunk, kept uncopied.  On the spectral engine the first roundtrip starts from the
     packets' stored q-space rows (`_packet_q`, the bits of their ifft), so
     a drive on packets that an earlier drive built does not transform them
     again; each later roundtrip transforms its states to q-space and back."""
@@ -169,7 +170,8 @@ def _drive(
         start = None
         if engine == "spectral" and not i:
             start = np.stack([_packet_q(*key) for key in keys])
-        (states,) = _walk(states, [[params] for params in row], engine, start)
+        ((amps, _),) = _chunks(states, [[params] for params in row], engine, start)
+        states = tuple(s.with_amp(a) for s, a in zip(states, amps[0]))
     return packets, states
 
 

@@ -556,18 +556,20 @@ class TestDirectWindow:
         taps = engine._direct_kernels(params)
         expected, leak = whole_lattice_direct(state, taps, params.theta)
 
-        out = engine._convolve_direct(state, taps, params.theta)
-        assert np.array_equal(out.amp, expected)
-        assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
+        out = np.empty_like(state.amp)
+        assert engine._convolve_direct(state.amp, taps, params.theta, out) == pytest.approx(
+            leak, abs=1e-15)
+        assert np.array_equal(out, expected)
 
         out = fw.step(state, params, "direct")
         assert np.array_equal(out.amp, expected)
         assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
 
         # the walk itself, without the edge abort that `evolve` adds
-        for (out,) in engine._walk((state,), ([params] * n_steps,), "direct"):
-            assert np.array_equal(out.amp, expected)
-            expected, _ = whole_lattice_direct(out, taps, params.theta)
+        for amps, leaks in engine._chunks((state,), ([params] * n_steps,), "direct"):
+            assert np.array_equal(amps[0, 0], expected)
+            assert leaks[0, 0] == pytest.approx(leak, abs=1e-15)
+            expected, leak = whole_lattice_direct(state.with_amp(amps[0, 0]), taps, params.theta)
 
 
 def one_thread_direct(state, taps, theta):
@@ -611,9 +613,13 @@ class TestDirectRows:
         j = bessel_j_sequence(lmax, gamma)
         taps = np.array([engine._build_kernel(gamma, phi, j).coeffs for phi in phis])
         expected, leak = one_thread_direct(state, taps, theta)
-        out = engine._convolve_direct(state, taps, theta)
-        assert np.array_equal(out.amp, expected)
-        assert out.meta["norm_leak"] == leak
+        out = np.empty_like(state.amp)
+        assert engine._convolve_direct(state.amp, taps, theta, out) == leak
+        assert np.array_equal(out, expected)
+        # in place, as the walk runs it: the window is copied before `out` is written
+        amp = state.amp.copy()
+        assert engine._convolve_direct(amp, taps, theta, amp) == leak
+        assert np.array_equal(amp, expected)
 
     def test_callers_on_many_threads_get_their_own_rows(self):
         # every caller shares the one worker; a V row handed to the wrong
@@ -627,9 +633,10 @@ class TestDirectRows:
         mismatches = []
 
         def run(gamma, state, taps, expected):
+            out = np.empty_like(state.amp)
             for _ in range(30):
-                out = engine._convolve_direct(state, taps, 0.4)
-                if not np.array_equal(out.amp, expected):
+                engine._convolve_direct(state.amp, taps, 0.4, out)
+                if not np.array_equal(out, expected):
                     mismatches.append(gamma)
 
         threads = [threading.Thread(target=run, args=case) for case in cases]
@@ -707,8 +714,8 @@ def monitored_bytes(states, schedules, engine_name):
     walk, and the step and mass of its boundary abort (None if none)."""
     steps = []
     try:
-        for _, members in engine._monitored_walk(states, schedules, engine_name):
-            steps.append([s.amp.tobytes() for s in members])
+        for _, amps, _ in engine._monitored_chunks(states, schedules, engine_name):
+            steps.extend([a.tobytes() for a in members] for members in amps)
     except fw.BoundaryLeakError as err:
         return steps, (err.step, err.mass)
     return steps, None
@@ -836,8 +843,9 @@ class TestChunkedWalk:
 
         per_chunk = engine._CHUNK_BYTES // (k * 2 * cfg.n_sites * 16)
         states = [fw.make_single_site(0, P.H, cfg)] * k
-        walk = engine._walk(states, [schedule(m) for m in range(k)], "spectral")
-        for j, _ in enumerate(walk, start=1):
+        j = 0
+        for amps, _ in engine._chunks(states, [schedule(m) for m in range(k)], "spectral"):
+            j += len(amps)
             # the rows of the chunk that holds step j, and none past it
             assert pulled == [min(n_steps, -(-j // per_chunk) * per_chunk)] * k
         assert j == n_steps
@@ -875,8 +883,8 @@ def by_roundtrip_bytes(state, schedule):
 
 
 class TestKeptStates:
-    """The spectral walk refills one chunk buffer: what a caller keeps past
-    the next chunk is a copy, and the chunk itself cannot be written."""
+    """Both engines refill one chunk buffer: what a caller keeps past the
+    next chunk is a copy, and the chunk itself cannot be written."""
 
     CFG = fw.LatticeConfig(60)
     PARAMS = fw.ModulationParams(gamma=1.0, **FIG2)
@@ -893,15 +901,16 @@ class TestKeptStates:
         s0 = self.start()
         expected = by_roundtrip_bytes(s0, [self.PARAMS] * self.STEPS)
         kept, raw = [], []
-        for i, (s,) in enumerate(engine._walk((s0,), ([self.PARAMS] * self.STEPS,), "spectral"),
-                                 start=1):
-            assert not s.amp.flags.writeable
-            raw.append(s)
-            if i % 2 == 0:  # the chunk's last row: its states are still valid
-                assert [r.amp.tobytes() for r in raw[-2:]] == expected[i - 1 : i + 1]
-            kept.append(engine._kept(s))
-        assert [s.amp.tobytes() for s in kept] == expected[1:]
-        assert all(s.amp.flags.writeable for s in kept)
+        for amps, _ in engine._chunks((s0,), ([self.PARAMS] * self.STEPS,), "spectral"):
+            assert not amps.flags.writeable
+            raw.append(amps)
+            # every row of the chunk is valid until the next one
+            assert [a.tobytes() for a in amps[:, 0]] == expected[len(kept) + 1 :][: len(amps)]
+            kept.extend(a.copy() for a in amps[:, 0])
+        assert [len(amps) for amps in raw] == [2, 2, 2, 1]
+        assert [a.tobytes() for a in kept] == expected[1:]
+        # the first chunk is a view of the buffer that the last one refilled
+        assert [a.tobytes() for a in raw[0][:, 0]] == [expected[7], expected[6]]
 
     def test_evolve_keeps_its_states(self):
         s0 = self.start()
@@ -939,19 +948,61 @@ class TestKeptStates:
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0, 0, 0] = 0
         second, _ = next(chunks)
-        # the spectral walk refills one buffer; the direct walk stacks anew
-        assert np.shares_memory(first, second) == (engine_name == "spectral")
+        # both engines refill one buffer, which stays writable for the walk
+        assert np.shares_memory(first, second)
+        assert first.base.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+@pytest.mark.parametrize("engine_name", engine.ENGINES)
+def test_walks_run_in_complex128(engine_name, dtype):
+    """A state of any float or complex dtype walks as its complex128 cast,
+    bit for bit, on both engines, in `step` and in `evolve`: a float state
+    keeps the imaginary part its walk makes, and a single-precision state
+    walks in double precision."""
+    cfg = fw.LatticeConfig(200)
+    rng = np.random.default_rng(5)
+    lo, hi = cfg.index(-3), cfg.index(3) + 1
+    re, im = rng.normal(size=(2, 2, hi - lo))
+    amp = np.zeros((2, cfg.n_sites), dtype)
+    amp[:, lo:hi] = re + 1j * im if amp.dtype.kind == "c" else re
+    state = fw.LatticeState(cfg, amp)
+    wide = state.with_amp(amp.astype(complex))
+    params = fw.ModulationParams(gamma=3 * np.pi, **FIG2)
+
+    got, want = (fw.step(s, params, engine_name) for s in (state, wide))
+    assert got.amp.dtype == complex
+    assert got.amp.tobytes() == want.amp.tobytes()
+    assert got.meta == want.meta
+
+    record = ("state", "diffusion", "boundary")
+    got, want = (fw.evolve(s, params, 5, engine_name, record).records for s in (state, wide))
+    assert len(got) == len(want) == 6
+    for a, b in zip(got, want):
+        assert a["state"].amp.dtype == complex
+        assert a["state"].amp.tobytes() == b["state"].amp.tobytes(), a["step"]
+        assert a["state"].meta == b["state"].meta
+        assert (a["diffusion"], a["boundary"]) == (b["diffusion"], b["boundary"])
 
 
 def test_spectral_walk_refuses_a_non_finite_chunk(monkeypatch):
-    # one NaN in the blocks of the chunk's second roundtrip, none in its first
+    # one NaN in the blocks (on the direct engine, the taps) of the second
+    # roundtrip, none in the first: the spectral walk's first chunk holds
+    # both roundtrips, the direct walk's second chunk is the second one
     cfg = fw.LatticeConfig(10)
     params = fw.ModulationParams(gamma=1.0, theta=0.3)
     blocks = engine.uk_matrix(params, engine._q_grid(cfg.n_sites))
     blocks[1, 1, 3] = complex(0.0, np.nan)
     monkeypatch.setattr(engine, "_grid_blocks", lambda p, n: blocks if p == params else
                         engine.uk_matrix(p, engine._q_grid(n)))
+    taps = engine._direct_kernels(params).copy()
+    taps[1, 2] = complex(np.nan, 0.0)
+    kernels = engine._direct_kernels
+    monkeypatch.setattr(engine, "_direct_kernels", lambda p: taps if p == params else kernels(p))
     state = fw.make_single_site(0, P.H, cfg)
-    walk = engine._chunks((state,), ([engine.IDENTITY, params],), "spectral")
-    with pytest.raises(fw.ConfigurationError, match="non-finite amplitudes"):
-        next(walk)
+    for engine_name, clean in (("spectral", 0), ("direct", 1)):
+        walk = engine._chunks((state,), ([engine.IDENTITY, params],), engine_name)
+        for _ in range(clean):
+            next(walk)
+        with pytest.raises(fw.ConfigurationError, match="non-finite amplitudes"):
+            next(walk)

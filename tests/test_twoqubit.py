@@ -120,7 +120,7 @@ class TestLatticeWork:
     )
     def test_one_step_per_cnot(self, ops, monkeypatch):
         walks = []  # the roundtrips of each member, per walk
-        real_walk = gates._walk
+        real_walk = gates._chunks
 
         def counted(states, schedules, engine, start=None):
             schedules = [list(s) for s in schedules]
@@ -128,7 +128,7 @@ class TestLatticeWork:
             assert len(states) == len(schedules)
             return real_walk(states, schedules, engine, start)
 
-        monkeypatch.setattr(gates, "_walk", counted)
+        monkeypatch.setattr(gates, "_chunks", counted)
         for i in range(4):
             walks.clear()
             fw.execute_two_qubit_lattice(ops, i, delta=20.0)
