@@ -27,6 +27,7 @@ from . import bands, baselines, gates, twoqubit
 from .engine import (
     ENGINES,
     ModulationParams,
+    _cpus,
     _kernel_reach,
     _monitored_chunks,
     translation_kernel,
@@ -344,13 +345,6 @@ def _interleave(columns: list[list], n: int) -> tuple:
     return tuple(cells)
 
 
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     """Head lines, then the rows: %.17g per float cell, %s per text cell,
     and '%.17g' % int per integer cell, which gives the bytes of
@@ -581,6 +575,11 @@ def main(argv: list[str] | None = None) -> int:
             error = f"error: {str(e) or 'out of memory'}\n"
         except KeyboardInterrupt:  # `_output` has removed its temporary file
             code, error = 130, "error: interrupted\n"
+            # CPython notes an interrupt raised inside a string exec (a
+            # namedtuple or dataclass built by a lazy import, such as that of
+            # importlib.metadata) as unhandled, and then ends `python -m` by
+            # SIGINT whatever the exit code; each string exec clears the note
+            exec("")
     first = {}
     for w in caught:
         first.setdefault((w.filename, w.lineno), w.message)

@@ -4,18 +4,21 @@ The walk conserves quasimomentum, so one roundtrip is the 2x2 block
 U(q) = T(q) R(theta) of `uk_matrix`, the only definition of the
 operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
 unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
-steps and transforms back for the boundary monitor and the recorders, one
-FFT call per chunk of roundtrips (`_CHUNK_BYTES`); walks that share a
-lattice run in lockstep (`_chunks`), one FFT call per chunk for all of
-them.  No read-out feeds back into the q-space amplitudes, and pocketfft
-gives each row the bits it gives that row alone, so the chunking does not
-change a bit.  `direct` rotates in position space and
-convolves with the truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi}
-(open boundary, amplitudes pushed past the edge are dropped and the leak
-reported); it convolves the V row on a worker thread while the caller
-convolves the H row, each row the same `np.convolve` call as alone, so
-the bits do not depend on the threads.  The two share no numerics and
-cross-validate each other.
+steps and transforms back for the boundary monitor and the recorders, a
+chunk of roundtrips at a time (`_CHUNK_BYTES`); walks that share a
+lattice run in lockstep (`_chunks`), one chunk for all of them.  A chunk
+is one FFT call, or, on 2 or more CPUs and from half the chunk budget
+up, two calls over half its rows each, one of them on a worker thread
+(`_fft_rows`).  No read-out feeds back into the q-space amplitudes, and
+pocketfft gives each row the bits it gives that row alone, so neither
+the chunking nor the split changes a bit.  `direct` rotates in position
+space and convolves with the truncated Bessel kernel
+c_l = i^l J_l(Gamma) e^{i l phi} (open boundary, amplitudes pushed past
+the edge are dropped and the leak reported); on 2 or more CPUs it
+convolves the V row on the worker thread while the caller convolves the
+H row, each row the same `np.convolve` call as alone, so the bits do not
+depend on the threads.  Neither engine hands the worker work on one CPU
+(`_cpus`).  The two share no numerics and cross-validate each other.
 
 Both engines hand out the walk the same way: `_chunks` refills one
 complex128 chunk buffer, allocated once, and yields read-only views of
@@ -220,15 +223,22 @@ def _direct_kernels(params: ModulationParams) -> np.ndarray:
     )
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @functools.cache
 def _row_pool():
-    """The one worker thread of `_convolve_direct` (numpy's correlate loop
-    releases the GIL).  Built on the first direct step, so importing
-    freqwalk does not import concurrent.futures; a forked child builds
-    its own."""
+    """The one worker thread of `_convolve_direct` and `_fft_rows` (numpy's
+    correlate loop and pocketfft release the GIL).  Built on the first
+    step that hands it work, so importing freqwalk does not import
+    concurrent.futures; a forked child builds its own."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(1, thread_name_prefix="freqwalk-direct")
+    return ThreadPoolExecutor(1, thread_name_prefix="freqwalk-rows")
 
 
 os.register_at_fork(after_in_child=_row_pool.cache_clear)
@@ -245,9 +255,10 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     whole lattice, so the result does not depend on the window (up to the
     sign of zero); the cost scales with the occupied sites, not with N.
     The window is rotated into a copy before `out` is written, so `out` may
-    be `amp` itself.  The V row is convolved on the `_row_pool` thread while
-    this thread convolves the H row; the warnings, the copy into `out` and
-    the leak sum (H row first) stay in this thread.
+    be `amp` itself.  On 2 or more CPUs the V row is convolved on the
+    `_row_pool` thread while this thread convolves the H row, on one CPU
+    after it here; the warnings, the copy into `out` and the leak sum (H
+    row first) stay in this thread.
     """
     edge = float(_boundary_masses(amp))
     if edge > 1e-9:
@@ -263,8 +274,11 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     pad = 2 * lmax
     a = max(0, first - pad)
     window = _rotate(amp[:, a : last + pad + 1], theta)
-    v_row = _row_pool().submit(np.convolve, window[1], taps[1], "full")
-    fulls = (np.convolve(window[0], taps[0], "full"), v_row.result())
+    if _cpus() >= 2:
+        v_row = _row_pool().submit(np.convolve, window[1], taps[1], "full")
+        fulls = (np.convolve(window[0], taps[0], "full"), v_row.result())
+    else:
+        fulls = tuple(np.convolve(row, t, "full") for row, t in zip(window, taps))
     start = a - lmax  # the site of full[0]
     lo, hi = max(0, start), min(n, start + fulls[0].size)
     out[:, :lo] = 0
@@ -347,13 +361,13 @@ def _chunks(states, schedules, engine: str, start=None):
     states' ifft that the walk takes over, if the caller holds one, else
     from that ifft.  It propagates up to `_CHUNK_BYTES // start.nbytes`
     roundtrips ahead (at least one) into one chunk, each row from the
-    previous one, and transforms the chunk back to position space with one
-    FFT call.  No read-out feeds back into the q-space rows, and pocketfft
-    gives each row the bits it gives that row alone, so the rows have the
-    bits of one FFT call per roundtrip.  The chunk buffer is as long as the
-    first chunk; the q-space start is refilled for every chunk too.  The at
-    most rows - 1 roundtrips past a boundary abort are computed and thrown
-    away.
+    previous one, and transforms the chunk back to position space
+    (`_fft_rows`: one FFT call, or two on two threads).  No read-out feeds
+    back into the q-space rows, and pocketfft gives each row the bits it
+    gives that row alone, so the rows have the bits of one FFT call per
+    roundtrip.  The chunk buffer is as long as the first chunk; the q-space
+    start is refilled for every chunk too.  The at most rows - 1 roundtrips
+    past a boundary abort are computed and thrown away.
     """
     n = states[0].config.n_sites
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
@@ -384,9 +398,36 @@ def _chunks(states, schedules, engine: str, start=None):
                 _apply_blocks(tables[p], member, product, scratch)
             b = out
         np.copyto(start, b)  # the next chunk's start; the transform overwrites the chunk
-        np.fft.fft(chunk, axis=-1, out=chunk)  # in place (numpy >= 2.0)
+        _fft_rows(chunk)
         _check_finite(chunk)
         yield _read_only(chunk), None
+
+
+def _fft_rows(chunk: np.ndarray) -> None:
+    """The forward FFT of every length-N row of a C-contiguous chunk, in
+    place (numpy >= 2.0).
+
+    A chunk of at least `_CHUNK_BYTES // 2` bytes, on 2 or more CPUs, is
+    split in two halves of rows: the `_row_pool` thread transforms the
+    back half while this thread transforms the front half, and this
+    returns when both are done.  If the worker has not started on its
+    half by then (its CPU is busy, or another caller holds it), that half
+    is taken back and transformed here.  pocketfft gives each row the bits
+    it gives that row alone, so the split does not change a bit.  Smaller
+    chunks, such as every gate drive's, are one call: there the hand-over
+    costs more than the second thread gains.
+    """
+    rows = chunk.reshape(-1, chunk.shape[-1])  # a view: the chunk is contiguous
+    if chunk.nbytes < _CHUNK_BYTES // 2 or _cpus() < 2:
+        np.fft.fft(rows, axis=-1, out=rows)
+        return
+    front, back = np.split(rows, [len(rows) // 2])
+    worker = _row_pool().submit(np.fft.fft, back, axis=-1, out=back)
+    np.fft.fft(front, axis=-1, out=front)
+    if worker.cancel():
+        np.fft.fft(back, axis=-1, out=back)
+    else:
+        worker.result()
 
 
 def _check_finite(chunk: np.ndarray) -> None:

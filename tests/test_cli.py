@@ -461,9 +461,10 @@ class TestAtomicOutput:
     @pytest.mark.parametrize("engine_name", ["spectral", "direct"])
     def test_interrupt_exits_130_and_leaves_nothing(self, tmp_path, engine_name):
         # Gamma = 0 never reaches the edge: 10^6 steps would take an hour.
-        # The direct engine's worker thread must not hold up the exit, and
-        # on 2 CPUs the blocks of N = 6001 cells go in part to a helper
-        # process, which must be gone with the child.
+        # On 2 CPUs the worker thread must not hold up the exit: it convolves
+        # the direct engine's V rows, and transforms half of each spectral
+        # chunk (2 roundtrips, 384,064 bytes); the blocks of N = 6001 cells
+        # go in part to a helper process, which must be gone with the child.
         # A failure keeps its cause: the child's exit code and whole stderr,
         # with every thread's stack if it hangs (-X faulthandler, SIGABRT)
         src = str(Path(cli.__file__).parents[1])
@@ -503,6 +504,22 @@ class TestAtomicOutput:
         assert list(tmp_path.iterdir()) == [], why
         if sys.platform.startswith("linux"):
             assert _processes_with(token) == [], why
+
+    def test_interrupt_inside_a_string_exec_exits_130(self, tmp_path):
+        # an interrupt that lands in a namedtuple's eval during a lazy import
+        # is one that CPython notes as unhandled, and `python -m` would then
+        # end by SIGINT (exit -2) after `main` had returned 130
+        (tmp_path / "interrupted.py").write_text(
+            "import sys\n"
+            "from freqwalk import cli\n"
+            "cli.run = lambda cfg, out: exec('raise KeyboardInterrupt')\n"
+            "sys.exit(cli.main(['band', '--gamma', '1']))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        child = subprocess.run([sys.executable, "-m", "interrupted"], cwd=tmp_path,
+                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                               text=True, timeout=60)
+        assert (child.returncode, child.stderr) == (130, "error: interrupted\n")
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
     @pytest.mark.skipif(cli._cpus() < 2, reason="one CPU: the writer forks no helper")
@@ -675,21 +692,27 @@ def _strip_fast_factors(n: int) -> int:
     return n
 
 
-def test_import_leaves_package_metadata_unloaded():
+def test_import_leaves_package_metadata_unloaded(tmp_path):
     # the version is looked up when the first dataset is written, and the
-    # direct engine's worker thread is built on the first direct step: each
-    # import would add 8-20 ms to every run
+    # worker thread is built on the first step that hands it work: each
+    # import would add 8-20 ms to every run.  A gate drive's chunks (at most
+    # 4 packets x 2 x 1801 x 16 bytes) stay below the split transform's
+    # size, so the gate experiments never start the worker
     src = str(Path(cli.__file__).parents[1])
     code = (
         "import sys, freqwalk.cli, freqwalk as fw\n"
         "print('importlib.metadata' in sys.modules, 'concurrent.futures' in sys.modules)\n"
         "s = fw.make_single_site(0, fw.Polarization.H, fw.LatticeConfig(10))\n"
         "fw.step(s, fw.ModulationParams(gamma=1.0))\n"
+        "fw.reconstruct_4x4(['path_x', 'cnot', 'path_x'], delta=200)\n"
+        "for argv in (['gate', '--gate-name', 'H', '--delta', '200'],\n"
+        "             ['prepare', '--phi1', '0.75pi', '--phi2', '0.25pi'], ['cnot']):\n"
+        "    assert freqwalk.cli.main([*argv, '--out', 'report.json']) == 0\n"
         "print('concurrent.futures' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
+                         env=env, cwd=tmp_path, check=True)
     assert out.stdout == "False False\nFalse\n"
 
 

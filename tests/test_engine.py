@@ -820,15 +820,24 @@ class TestChunkedWalk:
         assert abort == leak
 
     def test_one_forward_fft_per_chunk(self, monkeypatch):
-        """A 100-step walk at N = 2101 transforms 7 roundtrips per call."""
-        calls = []
-        fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
+        """A 100-step walk at N = 2101 transforms 7 roundtrips per chunk,
+        each row once: in one FFT call on one CPU, in two halves on two."""
+        fft_rows, fft = engine._fft_rows, np.fft.fft
         s = fw.make_single_site(0, P.H, fw.LatticeConfig(1050))
         params = fw.ModulationParams(gamma=3 * np.pi, phi_v=0.75 * np.pi, theta=-0.5 * np.pi)
-        traj = fw.evolve(s, params, n_steps=100)
-        assert traj.steps == list(range(101))
-        assert len(calls) == 15  # ceil(100 / (2**19 // 67232)), 67232 bytes a roundtrip
+        for cpus, halves in ((1, [14]), (2, [7, 7])):
+            chunks, calls = [], []  # roundtrips per chunk, rows per FFT call
+            monkeypatch.setattr(engine, "_cpus", lambda: cpus)
+            monkeypatch.setattr(engine, "_fft_rows",
+                                lambda chunk: chunks.append(len(chunk)) or fft_rows(chunk))
+            monkeypatch.setattr(
+                np.fft, "fft", lambda a, **kw: calls.append(a.size // a.shape[-1]) or fft(a, **kw))
+            traj = fw.evolve(s, params, n_steps=100)
+            assert traj.steps == list(range(101))
+            # 2**19 // 67232 = 7 roundtrips a chunk, 67232 bytes a roundtrip
+            assert chunks == [7] * 14 + [2]
+            # the 7-roundtrip chunks (470,624 bytes) reach the split size, the last does not
+            assert sorted(calls) == sorted(halves * 14 + [4])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_looks_ahead_at_most_one_chunk(self, k):
@@ -849,6 +858,115 @@ class TestChunkedWalk:
             # the rows of the chunk that holds step j, and none past it
             assert pulled == [min(n_steps, -(-j // per_chunk) * per_chunk)] * k
         assert j == n_steps
+
+
+class _CountedPool:
+    """Stands in for `engine._row_pool()`: counts the tasks handed to the
+    one worker thread and passes them on."""
+
+    def __init__(self):
+        self.pool, self.tasks = engine._row_pool(), 0
+
+    def __call__(self):
+        return self
+
+    def submit(self, *args, **kwargs):
+        self.tasks += 1
+        return self.pool.submit(*args, **kwargs)
+
+
+@pytest.fixture
+def counted_pool(monkeypatch):
+    pool = _CountedPool()
+    monkeypatch.setattr(engine, "_row_pool", pool)
+    return pool
+
+
+class TestSplitTransform:
+    """On 2 or more CPUs a large chunk's rows are transformed in two
+    halves, one on the worker thread, with the bits of one FFT call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1801, 2101, 2187, 3001, 5001]), rows=st.integers(2, 16),
+           seed=st.integers(0, 2**31))
+    def test_matches_one_call(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, n)
+        chunk = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        chunk *= 10.0 ** rng.uniform(-12, 0, size=shape)  # magnitudes that round apart
+        expected = np.fft.fft(chunk, axis=-1)
+        pool = _CountedPool()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_cpus", lambda: 2)
+            mp.setattr(engine, "_CHUNK_BYTES", 0)  # every chunk is split
+            mp.setattr(engine, "_row_pool", pool)
+            engine._fft_rows(chunk)
+        assert pool.tasks == 1
+        assert np.array_equal(chunk, expected)
+
+    def test_callers_on_many_threads_get_their_own_rows(self, monkeypatch):
+        # every caller shares the one worker, and takes its half back when
+        # another caller's half holds the worker; a half transformed twice,
+        # or not at all, breaks the bits of some caller
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", 0)  # every chunk is split
+        rng = np.random.default_rng(5)
+        cases = [rng.normal(size=(rows, 1801)) + 1j * rng.normal(size=(rows, 1801))
+                 for rows in (2, 3, 6, 8, 11, 16)]
+        mismatches = []
+
+        def run(i, chunk):
+            expected = np.fft.fft(chunk, axis=-1)
+            for _ in range(30):
+                out = chunk.copy()
+                engine._fft_rows(out)
+                if not np.array_equal(out, expected):
+                    mismatches.append(i)
+
+        threads = [threading.Thread(target=run, args=case) for case in enumerate(cases)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_walk_with_a_held_worker_keeps_its_bits(self, monkeypatch):
+        # the worker cannot start the back halves, so this thread takes them
+        # back; without that the walk would wait for the worker's task
+        cfg = fw.LatticeConfig(1050)
+        params = fw.ModulationParams(gamma=3 * np.pi, **FIG2)
+        states, schedules = [fw.make_single_site(0, P.H, cfg)], [[params] * 30]
+        monkeypatch.setattr(engine, "_cpus", lambda: 1)
+        expected = monitored_bytes(states, schedules, "spectral")
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        release = threading.Event()
+        held = engine._row_pool().submit(release.wait, 60)
+        try:
+            assert monitored_bytes(states, schedules, "spectral") == expected
+            assert not held.done()  # the walk did not wait for the held worker
+        finally:
+            release.set()
+        assert held.result(timeout=60)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_one_cpu_hands_no_task_to_the_worker(self, cpus, counted_pool, monkeypatch):
+        # README diffusion: three walks at N = 5001, 480,096 bytes a chunk
+        cfg = fw.LatticeConfig(2500)
+        states = [fw.make_single_site(0, P.H, cfg)] * 3
+        schedules = [[fw.ModulationParams(gamma=g * np.pi, **FIG2)] * 3 for g in (0.06, 1, 3)]
+        monkeypatch.setattr(engine, "_cpus", lambda: cpus)
+        walks = [monitored_bytes(states, schedules, name) for name in engine.ENGINES]
+        # 3 spectral chunks, then 3 roundtrips of 3 walks with a V row each
+        assert counted_pool.tasks == (3 + 9 if cpus == 2 else 0)
+        monkeypatch.setattr(engine, "_cpus", lambda: 3 - cpus)
+        assert [monitored_bytes(states, schedules, name) for name in engine.ENGINES] == walks
 
 
 class TestChunkReadouts:
