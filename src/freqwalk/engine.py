@@ -244,7 +244,8 @@ def _row_pool():
 os.register_at_fork(after_in_child=_row_pool.cache_clear)
 
 
-def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.ndarray) -> float:
+def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.ndarray,
+                     split: bool) -> float:
     """Rotate the (2, N) amplitudes `amp` by R(theta), then convolve each
     polarization row with its row of `taps` (a `_direct_kernels` table),
     open boundary, into `out`; return the norm pushed past the lattice edge.
@@ -255,10 +256,10 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     whole lattice, so the result does not depend on the window (up to the
     sign of zero); the cost scales with the occupied sites, not with N.
     The window is rotated into a copy before `out` is written, so `out` may
-    be `amp` itself.  On 2 or more CPUs the V row is convolved on the
-    `_row_pool` thread while this thread convolves the H row, on one CPU
-    after it here; the warnings, the copy into `out` and the leak sum (H
-    row first) stay in this thread.
+    be `amp` itself.  With `split` (the walk runs on 2 or more CPUs) the V
+    row is convolved on the `_row_pool` thread while this thread convolves
+    the H row, without it after the H row here; the warnings, the copy into
+    `out` and the leak sum (H row first) stay in this thread.
     """
     edge = float(_boundary_masses(amp))
     if edge > 1e-9:
@@ -274,7 +275,7 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     pad = 2 * lmax
     a = max(0, first - pad)
     window = _rotate(amp[:, a : last + pad + 1], theta)
-    if _cpus() >= 2:
+    if split:
         v_row = _row_pool().submit(np.convolve, window[1], taps[1], "full")
         fulls = (np.convolve(window[0], taps[0], "full"), v_row.result())
     else:
@@ -367,17 +368,20 @@ def _chunks(states, schedules, engine: str, start=None):
     gives that row alone, so the rows have the bits of one FFT call per
     roundtrip.  The chunk buffer is as long as the first chunk; the q-space
     start is refilled for every chunk too.  The at most rows - 1 roundtrips
-    past a boundary abort are computed and thrown away.
+    past a boundary abort are computed and thrown away.  Either engine
+    hands the worker thread rows only if `_cpus()`, read once when the walk
+    starts, is 2 or more.
     """
     n = states[0].config.n_sites
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
     tables = {}  # the current row's params and their tables
     rows = zip(*schedules, strict=True)
+    split = _cpus() >= 2  # read once a walk: whether the worker thread takes rows
     if engine == "direct":
         buffer = _stacked(states).copy()
         for row in rows:
             tables = {p: tables[p] if p in tables else lookup(p) for p in row}
-            leaks = np.array([[_convolve_direct(amp, tables[p], p.theta, amp)
+            leaks = np.array([[_convolve_direct(amp, tables[p], p.theta, amp, split)
                                for p, amp in zip(row, buffer[0])]])
             _check_finite(buffer)
             yield _read_only(buffer[:]), leaks
@@ -398,27 +402,30 @@ def _chunks(states, schedules, engine: str, start=None):
                 _apply_blocks(tables[p], member, product, scratch)
             b = out
         np.copyto(start, b)  # the next chunk's start; the transform overwrites the chunk
-        _fft_rows(chunk)
+        _fft_rows(chunk, split)
         _check_finite(chunk)
         yield _read_only(chunk), None
 
 
-def _fft_rows(chunk: np.ndarray) -> None:
+def _fft_rows(chunk: np.ndarray, split: bool) -> None:
     """The forward FFT of every length-N row of a C-contiguous chunk, in
     place (numpy >= 2.0).
 
-    A chunk of at least `_CHUNK_BYTES // 2` bytes, on 2 or more CPUs, is
-    split in two halves of rows: the `_row_pool` thread transforms the
-    back half while this thread transforms the front half, and this
-    returns when both are done.  If the worker has not started on its
-    half by then (its CPU is busy, or another caller holds it), that half
-    is taken back and transformed here.  pocketfft gives each row the bits
-    it gives that row alone, so the split does not change a bit.  Smaller
-    chunks, such as every gate drive's, are one call: there the hand-over
-    costs more than the second thread gains.
+    With `split` (the walk runs on 2 or more CPUs), a chunk of at least
+    `_CHUNK_BYTES // 2` bytes is split in two halves of rows: the
+    `_row_pool` thread transforms the back half while this thread
+    transforms the front half, and this returns when both are done.  If
+    the worker has not started on its half by then (its CPU is busy, or
+    another caller holds it), that half is taken back and transformed
+    here.  pocketfft gives each row the bits it gives that row alone, so
+    the split does not change a bit.  Smaller chunks are one call: there
+    the hand-over costs more than the second thread gains.  A gate drive
+    transforms one roundtrip of at most 4 packets, 128 N bytes, so it is
+    split only from N = 2049, that is from delta > 227.33 (N = 1801 at the
+    default delta 200).
     """
     rows = chunk.reshape(-1, chunk.shape[-1])  # a view: the chunk is contiguous
-    if chunk.nbytes < _CHUNK_BYTES // 2 or _cpus() < 2:
+    if not split or chunk.nbytes < _CHUNK_BYTES // 2:
         np.fft.fft(rows, axis=-1, out=rows)
         return
     front, back = np.split(rows, [len(rows) // 2])

@@ -695,9 +695,9 @@ def _strip_fast_factors(n: int) -> int:
 def test_import_leaves_package_metadata_unloaded(tmp_path):
     # the version is looked up when the first dataset is written, and the
     # worker thread is built on the first step that hands it work: each
-    # import would add 8-20 ms to every run.  A gate drive's chunks (at most
-    # 4 packets x 2 x 1801 x 16 bytes) stay below the split transform's
-    # size, so the gate experiments never start the worker
+    # import would add 8-20 ms to every run.  At delta 200 a gate drive's
+    # chunks (at most 4 packets x 2 x 1801 x 16 bytes) stay below the split
+    # transform's size, so the gate experiments do not start the worker
     src = str(Path(cli.__file__).parents[1])
     code = (
         "import sys, freqwalk.cli, freqwalk as fw\n"

@@ -557,7 +557,7 @@ class TestDirectWindow:
         expected, leak = whole_lattice_direct(state, taps, params.theta)
 
         out = np.empty_like(state.amp)
-        assert engine._convolve_direct(state.amp, taps, params.theta, out) == pytest.approx(
+        assert engine._convolve_direct(state.amp, taps, params.theta, out, True) == pytest.approx(
             leak, abs=1e-15)
         assert np.array_equal(out, expected)
 
@@ -613,13 +613,14 @@ class TestDirectRows:
         j = bessel_j_sequence(lmax, gamma)
         taps = np.array([engine._build_kernel(gamma, phi, j).coeffs for phi in phis])
         expected, leak = one_thread_direct(state, taps, theta)
-        out = np.empty_like(state.amp)
-        assert engine._convolve_direct(state.amp, taps, theta, out) == leak
-        assert np.array_equal(out, expected)
-        # in place, as the walk runs it: the window is copied before `out` is written
-        amp = state.amp.copy()
-        assert engine._convolve_direct(amp, taps, theta, amp) == leak
-        assert np.array_equal(amp, expected)
+        for split in (True, False):
+            out = np.empty_like(state.amp)
+            assert engine._convolve_direct(state.amp, taps, theta, out, split) == leak
+            assert np.array_equal(out, expected)
+            # in place, as the walk runs it: the window is copied before `out` is written
+            amp = state.amp.copy()
+            assert engine._convolve_direct(amp, taps, theta, amp, split) == leak
+            assert np.array_equal(amp, expected)
 
     def test_callers_on_many_threads_get_their_own_rows(self):
         # every caller shares the one worker; a V row handed to the wrong
@@ -635,7 +636,7 @@ class TestDirectRows:
         def run(gamma, state, taps, expected):
             out = np.empty_like(state.amp)
             for _ in range(30):
-                engine._convolve_direct(state.amp, taps, 0.4, out)
+                engine._convolve_direct(state.amp, taps, 0.4, out, True)
                 if not np.array_equal(out, expected):
                     mismatches.append(gamma)
 
@@ -828,8 +829,8 @@ class TestChunkedWalk:
         for cpus, halves in ((1, [14]), (2, [7, 7])):
             chunks, calls = [], []  # roundtrips per chunk, rows per FFT call
             monkeypatch.setattr(engine, "_cpus", lambda: cpus)
-            monkeypatch.setattr(engine, "_fft_rows",
-                                lambda chunk: chunks.append(len(chunk)) or fft_rows(chunk))
+            monkeypatch.setattr(engine, "_fft_rows", lambda chunk, split: (
+                chunks.append(len(chunk)) or fft_rows(chunk, split)))
             monkeypatch.setattr(
                 np.fft, "fft", lambda a, **kw: calls.append(a.size // a.shape[-1]) or fft(a, **kw))
             traj = fw.evolve(s, params, n_steps=100)
@@ -897,10 +898,9 @@ class TestSplitTransform:
         expected = np.fft.fft(chunk, axis=-1)
         pool = _CountedPool()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_cpus", lambda: 2)
             mp.setattr(engine, "_CHUNK_BYTES", 0)  # every chunk is split
             mp.setattr(engine, "_row_pool", pool)
-            engine._fft_rows(chunk)
+            engine._fft_rows(chunk, True)
         assert pool.tasks == 1
         assert np.array_equal(chunk, expected)
 
@@ -908,7 +908,6 @@ class TestSplitTransform:
         # every caller shares the one worker, and takes its half back when
         # another caller's half holds the worker; a half transformed twice,
         # or not at all, breaks the bits of some caller
-        monkeypatch.setattr(engine, "_cpus", lambda: 2)
         monkeypatch.setattr(engine, "_CHUNK_BYTES", 0)  # every chunk is split
         rng = np.random.default_rng(5)
         cases = [rng.normal(size=(rows, 1801)) + 1j * rng.normal(size=(rows, 1801))
@@ -919,7 +918,7 @@ class TestSplitTransform:
             expected = np.fft.fft(chunk, axis=-1)
             for _ in range(30):
                 out = chunk.copy()
-                engine._fft_rows(out)
+                engine._fft_rows(out, True)
                 if not np.array_equal(out, expected):
                     mismatches.append(i)
 
@@ -967,6 +966,18 @@ class TestSplitTransform:
         assert counted_pool.tasks == (3 + 9 if cpus == 2 else 0)
         monkeypatch.setattr(engine, "_cpus", lambda: 3 - cpus)
         assert [monitored_bytes(states, schedules, name) for name in engine.ENGINES] == walks
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_cpus_is_read_once_a_walk(self, monkeypatch):
+        # not once a roundtrip or a chunk: 40 roundtrips, 6 spectral chunks
+        cfg = fw.LatticeConfig(1050)
+        reads = []
+        monkeypatch.setattr(engine, "_cpus", lambda: reads.append(1) or 2)
+        for name in engine.ENGINES:
+            walk = engine._chunks([fw.make_single_site(0, P.H, cfg)],
+                                  [[fw.ModulationParams(gamma=1.0, theta=0.3)] * 40], name)
+            assert sum(1 for _ in walk) == (40 if name == "direct" else 6)
+        assert len(reads) == 2
 
 
 class TestChunkReadouts:
