@@ -8,17 +8,17 @@ steps and transforms back for the boundary monitor and the recorders, a
 chunk of roundtrips at a time (`_CHUNK_BYTES`); walks that share a
 lattice run in lockstep (`_chunks`), one chunk for all of them.  A chunk
 is one FFT call, or, on 2 or more CPUs and from half the chunk budget
-up, two calls over half its rows each, one of them on a worker thread
-(`_fft_rows`).  No read-out feeds back into the q-space amplitudes, and
-pocketfft gives each row the bits it gives that row alone, so neither
-the chunking nor the split changes a bit.  `direct` rotates in position
-space and convolves with the truncated Bessel kernel
-c_l = i^l J_l(Gamma) e^{i l phi} (open boundary, amplitudes pushed past
-the edge are dropped and the leak reported); on 2 or more CPUs it
-convolves the V row on the worker thread while the caller convolves the
-H row, each row the same `np.convolve` call as alone, so the bits do not
-depend on the threads.  Neither engine hands the worker work on one CPU
-(`_cpus`).  The two share no numerics and cross-validate each other.
+up, two calls over half its rows each (`_fft_rows`).  No read-out feeds
+back into the q-space amplitudes, and pocketfft gives each row the bits
+it gives that row alone, so neither the chunking nor the split changes a
+bit.  `direct` rotates in position space and convolves with the
+truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary,
+amplitudes pushed past the edge are dropped and the leak reported), its
+H and V rows each the same `np.convolve` call as alone, so the bits do
+not depend on the threads.  On 2 or more CPUs (`_cpus`) both engines
+hand the second of their two calls to a worker thread, through one
+function, `_halves`.  The two share no numerics and cross-validate each
+other.
 
 Both engines hand out the walk the same way: `_chunks` refills one
 complex128 chunk buffer, allocated once, and yields read-only views of
@@ -232,16 +232,29 @@ def _cpus() -> int:
 
 @functools.cache
 def _row_pool():
-    """The one worker thread of `_convolve_direct` and `_fft_rows` (numpy's
-    correlate loop and pocketfft release the GIL).  Built on the first
-    step that hands it work, so importing freqwalk does not import
-    concurrent.futures; a forked child builds its own."""
+    """The one worker thread of `_halves` (numpy's correlate loop and
+    pocketfft release the GIL).  Built on the first step that hands it
+    work, so importing freqwalk does not import concurrent.futures; a
+    forked child builds its own."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(1, thread_name_prefix="freqwalk-rows")
 
 
 os.register_at_fork(after_in_child=_row_pool.cache_clear)
+
+
+def _halves(task, split: bool) -> tuple:
+    """(task(0), task(1)), the one hand-over to the worker thread: with
+    `split` (the walk runs on 2 or more CPUs), task(1) runs on the
+    `_row_pool` thread while this thread runs task(0), and is taken back
+    and run here if the worker has not started it by then (its CPU is
+    busy, or another caller holds it).  Without `split` both run here."""
+    if not split:
+        return task(0), task(1)
+    worker = _row_pool().submit(task, 1)
+    first = task(0)
+    return first, task(1) if worker.cancel() else worker.result()
 
 
 def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.ndarray,
@@ -256,10 +269,9 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     whole lattice, so the result does not depend on the window (up to the
     sign of zero); the cost scales with the occupied sites, not with N.
     The window is rotated into a copy before `out` is written, so `out` may
-    be `amp` itself.  With `split` (the walk runs on 2 or more CPUs) the V
-    row is convolved on the `_row_pool` thread while this thread convolves
-    the H row, without it after the H row here; the warnings, the copy into
-    `out` and the leak sum (H row first) stay in this thread.
+    be `amp` itself.  The H and V rows are the two `_halves` of `split`;
+    the warnings, the copy into `out` and the leak sum (H row first) stay
+    in this thread.
     """
     edge = float(_boundary_masses(amp))
     if edge > 1e-9:
@@ -275,11 +287,7 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     pad = 2 * lmax
     a = max(0, first - pad)
     window = _rotate(amp[:, a : last + pad + 1], theta)
-    if split:
-        v_row = _row_pool().submit(np.convolve, window[1], taps[1], "full")
-        fulls = (np.convolve(window[0], taps[0], "full"), v_row.result())
-    else:
-        fulls = tuple(np.convolve(row, t, "full") for row, t in zip(window, taps))
+    fulls = _halves(lambda p: np.convolve(window[p], taps[p], "full"), split)
     start = a - lmax  # the site of full[0]
     lo, hi = max(0, start), min(n, start + fulls[0].size)
     out[:, :lo] = 0
@@ -412,29 +420,20 @@ def _fft_rows(chunk: np.ndarray, split: bool) -> None:
     place (numpy >= 2.0).
 
     With `split` (the walk runs on 2 or more CPUs), a chunk of at least
-    `_CHUNK_BYTES // 2` bytes is split in two halves of rows: the
-    `_row_pool` thread transforms the back half while this thread
-    transforms the front half, and this returns when both are done.  If
-    the worker has not started on its half by then (its CPU is busy, or
-    another caller holds it), that half is taken back and transformed
-    here.  pocketfft gives each row the bits it gives that row alone, so
-    the split does not change a bit.  Smaller chunks are one call: there
-    the hand-over costs more than the second thread gains.  A gate drive
-    transforms one roundtrip of at most 4 packets, 128 N bytes, so it is
-    split only from N = 2049, that is from delta > 227.33 (N = 1801 at the
-    default delta 200).
+    `_CHUNK_BYTES // 2` bytes is transformed as two `_halves` of its rows,
+    the front and the back.  pocketfft gives each row the bits it gives
+    that row alone, so the split does not change a bit.  Smaller chunks
+    are one call: there the hand-over costs more than the second thread
+    gains.  A gate drive transforms one roundtrip of at most 4 packets,
+    128 N bytes, so it is split only from N = 2049, that is from
+    delta > 227.33 (N = 1801 at the default delta 200).
     """
     rows = chunk.reshape(-1, chunk.shape[-1])  # a view: the chunk is contiguous
     if not split or chunk.nbytes < _CHUNK_BYTES // 2:
         np.fft.fft(rows, axis=-1, out=rows)
         return
-    front, back = np.split(rows, [len(rows) // 2])
-    worker = _row_pool().submit(np.fft.fft, back, axis=-1, out=back)
-    np.fft.fft(front, axis=-1, out=front)
-    if worker.cancel():
-        np.fft.fft(back, axis=-1, out=back)
-    else:
-        worker.result()
+    parts = np.split(rows, [len(rows) // 2])
+    _halves(lambda h: np.fft.fft(parts[h], axis=-1, out=parts[h]), True)
 
 
 def _check_finite(chunk: np.ndarray) -> None:

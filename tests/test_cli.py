@@ -631,6 +631,23 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
     assert peak < 2_000_000
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and 2 or more allowed CPUs")
+def test_direct_evolve_bytes_on_one_cpu_and_on_all(tmp_path):
+    # on 2 or more CPUs the direct engine convolves its V rows on the worker
+    # thread, on one CPU the caller convolves both rows; the bytes must be
+    # the same (20 roundtrips of 253 taps a row at N = 6001)
+    src = str(Path(cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "freqwalk.cli", "evolve", "--gamma", "30pi", "--steps", "20",
+            "--half-width", "3000", "--engine", "direct", "--out"]
+    env = dict(os.environ, PYTHONPATH=src)
+    first_cpu = min(os.sched_getaffinity(0))
+    for out, pin in (("one.csv", lambda: os.sched_setaffinity(0, {first_cpu})), ("all.csv", None)):
+        subprocess.run([*argv, out], cwd=tmp_path, env=env, preexec_fn=pin, check=True,
+                       timeout=120)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
+
+
 def _echoed_config(path) -> dict:
     return json.loads(path.read_text().splitlines()[1].removeprefix("# config="))
 

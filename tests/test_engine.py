@@ -883,6 +883,95 @@ def counted_pool(monkeypatch):
     return pool
 
 
+def walk_past_a_held_worker(engine_name, monkeypatch):
+    """A 30-roundtrip walk on two CPUs while another task holds the worker
+    thread for 5 s must end before the hold does, with the bits of the walk
+    on one CPU.  The hold is short so that a walk that waits for the worker
+    fails rather than hangs."""
+    cfg = fw.LatticeConfig(1050)
+    params = fw.ModulationParams(gamma=3 * np.pi, **FIG2)
+    states, schedules = [fw.make_single_site(0, P.H, cfg)], [[params] * 30]
+    monkeypatch.setattr(engine, "_cpus", lambda: 1)
+    expected = monitored_bytes(states, schedules, engine_name)
+    monkeypatch.setattr(engine, "_cpus", lambda: 2)
+    release = threading.Event()
+    held = engine._row_pool().submit(release.wait, 5)
+    try:
+        assert monitored_bytes(states, schedules, engine_name) == expected
+        assert not held.done()  # the walk did not wait for the held worker
+    finally:
+        release.set()
+    assert held.result(timeout=60)
+
+
+def recording_task(calls):
+    """A task for `_halves` that appends (h, the ident of its thread) to
+    `calls` and returns 10 h."""
+
+    def task(h):
+        calls.append((h, threading.get_ident()))
+        return 10 * h
+
+    return task
+
+
+class TestHalves:
+    """`_halves` runs task(0) in the calling thread and task(1) on the
+    worker thread, or in the calling thread if the worker has not started
+    it."""
+
+    def test_without_split_hands_nothing_over(self, counted_pool):
+        calls = []
+        assert engine._halves(recording_task(calls), False) == (0, 10)
+        me = threading.get_ident()
+        assert calls == [(0, me), (1, me)]
+        assert counted_pool.tasks == 0
+
+    def test_worker_runs_the_second_task(self, counted_pool):
+        # task(0) waits until the worker has started task(1): it cannot be taken back
+        started, idents = threading.Event(), {}
+
+        def task(h):
+            idents[h] = threading.get_ident()
+            if h:
+                started.set()
+            else:
+                assert started.wait(30)
+            return 10 * h
+
+        assert engine._halves(task, True) == (0, 10)
+        assert idents[0] == threading.get_ident() != idents[1]
+        assert counted_pool.tasks == 1
+
+    def test_worker_exception_reaches_the_caller(self):
+        started, idents = threading.Event(), {}
+
+        def task(h):
+            idents[h] = threading.get_ident()
+            if not h:
+                assert started.wait(30)
+                return 0
+            started.set()
+            raise ValueError("raised on the worker")
+
+        with pytest.raises(ValueError, match="raised on the worker"):
+            engine._halves(task, True)
+        assert idents[0] == threading.get_ident() != idents[1]
+
+    def test_held_worker_second_task_runs_once_here(self):
+        calls, release = [], threading.Event()
+        held = engine._row_pool().submit(release.wait, 30)
+        try:
+            assert engine._halves(recording_task(calls), True) == (0, 10)
+            assert not held.done()
+        finally:
+            release.set()
+        assert held.result(timeout=60)
+        engine._row_pool().submit(int).result(timeout=60)  # the worker has run its queue
+        me = threading.get_ident()
+        assert calls == [(0, me), (1, me)]
+
+
 class TestSplitTransform:
     """On 2 or more CPUs a large chunk's rows are transformed in two
     halves, one on the worker thread, with the bits of one FFT call."""
@@ -938,20 +1027,11 @@ class TestSplitTransform:
     def test_walk_with_a_held_worker_keeps_its_bits(self, monkeypatch):
         # the worker cannot start the back halves, so this thread takes them
         # back; without that the walk would wait for the worker's task
-        cfg = fw.LatticeConfig(1050)
-        params = fw.ModulationParams(gamma=3 * np.pi, **FIG2)
-        states, schedules = [fw.make_single_site(0, P.H, cfg)], [[params] * 30]
-        monkeypatch.setattr(engine, "_cpus", lambda: 1)
-        expected = monitored_bytes(states, schedules, "spectral")
-        monkeypatch.setattr(engine, "_cpus", lambda: 2)
-        release = threading.Event()
-        held = engine._row_pool().submit(release.wait, 60)
-        try:
-            assert monitored_bytes(states, schedules, "spectral") == expected
-            assert not held.done()  # the walk did not wait for the held worker
-        finally:
-            release.set()
-        assert held.result(timeout=60)
+        walk_past_a_held_worker("spectral", monkeypatch)
+
+    def test_direct_walk_with_a_held_worker_keeps_its_bits(self, monkeypatch):
+        # the same for the V rows of the direct engine
+        walk_past_a_held_worker("direct", monkeypatch)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("cpus", [1, 2])

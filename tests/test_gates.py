@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk.gates import sequence_matrix
+from freqwalk.twoqubit import reconstruct_4x4
 
 SQ2 = 1 / np.sqrt(2)
 TARGETS = {
@@ -242,3 +245,43 @@ class TestStatePreparation:
     def test_published_targets(self, phi1, phi2):
         _, fid = fw.run_preparation(phi1, phi2)
         assert fid >= 0.999
+
+
+# delta = (c - 0.5) / 4.5 puts the packets on a lattice of half_width
+# ceil(4.5 delta) = c, N = 2c + 1 sites; with c = 1 (mod 3), 3 divides N and
+# q* = 2 pi / 3 falls on the FFT bin N / 3
+ON_BIN_HALF_WIDTHS = st.integers(30, 133).map(lambda j: 3 * j + 1)  # c = 91 .. 400
+
+
+def on_bin_delta(c):
+    delta = (c - 0.5) / 4.5
+    assert math.ceil(4.5 * delta) == c and (2 * c + 1) % 3 == 0
+    return delta
+
+
+class TestSpectralExactness:
+    """With q* on an FFT bin, the spectral engine applies the roundtrip
+    block at q* exactly: every reconstructed entry is the analytic target
+    to rounding.  The direct engine is not held to this: its error is the
+    packet's cut at 4.5 delta."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=gate_specs(), c=ON_BIN_HALF_WIDTHS)
+    def test_gate_columns(self, spec, c):
+        report = fw.reconstruct_matrix(fw.solve_modulation(spec), delta=on_bin_delta(c))
+        assert np.max(np.abs(report.reconstructed - spec.target)) < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(phi1=ANGLES, phi2=ANGLES, c=ON_BIN_HALF_WIDTHS)
+    def test_preparation(self, phi1, phi2, c):
+        psi, _ = fw.run_preparation(phi1, phi2, delta=on_bin_delta(c))
+        target = fw.qubit_state(phi1, phi2)
+        phase = np.vdot(target, psi)  # the global phase of the read-out
+        assert abs(abs(phase) - 1) < 1e-14
+        assert np.max(np.abs(psi - phase * target)) < 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(st.sampled_from(["cnot", "path_x"]), max_size=5),
+           c=ON_BIN_HALF_WIDTHS)
+    def test_two_qubit_sequences(self, ops, c):
+        assert reconstruct_4x4(ops, delta=on_bin_delta(c)).max_abs_error < 1e-14
