@@ -637,14 +637,20 @@ def test_direct_evolve_bytes_on_one_cpu_and_on_all(tmp_path):
     # on 2 or more CPUs the direct engine convolves its V rows on the worker
     # thread, on one CPU the caller convolves both rows; the bytes must be
     # the same (20 roundtrips of 253 taps a row at N = 6001)
+    # The child pins itself (its first argument: a CPU, or "" for all) and
+    # then runs the CLI as -m would; a preexec_fn would run Python between
+    # fork and exec of this process, which has threads.
+    launch = ("import os, runpy, sys; cpu = sys.argv.pop(1); "
+              "cpu and os.sched_setaffinity(0, {int(cpu)}); "
+              "runpy.run_module('freqwalk.cli', run_name='__main__', alter_sys=True)")
     src = str(Path(cli.__file__).parents[1])
-    argv = [sys.executable, "-m", "freqwalk.cli", "evolve", "--gamma", "30pi", "--steps", "20",
-            "--half-width", "3000", "--engine", "direct", "--out"]
+    argv = ["evolve", "--gamma", "30pi", "--steps", "20", "--half-width", "3000",
+            "--engine", "direct", "--out"]
     env = dict(os.environ, PYTHONPATH=src)
-    first_cpu = min(os.sched_getaffinity(0))
-    for out, pin in (("one.csv", lambda: os.sched_setaffinity(0, {first_cpu})), ("all.csv", None)):
-        subprocess.run([*argv, out], cwd=tmp_path, env=env, preexec_fn=pin, check=True,
-                       timeout=120)
+    first_cpu = str(min(os.sched_getaffinity(0)))
+    for out, cpu in (("one.csv", first_cpu), ("all.csv", "")):
+        subprocess.run([sys.executable, "-c", launch, cpu, *argv, out], cwd=tmp_path, env=env,
+                       check=True, timeout=120)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
 
 
