@@ -16,9 +16,10 @@ truncated Bessel kernel c_l = i^l J_l(Gamma) e^{i l phi} (open boundary,
 amplitudes pushed past the edge are dropped and the leak reported), its
 H and V rows each the same `np.convolve` call as alone, so the bits do
 not depend on the threads.  On 2 or more CPUs (`_cpus`) both engines
-hand the second of their two calls to a worker thread, through one
-function, `_halves`.  The two share no numerics and cross-validate each
-other.
+hand the second of their two calls to one daemon worker thread
+(`_row_pool`), through one function, `_halves`, which takes back a call
+the worker has not started and never leaves while the worker runs one.
+The two share no numerics and cross-validate each other.
 
 Both engines hand out the walk the same way: `_chunks` refills one
 complex128 chunk buffer, allocated once, and yields read-only views of
@@ -233,12 +234,12 @@ def _cpus() -> int:
 @functools.cache
 def _row_pool():
     """The one worker thread of `_halves` (numpy's correlate loop and
-    pocketfft release the GIL).  Built on the first step that hands it
-    work, so importing freqwalk does not import concurrent.futures; a
+    pocketfft release the GIL), a `_worker.Worker`.  Built on the first
+    step that hands it work, so importing freqwalk starts no thread; a
     forked child builds its own."""
-    from concurrent.futures import ThreadPoolExecutor
+    from ._worker import Worker  # compiled and loaded for this alone
 
-    return ThreadPoolExecutor(1, thread_name_prefix="freqwalk-rows")
+    return Worker()
 
 
 os.register_at_fork(after_in_child=_row_pool.cache_clear)
@@ -249,12 +250,20 @@ def _halves(task, split: bool) -> tuple:
     `split` (the walk runs on 2 or more CPUs), task(1) runs on the
     `_row_pool` thread while this thread runs task(0), and is taken back
     and run here if the worker has not started it by then (its CPU is
-    busy, or another caller holds it).  Without `split` both run here."""
+    busy, or another caller holds it); a task taken back frees its
+    operands at once.  Without `split` both run here.  This function
+    never returns or raises while the worker still runs task(1), which
+    may write into the caller's buffers."""
     if not split:
         return task(0), task(1)
-    worker = _row_pool().submit(task, 1)
-    first = task(0)
-    return first, task(1) if worker.cancel() else worker.result()
+    second = _row_pool().submit(task, 1)
+    try:
+        first = task(0)
+    finally:
+        taken = second.cancel()
+        if not taken:
+            second.wait()
+    return first, task(1) if taken else second.result()
 
 
 def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.ndarray,

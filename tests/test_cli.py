@@ -633,10 +633,19 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs os.sched_setaffinity and 2 or more allowed CPUs")
-def test_direct_evolve_bytes_on_one_cpu_and_on_all(tmp_path):
+@pytest.mark.parametrize("argv", [
+    # 20 roundtrips of 253 taps a row at N = 6001: the V rows go to the worker
+    ["evolve", "--gamma", "30pi", "--steps", "20", "--half-width", "3000", "--engine", "direct"],
+    # README diffusion: N = 5001, three walks in lockstep, 480,096-byte chunks
+    ["diffusion", "--gamma", "0.06pi,1pi,3pi", "--steps", "100", "--half-width", "2500"],
+    # the benchmark lattice: N = 2101, 7 roundtrips and 470,624 bytes a chunk
+    ["diffusion", "--gamma", "3pi", "--steps", "100", "--half-width", "1050"],
+], ids=["direct-evolve", "readme-diffusion", "bench-lattice"])
+def test_walk_bytes_on_one_cpu_and_on_all(argv, tmp_path):
     # on 2 or more CPUs the direct engine convolves its V rows on the worker
-    # thread, on one CPU the caller convolves both rows; the bytes must be
-    # the same (20 roundtrips of 253 taps a row at N = 6001)
+    # thread and the spectral engine transforms the back half of each chunk
+    # of at least 256 KiB there; on one CPU the caller does it all, and the
+    # bytes must be the same.
     # The child pins itself (its first argument: a CPU, or "" for all) and
     # then runs the CLI as -m would; a preexec_fn would run Python between
     # fork and exec of this process, which has threads.
@@ -644,13 +653,11 @@ def test_direct_evolve_bytes_on_one_cpu_and_on_all(tmp_path):
               "cpu and os.sched_setaffinity(0, {int(cpu)}); "
               "runpy.run_module('freqwalk.cli', run_name='__main__', alter_sys=True)")
     src = str(Path(cli.__file__).parents[1])
-    argv = ["evolve", "--gamma", "30pi", "--steps", "20", "--half-width", "3000",
-            "--engine", "direct", "--out"]
     env = dict(os.environ, PYTHONPATH=src)
     first_cpu = str(min(os.sched_getaffinity(0)))
     for out, cpu in (("one.csv", first_cpu), ("all.csv", "")):
-        subprocess.run([sys.executable, "-c", launch, cpu, *argv, out], cwd=tmp_path, env=env,
-                       check=True, timeout=120)
+        subprocess.run([sys.executable, "-c", launch, cpu, *argv, "--out", out], cwd=tmp_path,
+                       env=env, check=True, timeout=120)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
 
 
@@ -720,23 +727,32 @@ def test_import_leaves_package_metadata_unloaded(tmp_path):
     # worker thread is built on the first step that hands it work: each
     # import would add 8-20 ms to every run.  At delta 200 a gate drive's
     # chunks (at most 4 packets x 2 x 1801 x 16 bytes) stay below the split
-    # transform's size, so the gate experiments do not start the worker
+    # transform's size, so the gate experiments do not start the worker.
+    # Once a walk splits (N = 2101 on 2 CPUs: 470,624-byte spectral chunks,
+    # and every direct step), the worker runs, and it is a thread of the
+    # package's own: concurrent.futures would also load logging
     src = str(Path(cli.__file__).parents[1])
     code = (
-        "import sys, freqwalk.cli, freqwalk as fw\n"
-        "print('importlib.metadata' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "import sys, threading, freqwalk.cli, freqwalk as fw\n"
+        "print('importlib.metadata' in sys.modules, 'queue' in sys.modules)\n"
         "s = fw.make_single_site(0, fw.Polarization.H, fw.LatticeConfig(10))\n"
         "fw.step(s, fw.ModulationParams(gamma=1.0))\n"
         "fw.reconstruct_4x4(['path_x', 'cnot', 'path_x'], delta=200)\n"
         "for argv in (['gate', '--gate-name', 'H', '--delta', '200'],\n"
         "             ['prepare', '--phi1', '0.75pi', '--phi2', '0.25pi'], ['cnot']):\n"
         "    assert freqwalk.cli.main([*argv, '--out', 'report.json']) == 0\n"
-        "print('concurrent.futures' in sys.modules)\n"
+        "print('queue' in sys.modules, threading.active_count())\n"
+        "fw.engine._cpus = lambda: 2\n"
+        "s = fw.make_single_site(0, fw.Polarization.H, fw.LatticeConfig(1050))\n"
+        "for engine in ('spectral', 'direct'):\n"
+        "    fw.evolve(s, fw.ModulationParams(gamma=3.0), 14, engine=engine)\n"
+        "print([t.name for t in threading.enumerate()][1:],\n"
+        "      'concurrent.futures' in sys.modules, 'logging' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, cwd=tmp_path, check=True)
-    assert out.stdout == "False False\nFalse\n"
+    assert out.stdout == "False False\nFalse 1\n['freqwalk-rows'] False False\n"
 
 
 class TestDiffusionCommand:

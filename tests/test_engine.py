@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -958,6 +959,24 @@ class TestHalves:
             engine._halves(task, True)
         assert idents[0] == threading.get_ident() != idents[1]
 
+    def test_caller_exception_waits_for_the_second_task(self):
+        # task(1) may write into the caller's buffers, so `_halves` must not
+        # raise task(0)'s exception while the worker still runs task(1)
+        started, release, finished = threading.Event(), threading.Event(), threading.Event()
+
+        def task(h):
+            if h:
+                started.set()
+                release.wait(0.5)  # nothing sets it: the worker is busy for 0.5 s
+                finished.set()
+                return 10
+            assert started.wait(30)
+            raise ValueError("raised in the caller")
+
+        with pytest.raises(ValueError, match="raised in the caller"):
+            engine._halves(task, True)
+        assert finished.is_set()
+
     def test_held_worker_second_task_runs_once_here(self):
         calls, release = [], threading.Event()
         held = engine._row_pool().submit(release.wait, 30)
@@ -1032,6 +1051,35 @@ class TestSplitTransform:
     def test_direct_walk_with_a_held_worker_keeps_its_bits(self, monkeypatch):
         # the same for the V rows of the direct engine
         walk_past_a_held_worker("direct", monkeypatch)
+
+    def test_taken_back_rows_free_their_operands(self, monkeypatch):
+        # with the worker held, every V row is taken back; a taken-back task
+        # that kept its rotated window until the worker dequeued it would
+        # grow the walk's memory step by step (20 steps at Gamma = 30pi)
+        cfg = fw.LatticeConfig(3000)
+        states = [fw.make_single_site(0, P.H, cfg)]
+        schedules = [[fw.ModulationParams(gamma=30 * np.pi)] * 20]
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                for _ in engine._chunks(states, schedules, "direct"):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(engine, "_cpus", lambda: 1)
+        alone = peak()  # also builds the taps
+        monkeypatch.setattr(engine, "_cpus", lambda: 2)
+        release = threading.Event()
+        held = engine._row_pool().submit(release.wait, 30)
+        try:
+            assert peak() < 1.5 * alone
+            assert not held.done()
+        finally:
+            release.set()
+        assert held.result(timeout=60)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("cpus", [1, 2])

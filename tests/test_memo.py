@@ -166,7 +166,7 @@ def test_tables_are_read_only(memo, args):
 
 def test_every_memo_is_tested():
     # a memo missing from MEMOS would escape the cold and warm bit tests;
-    # `_row_pool` holds the direct engine's worker thread, not a table
+    # `_row_pool` holds the worker thread that both engines hand work to, not a table
     modules = [fw] + [importlib.import_module(f"freqwalk.{m.name}")
                       for m in pkgutil.iter_modules(fw.__path__)]
     memos = {value for module in modules for value in vars(module).values()
