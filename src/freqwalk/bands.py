@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ModulationParams, uk_matrix
-from .errors import ConfigurationError, check_integer, check_name, check_number
+from .errors import ConfigurationError, check_fits, check_integer, check_name, check_number
 
 BRANCHES = ("+", "-")
 
@@ -128,6 +128,7 @@ def band_grid(params: ModulationParams, n_k: int) -> BandGrid:
     cumulative XOR of those decisions up to it is set.
     """
     n_k = check_integer("n_k", n_k, 16)
+    check_fits(f"n_k {n_k} too large: its (n_k, 2, 2) complex spinors", 64 * n_k)
     qs = -np.pi + 2 * np.pi * np.arange(n_k) / n_k
     vals, spinors = _eig_sorted(params, qs)
     prev, plus, minus = spinors[:-1, 0].conj(), spinors[1:, 0], spinors[1:, 1]

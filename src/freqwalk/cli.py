@@ -416,6 +416,8 @@ def run_diffusion(cfg: dict):
     each Gamma's walk from |0, H>, all Gammas walked in lockstep: a
     boundary abort names the first step at which any of them leaks."""
     n = cfg["steps"]
+    # its step, model and M columns: 8 bytes each a row, n rows a curve
+    check_fits(f"steps {n} too large: its table of M(n)", 24 * n * (2 + len(cfg["gamma"])))
     curves = [
         # M(n) = sqrt(n) exactly for the unbiased classical walk; the
         # binomial baseline (baselines.classical_walk_distribution) is

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import signal
 import stat
 import subprocess
@@ -240,11 +241,11 @@ class TestOversizedInputs:
 
 
 class TestMemoryRefusal:
-    """A walk whose kernel search or amplitudes, or a gate run whose
-    packets, would not fit in physical memory is refused before any Bessel
-    work or packet: the derived lattice by the closed-form bound on the
-    kernel reach.  The host here has 1 MB, set by hand, so the refusals
-    hold on any machine."""
+    """A walk whose kernel search or amplitudes, a diffusion table, a band
+    grid, or a gate run whose packets, would not fit in physical memory is
+    refused before any Bessel work, array or packet: the derived lattice by
+    the closed-form bound on the kernel reach.  The host here has 1 MB, set
+    by hand, so the refusals hold on any machine."""
 
     @pytest.fixture(autouse=True)
     def small_host(self, monkeypatch):
@@ -274,7 +275,12 @@ class TestMemoryRefusal:
          *[(argv + ["--delta", "10000"],
             "delta 10000 too large: its lattice (half_width 4.5 delta)")
            for argv in (["gate", "--gate-name", "X"],
-                        ["prepare", "--phi1", "0", "--phi2", "0"], ["cnot"])]],
+                        ["prepare", "--phi1", "0", "--phi2", "0"], ["cnot"])],
+         # 3 curves of 10^11 rows; the walk of 21 sites fits
+         (["diffusion", "--gamma", "0", "--steps", "100000000000", "--half-width", "10"],
+          "steps 100000000000 too large: its table of M(n)"),
+         (["band", "--gamma", "1", "--n-k", "100000000000"],
+          "n_k 100000000000 too large: its (n_k, 2, 2) complex spinors")],
     )
     def test_refused_with_one_error_line(self, argv, head, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -640,12 +646,17 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
     ["diffusion", "--gamma", "0.06pi,1pi,3pi", "--steps", "100", "--half-width", "2500"],
     # the benchmark lattice: N = 2101, 7 roundtrips and 470,624 bytes a chunk
     ["diffusion", "--gamma", "3pi", "--steps", "100", "--half-width", "1050"],
-], ids=["direct-evolve", "readme-diffusion", "bench-lattice"])
+    # README evolve: 3001 P(m) cells a block, every other block to the helper
+    ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"],
+    ["evolve", "--gamma", "3pi", "--steps", "20", "--half-width", "1500", "--format", "json"],
+], ids=["direct-evolve", "readme-diffusion", "bench-lattice", "readme-evolve-csv",
+        "readme-evolve-json"])
 def test_walk_bytes_on_one_cpu_and_on_all(argv, tmp_path):
     # on 2 or more CPUs the direct engine convolves its V rows on the worker
-    # thread and the spectral engine transforms the back half of each chunk
-    # of at least 256 KiB there; on one CPU the caller does it all, and the
-    # bytes must be the same.
+    # thread, the spectral engine transforms the back half of each chunk of
+    # at least 256 KiB there, and a helper process forked from the writer
+    # formats every other large block of rows; on one CPU the caller and
+    # the writer do it all, and the bytes must be the same.
     # The child pins itself (its first argument: a CPU, or "" for all) and
     # then runs the CLI as -m would; a preexec_fn would run Python between
     # fork and exec of this process, which has threads.
@@ -1210,6 +1221,23 @@ class TestFormattingHelper:
 
     def test_helper_that_exits_is_an_io_error(self, forks, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(_helper, "serve", lambda jobs, texts: os._exit(0))
+        assert main(_README_EVOLVE + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert len(forks) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] the row formatting process exited\n"
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
+
+    def test_helper_that_exits_mid_text_is_an_io_error(self, forks, tmp_path, monkeypatch,
+                                                        capsys):
+        # the helper takes its first job and sends the first bytes of a text
+        def cut_short(jobs, texts):
+            try:
+                pickle.load(open(jobs, "rb"))
+                os.write(texts, pickle.dumps("x" * 100_000, pickle.HIGHEST_PROTOCOL)[:1000])
+            finally:
+                os._exit(0)
+
+        monkeypatch.setattr(_helper, "serve", cut_short)
         assert main(_README_EVOLVE + ["--out", str(tmp_path / "x.csv")]) == 2
         assert len(forks) == 1
         assert capsys.readouterr().err == "error: [Errno 32] the row formatting process exited\n"
