@@ -85,34 +85,40 @@ def _swap_branches(vals: np.ndarray, spinors: np.ndarray, swap: np.ndarray):
     )
 
 
-def _band_points(qs: np.ndarray, vals: np.ndarray, spinors: np.ndarray) -> list:
+@dataclass(frozen=True)
+class BandGrid:
+    """Both branches of the band at each q of `q` (n_k,), as columns:
+    `eps` and `nz` (n_k, 2) are the quasienergies and polarization
+    projections, `spinors` (n_k, 2, 2) the eigen-spinors, and index 0
+    is branch + in each.  `points` builds one `BandPoint` per q."""
+
+    params: ModulationParams
+    q: np.ndarray
+    eps: np.ndarray
+    nz: np.ndarray
+    spinors: np.ndarray
+
+    @property
+    def points(self) -> list[BandPoint]:
+        rows = zip(self.q.tolist(), self.eps.tolist(), self.nz.tolist(), self.spinors)
+        return [BandPoint(q, e[0], e[1], n[0], n[1], s[0], s[1]) for q, e, n, s in rows]
+
+    def branch(self, sign: str) -> np.ndarray:
+        return self.eps[:, BRANCHES.index(check_name("sign", sign, BRANCHES))]
+
+
+def _grid(params: ModulationParams, qs: np.ndarray, vals: np.ndarray,
+          spinors: np.ndarray) -> BandGrid:
     eps = fold_quasienergy(np.angle(vals) / (2 * np.pi) * -1.0)
     nz = np.abs(spinors[..., 0]) ** 2 - np.abs(spinors[..., 1]) ** 2
-    return [
-        BandPoint(q, e[0], e[1], n[0], n[1], s[0], s[1])
-        for q, e, n, s in zip(qs.tolist(), eps.tolist(), nz.tolist(), spinors)
-    ]
+    return BandGrid(params, qs, eps, nz, spinors)
 
 
 def quasienergy_numeric(params: ModulationParams, q: float) -> BandPoint:
     """Diagonalize the quasimomentum block; the independent route to the
     band data (energies, spinors, polarization projections)."""
     qs = np.array([float(check_number("q", q))])
-    return _band_points(qs, *_eig_sorted(params, qs))[0]
-
-
-@dataclass(frozen=True)
-class BandGrid:
-    params: ModulationParams
-    points: list[BandPoint]
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.array([p.q for p in self.points])
-
-    def branch(self, sign: str) -> np.ndarray:
-        key = "eps_plus" if check_name("sign", sign, BRANCHES) == "+" else "eps_minus"
-        return np.array([getattr(p, key) for p in self.points])
+    return _grid(params, qs, *_eig_sorted(params, qs)).points[0]
 
 
 def band_grid(params: ModulationParams, n_k: int) -> BandGrid:
@@ -128,14 +134,17 @@ def band_grid(params: ModulationParams, n_k: int) -> BandGrid:
     cumulative XOR of those decisions up to it is set.
     """
     n_k = check_integer("n_k", n_k, 16)
-    check_fits(f"n_k {n_k} too large: its (n_k, 2, 2) complex spinors", 64 * n_k)
+    # the eigensolve's peak: (n_k, 2, 2) complex blocks, eigenvectors, labeled and phase-fixed
+    # spinors (64 B a point each), three (n_k, 2) complex eigenvalue arrays and two (n_k, 2)
+    # 8-byte arrays: 384 B a point, past the 347 B traced at n_k = 40,000
+    check_fits(f"n_k {n_k} too large: its (n_k, 2, 2) complex spinors", 384 * n_k)
     qs = -np.pi + 2 * np.pi * np.arange(n_k) / n_k
     vals, spinors = _eig_sorted(params, qs)
     prev, plus, minus = spinors[:-1, 0].conj(), spinors[1:, 0], spinors[1:, 1]
     keep = np.abs((prev * plus).sum(axis=1)) ** 2
     swap = np.abs((prev * minus).sum(axis=1)) ** 2
     swapped = np.logical_xor.accumulate(np.concatenate([[False], swap > keep]))
-    return BandGrid(params, _band_points(qs, *_swap_branches(vals, spinors, swapped)))
+    return _grid(params, qs, *_swap_branches(vals, spinors, swapped))
 
 
 def eigen_spinor(params: ModulationParams, q: float, branch: str) -> np.ndarray:

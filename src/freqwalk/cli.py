@@ -242,7 +242,7 @@ def _metadata(cfg: dict) -> dict:
     return {"tool": "freqwalk", "version": _version(), "config": cfg}
 
 
-def _chunks(columns: list[np.ndarray]):
+def _blocks(columns: list[np.ndarray]):
     """The columns as blocks of _CSV_BLOCK_ROWS rows."""
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
         yield [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
@@ -386,10 +386,8 @@ def _params(cfg: dict, gamma: float) -> ModulationParams:
 
 def run_band(cfg: dict):
     grid = bands.band_grid(_params(cfg, cfg["gamma"][0]), cfg["n_k"])
-    table = np.array(
-        [(p.q, p.eps_plus, p.eps_minus, p.nz_plus, p.nz_minus) for p in grid.points]
-    )
-    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], _chunks(list(table.T))
+    columns = [grid.q, *grid.eps.T, *grid.nz.T]
+    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], _blocks(columns)
 
 
 def _origin(cfg: dict) -> LatticeState:
@@ -427,16 +425,14 @@ def run_diffusion(cfg: dict):
     ]
     schedules = [itertools.repeat(_params(cfg, gamma), n) for gamma in cfg["gamma"]]
     walk = _monitored_chunks((_origin(cfg),) * len(schedules), schedules, cfg["engine"])
-    # one (rows, Gammas) array per chunk past step 0
-    distances = [_diffusion_distances(amps) for _, amps, _ in itertools.islice(walk, 1, None)]
-    table = np.concatenate([np.empty((0, len(schedules))), *distances])
-    for gamma, values in zip(cfg["gamma"], table.T):
-        curves.append((f"synthetic:{gamma:.17g}", values))
-    lengths = [len(values) for _, values in curves]
-    step = np.concatenate([np.arange(1, k + 1, dtype=np.int64) for k in lengths])
-    model = np.repeat(np.array([label for label, _ in curves], dtype=object), lengths)
-    values = np.concatenate([np.asarray(v, dtype=float) for _, v in curves])
-    return ["step", "model", "M"], _chunks([step, model, values])
+    table = np.empty((n, len(schedules)))  # M(n) of each Gamma, a row per step past 0
+    for first, amps, _ in itertools.islice(walk, 1, None):
+        table[first - 1 : first - 1 + len(amps)] = _diffusion_distances(amps)
+    curves += [(f"synthetic:{gamma:.17g}", m) for gamma, m in zip(cfg["gamma"], table.T)]
+    step = np.arange(1, n + 1, dtype=np.int64)
+    blocks = (block for label, values in curves
+              for block in _blocks([step, np.full(n, label, dtype=object), values]))
+    return ["step", "model", "M"], blocks
 
 
 def _matrix_json(u: np.ndarray) -> dict:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
+from freqwalk import bands
 
 FIG2 = dict(theta=-np.pi / 2, phi_h=0.0, phi_v=3 * np.pi / 4)
 
@@ -107,6 +109,19 @@ class TestBandGrid:
         for branch in "+-":
             e = grid.branch(branch)
             assert np.ptp(e) < 1e-14
+
+    def test_size_check_counts_the_traced_peak(self, monkeypatch):
+        p = params(3 * np.pi)
+        fw.band_grid(p, 40_000)  # first-use imports and tables stay out of the trace
+        counted = []
+        monkeypatch.setattr(bands, "check_fits", lambda what, nbytes: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            fw.band_grid(p, 40_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == 1 and counted[0] >= peak
 
 
 class TestSpinor:

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
-from freqwalk import _helper, cli, engine, errors, gates
+from freqwalk import _helper, bands, cli, engine, errors, gates
 from freqwalk.baselines import classical_walk_distribution
 from freqwalk.cli import main, parse_angle
 from freqwalk.engine import translation_kernel
@@ -345,6 +345,39 @@ class TestBandCommand:
             assert main(["band", "--gamma", "1", "--n-k", "32", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_written_from_the_grid_columns(self, tmp_path, monkeypatch):
+        # the golden band command; the grid's columns hold the bits of its points
+        argv = ["band", "--gamma", "3pi", "--theta=-0.5pi", "--phi-h", "0",
+                "--phi-v", "0.75pi", "--n-k", "64"]
+        cfg = cli.load_config(cli.build_parser().parse_args(argv))
+        grid = fw.band_grid(cli._params(cfg, cfg["gamma"][0]), cfg["n_k"])
+        points = grid.points
+        bits = lambda values: np.asarray(values).tobytes()
+        assert bits(grid.q) == bits([p.q for p in points])
+        assert bits(grid.eps) == bits([(p.eps_plus, p.eps_minus) for p in points])
+        assert bits(grid.nz) == bits([(p.nz_plus, p.nz_minus) for p in points])
+        assert bits(grid.spinors) == bits([(p.spinor_plus, p.spinor_minus) for p in points])
+        assert bits(grid.branch("+")) == bits(grid.eps[:, 0])
+        assert bits(grid.branch("-")) == bits(grid.eps[:, 1])
+
+        def forbidden(*args):
+            raise AssertionError("a BandPoint built")
+
+        # the command writes the points' rows, as %.17g, without building one
+        monkeypatch.setattr(bands, "BandPoint", forbidden)
+        monkeypatch.setattr(cli, "_VERSION", "golden")
+        out = tmp_path / "band.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        golden = Path(__file__).parent / "golden" / "band.csv"
+        head = "".join(golden.read_text().splitlines(keepends=True)[:3])
+        rows = "".join("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+            p.q, p.eps_plus, p.eps_minus, p.nz_plus, p.nz_minus) for p in points)
+        assert out.read_text() == head + rows
+        # and the golden numbers, to the eigensolver round-off that the goldens allow
+        np.testing.assert_allclose(np.loadtxt(out, delimiter=",", skiprows=3),
+                                   np.loadtxt(golden, delimiter=",", skiprows=3),
+                                   rtol=0, atol=1e-12)
+
 
 class TestEvolveCommand:
     def test_gamma_zero_stays_at_origin(self, tmp_path):
@@ -649,8 +682,11 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
     # README evolve: 3001 P(m) cells a block, every other block to the helper
     ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"],
     ["evolve", "--gamma", "3pi", "--steps", "20", "--half-width", "1500", "--format", "json"],
+    # each curve crosses a 4,096-row block; its 8,192-cell blocks past the first go to the helper
+    *[["diffusion", "--gamma", "0,0", "--steps", "4200", "--half-width", "10", "--format", fmt]
+      for fmt in ("csv", "json")],
 ], ids=["direct-evolve", "readme-diffusion", "bench-lattice", "readme-evolve-csv",
-        "readme-evolve-json"])
+        "readme-evolve-json", "multi-block-diffusion-csv", "multi-block-diffusion-json"])
 def test_walk_bytes_on_one_cpu_and_on_all(argv, tmp_path):
     # on 2 or more CPUs the direct engine convolves its V rows on the worker
     # thread, the spectral engine transforms the back half of each chunk of
