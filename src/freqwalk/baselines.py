@@ -59,6 +59,14 @@ def dtqw_step(state: LatticeState) -> LatticeState:
     return state.with_amp(amp)
 
 
+def _dtqw_bytes(n: int) -> int:
+    """What `dtqw_diffusion(n)` holds at most at once on its N = 2n + 3
+    sites: three (2, N) complex states (a step's input, coin output and
+    shifted state), the bool array of their finite check, the m^2 table
+    and the n distances."""
+    return (3 * 32 + 2 + 8) * (2 * n + 3) + 8 * n
+
+
 def dtqw_diffusion(n: int) -> np.ndarray:
     """Diffusion distance M(1..n) of the conventional DTQW from |0,H>
     (empty for n = 0)."""

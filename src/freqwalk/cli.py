@@ -30,6 +30,7 @@ from .engine import (
     _cpus,
     _kernel_reach,
     _monitored_chunks,
+    _walk_bytes,
     translation_kernel,
 )
 from .errors import ConfigurationError, FreqwalkError, check_fits
@@ -194,8 +195,8 @@ def _check_walk_fits(members: int, half_width: int, refusal: str) -> None:
     """Refuse, with `refusal` as the message's head, a walk of `members`
     states whose (2, N) complex amplitudes alone would exceed physical
     memory.  The spectral walk's chunks of roundtrips add at most about
-    2 * engine._CHUNK_BYTES to that, or two roundtrips' amplitudes when
-    one roundtrip is larger."""
+    2 * engine._CHUNK_BYTES to that, or three roundtrips' amplitudes when
+    one roundtrip is larger; `run_diffusion` counts its whole peak."""
     nbytes = members * 2 * (2 * half_width + 1) * 16
     check_fits(f"{refusal}: the walk's amplitudes", nbytes)
 
@@ -232,6 +233,11 @@ def _fast_size(n: int) -> int:
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per block of band and diffusion: bounds the temporary strings
+# What `_write_rows` holds at most per row of a diffusion block: its cells,
+# template and text, and with the helper a second block's text and the
+# pickles.  Traced at most 630 B (JSON, the helper, 10-digit steps,
+# 33-character labels and 24-character floats).
+_BLOCK_ROW_BYTES = 768
 # Float and text cells from which a block goes to the helper process of
 # _write_rows.  Measured on 2 CPUs, 50-step walks: 1,001 cells a block
 # gained nothing, 2,001 cells 15% (the fork costs about 10 ms at 70 MB).
@@ -413,9 +419,18 @@ def run_diffusion(cfg: dict):
     """The classical and DTQW baselines, then the diffusion distance of
     each Gamma's walk from |0, H>, all Gammas walked in lockstep: a
     boundary abort names the first step at which any of them leaks."""
-    n = cfg["steps"]
+    n, members, half_width = cfg["steps"], len(cfg["gamma"]), cfg["half_width"]
     # its step, model and M columns: 8 bytes each a row, n rows a curve
-    check_fits(f"steps {n} too large: its table of M(n)", 24 * n * (2 + len(cfg["gamma"])))
+    table = 24 * n * (2 + members)
+    check_fits(f"steps {n} too large: its table of M(n)", table)
+    # the DTQW baseline, the walk and the writer run one after another, but
+    # the tables they memoize outlive them: summed.  The direct engine's
+    # walk holds one roundtrip and its convolutions, less than the spectral
+    # walk's chunks while lmax is below N.
+    peak = (table + baselines._dtqw_bytes(n) + _walk_bytes(members, 2 * half_width + 1)
+            + _BLOCK_ROW_BYTES * min(n, _CSV_BLOCK_ROWS))
+    check_fits(f"steps {n} at half_width {half_width} too large: its baseline, walk and rows",
+               peak)
     curves = [
         # M(n) = sqrt(n) exactly for the unbiased classical walk; the
         # binomial baseline (baselines.classical_walk_distribution) is
@@ -430,8 +445,9 @@ def run_diffusion(cfg: dict):
         table[first - 1 : first - 1 + len(amps)] = _diffusion_distances(amps)
     curves += [(f"synthetic:{gamma:.17g}", m) for gamma, m in zip(cfg["gamma"], table.T)]
     step = np.arange(1, n + 1, dtype=np.int64)
+    # each model column holds its one label n times (np.full would make a str a row)
     blocks = (block for label, values in curves
-              for block in _blocks([step, np.full(n, label, dtype=object), values]))
+              for block in _blocks([step, np.array([label] * n, dtype=object), values]))
     return ["step", "model", "M"], blocks
 
 

@@ -5,10 +5,10 @@ U(q) = T(q) R(theta) of `uk_matrix`, the only definition of the
 operator.  `spectral` applies U(q) on the FFT quasimomentum grid (exactly
 unitary, periodic boundary, O(N log N)); `evolve` stays in q-space across
 steps and transforms back for the boundary monitor and the recorders, a
-chunk of roundtrips at a time (`_CHUNK_BYTES`); walks that share a
-lattice run in lockstep (`_chunks`), one chunk for all of them.  A chunk
-is one FFT call, or, on 2 or more CPUs and from half the chunk budget
-up, two calls over half its rows each (`_fft_rows`).  No read-out feeds
+chunk of at least two roundtrips at a time (`_CHUNK_BYTES`); walks that
+share a lattice run in lockstep (`_chunks`), one chunk for all of them.
+A chunk is one FFT call, or, on 2 or more CPUs and from half the chunk
+budget up, two calls over half its rows each (`_fft_rows`).  No read-out feeds
 back into the q-space amplitudes, and pocketfft gives each row the bits
 it gives that row alone, so neither the chunking nor the split changes a
 bit.  `direct` rotates in position space and convolves with the
@@ -378,9 +378,12 @@ def _chunks(states, schedules, engine: str, start=None):
     `start`, a writable (k, 2, N) complex128 array with the bits of the
     states' ifft that the walk takes over, if the caller holds one, else
     from that ifft.  It propagates up to `_CHUNK_BYTES // start.nbytes`
-    roundtrips ahead (at least one) into one chunk, each row from the
+    roundtrips ahead (at least two) into one chunk, each row from the
     previous one, and transforms the chunk back to position space
-    (`_fft_rows`: one FFT call, or two on two threads).  No read-out feeds
+    (`_fft_rows`: one FFT call, or two on two threads).  At least two,
+    so that a split chunk hands each thread whole roundtrips: pocketfft
+    plans once a call and pairs its rows, so one call of a roundtrip's 2k
+    rows costs less than two calls of k.  No read-out feeds
     back into the q-space rows, and pocketfft gives each row the bits it
     gives that row alone, so the rows have the bits of one FFT call per
     roundtrip.  The chunk buffer is as long as the first chunk; the q-space
@@ -405,7 +408,7 @@ def _chunks(states, schedules, engine: str, start=None):
         return
     if start is None:
         start = np.fft.ifft(_stacked(states)[0], axis=-1)
-    steps = max(1, _CHUNK_BYTES // start.nbytes)
+    steps = _chunk_rows(start.nbytes)
     scratch = np.empty_like(start[0])
     buffer = None
     while chunk_rows := list(itertools.islice(rows, steps)):
@@ -422,6 +425,26 @@ def _chunks(states, schedules, engine: str, start=None):
         _fft_rows(chunk, split)
         _check_finite(chunk)
         yield _read_only(chunk), None
+
+
+def _chunk_rows(roundtrip_bytes: int) -> int:
+    """The roundtrips of a spectral chunk: as many as `_CHUNK_BYTES` holds,
+    at least two."""
+    return max(2, _CHUNK_BYTES // roundtrip_bytes)
+
+
+def _walk_bytes(members: int, n_sites: int) -> int:
+    """What a spectral walk of `members` states on an n_sites lattice and
+    a read-out of its chunks hold at most at once, as tracemalloc counts
+    it (pocketfft's own buffers are not traced): the chunk buffer, the
+    states, their q-space start, the scratch row and a table U(q) of two
+    rows per member, and the larger of the temporaries `uk_matrix` builds
+    a table from (four rows) and a read-out of a chunk (as large as the
+    chunk).  A row is one member's (2, N) amplitudes."""
+    row = 2 * n_sites * 16
+    roundtrip = members * row
+    chunk = _chunk_rows(roundtrip) * roundtrip
+    return chunk + 4 * roundtrip + row + max(4 * row, chunk)
 
 
 def _fft_rows(chunk: np.ndarray, split: bool) -> None:

@@ -241,11 +241,11 @@ class TestOversizedInputs:
 
 
 class TestMemoryRefusal:
-    """A walk whose kernel search or amplitudes, a diffusion table, a band
-    grid, or a gate run whose packets, would not fit in physical memory is
-    refused before any Bessel work, array or packet: the derived lattice by
-    the closed-form bound on the kernel reach.  The host here has 1 MB, set
-    by hand, so the refusals hold on any machine."""
+    """A walk whose kernel search or amplitudes, a diffusion's table or
+    peak, a band grid, or a gate run whose packets, would not fit in
+    physical memory is refused before any Bessel work, array or packet:
+    the derived lattice by the closed-form bound on the kernel reach.  The
+    host here has 1 MB, set by hand, so the refusals hold on any machine."""
 
     @pytest.fixture(autouse=True)
     def small_host(self, monkeypatch):
@@ -280,7 +280,10 @@ class TestMemoryRefusal:
          (["diffusion", "--gamma", "0", "--steps", "100000000000", "--half-width", "10"],
           "steps 100000000000 too large: its table of M(n)"),
          (["band", "--gamma", "1", "--n-k", "100000000000"],
-          "n_k 100000000000 too large: its (n_k, 2, 2) complex spinors")],
+          "n_k 100000000000 too large: its (n_k, 2, 2) complex spinors"),
+         # its table (72 kB) fits; its DTQW baseline, walk and rows (2.1 MB) do not
+         (["diffusion", "--gamma", "0", "--steps", "1000", "--half-width", "10"],
+          "steps 1000 at half_width 10 too large: its baseline, walk and rows")],
     )
     def test_refused_with_one_error_line(self, argv, head, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -670,12 +673,34 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("argv", [
+    # README diffusion: the walk's chunks of 2 roundtrips and its 3 tables
+    ["diffusion", "--gamma", "0.06pi,1pi,3pi", "--steps", "100", "--half-width", "2500"],
+    # the DTQW baseline on 10,003 sites, and blocks of 4,096 rows
+    *[["diffusion", "--gamma", "0", "--steps", "5000", "--half-width", "10", "--format", fmt]
+      for fmt in ("csv", "json")],
+], ids=["readme", "dtqw-csv", "dtqw-json"])
+def test_diffusion_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_VERSION", "test")  # no metadata import in the trace
+    cfg = cli.load_config(cli.build_parser().parse_args(argv))
+    cli.run(cfg, str(tmp_path / "warm"))  # first-use imports and tables stay out of the trace
+    counted = []
+    monkeypatch.setattr(cli, "check_fits", lambda what, nbytes: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        cli.run(cfg, str(tmp_path / "x"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(counted) >= peak
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs os.sched_setaffinity and 2 or more allowed CPUs")
 @pytest.mark.parametrize("argv", [
     # 20 roundtrips of 253 taps a row at N = 6001: the V rows go to the worker
     ["evolve", "--gamma", "30pi", "--steps", "20", "--half-width", "3000", "--engine", "direct"],
-    # README diffusion: N = 5001, three walks in lockstep, 480,096-byte chunks
+    # README diffusion: N = 5001, three walks in lockstep, 960,192 bytes and 2 roundtrips a chunk
     ["diffusion", "--gamma", "0.06pi,1pi,3pi", "--steps", "100", "--half-width", "2500"],
     # the benchmark lattice: N = 2101, 7 roundtrips and 470,624 bytes a chunk
     ["diffusion", "--gamma", "3pi", "--steps", "100", "--half-width", "1050"],
@@ -855,7 +880,18 @@ class TestLockstepDiffusion:
     @pytest.mark.parametrize("engine_name", ["spectral", "direct"])
     def test_rows_equal_single_gamma_rows(self, fmt, engine_name, tmp_path):
         # the golden diffusion sizes
-        argv = ["diffusion", "--steps", "12", "--half-width", "160",
+        self.check_lockstep(tmp_path, self.GAMMAS, 12, 160, fmt, engine_name)
+
+    def test_readme_rows_equal_single_gamma_rows(self, tmp_path):
+        # README diffusion at N = 5001: in lockstep a chunk holds 2
+        # roundtrips, each Gamma alone 3, and on 2 or more CPUs both are split
+        self.check_lockstep(tmp_path, ["0.06pi", "1pi", "3pi"], 100, 2500)
+
+    @staticmethod
+    def check_lockstep(tmp_path, gammas, steps, half_width, fmt="csv", engine_name="spectral"):
+        """The `synthetic:` rows of a diffusion of `gammas` together are
+        those of each Gamma alone, in order."""
+        argv = ["diffusion", "--steps", str(steps), "--half-width", str(half_width),
                 "--format", fmt, "--engine", engine_name]
 
         def synthetic(gammas):
@@ -863,9 +899,9 @@ class TestLockstepDiffusion:
             assert main(argv + ["--gamma", ",".join(gammas), "--out", str(out)]) == 0
             return _synthetic_rows(out.read_text(), fmt)
 
-        together = synthetic(self.GAMMAS)
-        assert len(together) == 12 * len(self.GAMMAS)
-        assert together == [row for g in self.GAMMAS for row in synthetic([g])]
+        together = synthetic(gammas)
+        assert len(together) == steps * len(gammas)
+        assert together == [row for g in gammas for row in synthetic([g])]
 
     @pytest.mark.parametrize("engine_name, memo", [
         ("spectral", fw.engine._grid_blocks), ("direct", fw.engine._direct_kernels)])

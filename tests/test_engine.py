@@ -841,10 +841,33 @@ class TestChunkedWalk:
             # the 7-roundtrip chunks (470,624 bytes) reach the split size, the last does not
             assert sorted(calls) == sorted(halves * 14 + [4])
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_looks_ahead_at_most_one_chunk(self, k):
+    def test_at_least_two_roundtrips_per_chunk(self, monkeypatch):
+        """README diffusion: three walks at N = 5001, 480,096 bytes a
+        roundtrip, more than half the budget.  A chunk holds two roundtrips,
+        so each half of a split chunk is one whole roundtrip of 6 rows."""
+        fft_rows, fft = engine._fft_rows, np.fft.fft
+        cfg = fw.LatticeConfig(2500)
+        states = [fw.make_single_site(0, P.H, cfg)] * 3
+        for cpus, halves in ((1, [12]), (2, [6, 6])):
+            chunks, calls = [], []  # roundtrips per chunk, rows per FFT call
+            monkeypatch.setattr(engine, "_cpus", lambda: cpus)
+            monkeypatch.setattr(engine, "_fft_rows", lambda chunk, split: (
+                chunks.append(len(chunk)) or fft_rows(chunk, split)))
+            monkeypatch.setattr(
+                np.fft, "fft", lambda a, **kw: calls.append(a.size // a.shape[-1]) or fft(a, **kw))
+            schedules = [[fw.ModulationParams(gamma=g * np.pi, **FIG2)] * 100
+                         for g in (0.06, 1, 3)]
+            assert sum(len(amps) for _, amps, _ in
+                       engine._monitored_chunks(states, schedules, "spectral")) == 101
+            assert chunks == [2] * 50
+            assert calls == halves * 50
+
+    @pytest.mark.parametrize("k, half_width", [  # README diffusion: 3 at N = 5001
+        pytest.param(1, 1050, id="1"), pytest.param(2, 1050, id="2"),
+        pytest.param(3, 2500, id="3")])
+    def test_looks_ahead_at_most_one_chunk(self, k, half_width):
         n_steps, pulled = 17, [0] * k
-        cfg = fw.LatticeConfig(1050)
+        cfg = fw.LatticeConfig(half_width)
         params = fw.ModulationParams(gamma=1.0, theta=0.3)
 
         def schedule(member):
@@ -852,7 +875,7 @@ class TestChunkedWalk:
                 pulled[member] += 1
                 yield params
 
-        per_chunk = engine._CHUNK_BYTES // (k * 2 * cfg.n_sites * 16)
+        per_chunk = max(2, engine._CHUNK_BYTES // (k * 2 * cfg.n_sites * 16))
         states = [fw.make_single_site(0, P.H, cfg)] * k
         j = 0
         for amps, _ in engine._chunks(states, [schedule(m) for m in range(k)], "spectral"):
@@ -1084,14 +1107,15 @@ class TestSplitTransform:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_one_cpu_hands_no_task_to_the_worker(self, cpus, counted_pool, monkeypatch):
-        # README diffusion: three walks at N = 5001, 480,096 bytes a chunk
+        # README diffusion: three walks at N = 5001, 2 roundtrips of 480,096 bytes a chunk
         cfg = fw.LatticeConfig(2500)
         states = [fw.make_single_site(0, P.H, cfg)] * 3
         schedules = [[fw.ModulationParams(gamma=g * np.pi, **FIG2)] * 3 for g in (0.06, 1, 3)]
         monkeypatch.setattr(engine, "_cpus", lambda: cpus)
         walks = [monitored_bytes(states, schedules, name) for name in engine.ENGINES]
-        # 3 spectral chunks, then 3 roundtrips of 3 walks with a V row each
-        assert counted_pool.tasks == (3 + 9 if cpus == 2 else 0)
+        # 2 spectral chunks (2 roundtrips, then 1), then 3 roundtrips of 3
+        # walks with a V row each
+        assert counted_pool.tasks == (2 + 9 if cpus == 2 else 0)
         monkeypatch.setattr(engine, "_cpus", lambda: 3 - cpus)
         assert [monitored_bytes(states, schedules, name) for name in engine.ENGINES] == walks
 
