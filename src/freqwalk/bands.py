@@ -8,6 +8,12 @@ form of the quasienergy cosines is
 
     cos(2 pi eps_+-) = cos(A) x -+ sin(A) sqrt(1 - x^2).
 
+The eigenpairs have a closed form too: e^{-iA} M(q) is in SU(2), a
+rotation by 2 delta about a unit axis n, whose + spinor is the spin
+state along n.  `_eig_sorted` reads delta and n from the blocks that
+`uk_matrix` returns, so the band code calls no numerical eigensolver;
+the tests check it against LAPACK's.
+
 Quasienergies are eigenphases per roundtrip folded into (-0.5, 0.5] in
 units of the mode spacing.
 """
@@ -63,24 +69,39 @@ class BandPoint:
 
 
 def _eig_sorted(params: ModulationParams, qs: np.ndarray):
-    """Eigenpairs of the quasimomentum blocks at each q of `qs`, labeled
-    by the sign of the SU(2) part of the eigenphase (the +delta / -delta
-    convention above).  Returns eigenvalues (n, 2) and spinors (n, 2, 2),
-    spinors[i, 0] of branch + and spinors[i, 1] of branch -, each with
-    its largest component real positive."""
-    vals, vecs = np.linalg.eig(np.moveaxis(uk_matrix(params, qs), -1, 0))
-    a_sum, _ = _angle_terms(params, qs)
-    mu = vals * np.exp(-1j * a_sum)[:, None]  # e^{+-i delta}, delta in [0, pi]
-    ang = np.angle(mu * np.exp(1j * 1e-15))  # +delta first
-    vals, spinors = _swap_branches(vals, np.swapaxes(vecs, 1, 2), ang[:, 1] > ang[:, 0])
+    """Eigenpairs of the quasimomentum blocks at each q of `qs`, in closed
+    form.  A block is e^{iA} V with V = cos(delta) + i sin(delta) n.sigma
+    in SU(2), so Im V00 = sin(delta) n_z, -i V10 = sin(delta) (n_x + i n_y)
+    and delta = atan2(sin(delta), Re V00) is in [0, pi].  Branch + (the
+    +delta / -delta convention above) has eigenvalue e^{i(A + delta)} and
+    spinor (1 + n_z, n_x + i n_y), or (n_x - i n_y, 1 - n_z) where n_z < 0:
+    the larger of the two.  The - spinor is (-conj(v1), conj(v0)).  Where
+    sin(delta) = 0 (V = +-I), n is left 0, which gives the spinors (1, 0)
+    and (0, 1).  Returns the eigenphases (n, 2), A + delta and A - delta,
+    and spinors (n, 2, 2), spinors[i, 0] of branch + and spinors[i, 1] of
+    branch -, each with its largest component real positive."""
+    a_sum = _angle_terms(params, qs)[0]
+    v00, v10 = uk_matrix(params, qs)[:, 0] * np.exp(-1j * a_sum)
+    n = np.array([v10.imag, -v10.real, v00.imag])  # sin(delta) n
+    sin_delta = np.hypot(np.hypot(n[0], n[1]), n[2])
+    delta = np.arctan2(sin_delta, v00.real)
+    np.divide(n, sin_delta, out=n, where=sin_delta > 0)
+    upper = n[2] >= 0
+    top = np.where(upper, 1 + n[2], n[0] - 1j * n[1])
+    bottom = np.where(upper, n[0] + 1j * n[1], 1 - n[2])
+    norm = np.hypot(np.abs(top), np.abs(bottom))
+    spinors = np.empty((len(qs), 2, 2), dtype=complex)
+    spinors[:, 0, 0], spinors[:, 0, 1] = top / norm, bottom / norm
+    spinors[:, 1, 0], spinors[:, 1, 1] = -spinors[:, 0, 1].conj(), spinors[:, 0, 0].conj()
     k = np.argmax(np.abs(spinors), axis=2)[..., None]
-    return vals, spinors * np.exp(-1j * np.angle(np.take_along_axis(spinors, k, 2)))
+    spinors *= np.exp(-1j * np.angle(np.take_along_axis(spinors, k, 2)))
+    return np.stack([a_sum + delta, a_sum - delta], axis=1), spinors
 
 
-def _swap_branches(vals: np.ndarray, spinors: np.ndarray, swap: np.ndarray):
+def _swap_branches(phases: np.ndarray, spinors: np.ndarray, swap: np.ndarray):
     """Exchange the + and - labels at the points where `swap` is set."""
     return (
-        np.where(swap[:, None], vals[:, ::-1], vals),
+        np.where(swap[:, None], phases[:, ::-1], phases),
         np.where(swap[:, None, None], spinors[:, ::-1], spinors),
     )
 
@@ -107,16 +128,17 @@ class BandGrid:
         return self.eps[:, BRANCHES.index(check_name("sign", sign, BRANCHES))]
 
 
-def _grid(params: ModulationParams, qs: np.ndarray, vals: np.ndarray,
+def _grid(params: ModulationParams, qs: np.ndarray, phases: np.ndarray,
           spinors: np.ndarray) -> BandGrid:
-    eps = fold_quasienergy(np.angle(vals) / (2 * np.pi) * -1.0)
+    eps = fold_quasienergy(phases / (-2 * np.pi))
     nz = np.abs(spinors[..., 0]) ** 2 - np.abs(spinors[..., 1]) ** 2
     return BandGrid(params, qs, eps, nz, spinors)
 
 
 def quasienergy_numeric(params: ModulationParams, q: float) -> BandPoint:
-    """Diagonalize the quasimomentum block; the independent route to the
-    band data (energies, spinors, polarization projections)."""
+    """The band data (energies, spinors, polarization projections) at one
+    q, from the closed-form eigenpairs of `uk_matrix`'s block, as
+    `band_grid` computes them; the tests check them against LAPACK."""
     qs = np.array([float(check_number("q", q))])
     return _grid(params, qs, *_eig_sorted(params, qs)).points[0]
 
@@ -134,17 +156,19 @@ def band_grid(params: ModulationParams, n_k: int) -> BandGrid:
     cumulative XOR of those decisions up to it is set.
     """
     n_k = check_integer("n_k", n_k, 16)
-    # the eigensolve's peak: (n_k, 2, 2) complex blocks, eigenvectors, labeled and phase-fixed
-    # spinors (64 B a point each), three (n_k, 2) complex eigenvalue arrays and two (n_k, 2)
-    # 8-byte arrays: 384 B a point, past the 347 B traced at n_k = 40,000
-    check_fits(f"n_k {n_k} too large: its (n_k, 2, 2) complex spinors", 384 * n_k)
+    # the peak is in `_grid`: raw and labeled spinors (64 B a point each) and eigenphases
+    # (16 B each), the conjugated previous + spinors (32 B), q and the two overlaps (8 B
+    # each), eps and three (n_k, 2) temporaries of nz (16 B each) and the bool swaps: 283 B
+    # a point, counted as 288.  Traced: 281 B at n_k = 8,000 and 273 B at 40,000, where
+    # numpy reuses temporaries.  The closed-form eigensolve traces 273-274 B a point.
+    check_fits(f"n_k {n_k} too large: its (n_k, 2, 2) complex spinors", 288 * n_k)
     qs = -np.pi + 2 * np.pi * np.arange(n_k) / n_k
-    vals, spinors = _eig_sorted(params, qs)
+    phases, spinors = _eig_sorted(params, qs)
     prev, plus, minus = spinors[:-1, 0].conj(), spinors[1:, 0], spinors[1:, 1]
     keep = np.abs((prev * plus).sum(axis=1)) ** 2
     swap = np.abs((prev * minus).sum(axis=1)) ** 2
     swapped = np.logical_xor.accumulate(np.concatenate([[False], swap > keep]))
-    return _grid(params, qs, *_swap_branches(vals, spinors, swapped))
+    return _grid(params, qs, *_swap_branches(phases, spinors, swapped))
 
 
 def eigen_spinor(params: ModulationParams, q: float, branch: str) -> np.ndarray:
@@ -154,9 +178,9 @@ def eigen_spinor(params: ModulationParams, q: float, branch: str) -> np.ndarray:
     Raises at (near-)degenerate points, where the branch is undefined.
     """
     check_name("branch", branch, BRANCHES)
-    vals, spinors = _eig_sorted(params, np.array([float(check_number("q", q))]))
-    vals, (vp, vm) = vals[0], spinors[0]
-    if abs(np.angle(vals[0] / vals[1])) < 1e-10:
+    phases, spinors = _eig_sorted(params, np.array([float(check_number("q", q))]))
+    vp, vm = spinors[0]
+    if abs(math.remainder(phases[0, 0] - phases[0, 1], 2 * math.pi)) < 1e-10:
         raise ConfigurationError(f"degenerate quasienergies at q={q}")
     return vp if branch == "+" else vm
 

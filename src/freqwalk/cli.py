@@ -249,9 +249,10 @@ def _metadata(cfg: dict) -> dict:
 
 
 def _blocks(columns: list[np.ndarray]):
-    """The columns as blocks of _CSV_BLOCK_ROWS rows."""
+    """The columns as blocks of _CSV_BLOCK_ROWS rows.  The first is 1-D;
+    a 0-d column stands for its value in every row of every block."""
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        yield [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
+        yield [c[start : start + _CSV_BLOCK_ROWS] if c.ndim else c for c in columns]
 
 
 def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
@@ -445,9 +446,9 @@ def run_diffusion(cfg: dict):
         table[first - 1 : first - 1 + len(amps)] = _diffusion_distances(amps)
     curves += [(f"synthetic:{gamma:.17g}", m) for gamma, m in zip(cfg["gamma"], table.T)]
     step = np.arange(1, n + 1, dtype=np.int64)
-    # each model column holds its one label n times (np.full would make a str a row)
+    # a curve's model column is its one label, a 0-d cell: JSON encodes it once a block
     blocks = (block for label, values in curves
-              for block in _blocks([step, np.array([label] * n, dtype=object), values]))
+              for block in _blocks([step, np.array(label, dtype=object), values]))
     return ["step", "model", "M"], blocks
 
 

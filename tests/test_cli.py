@@ -851,13 +851,33 @@ class TestDiffusionCommand:
         defaults = {key: f.default for key, f in cli.FIELDS.items() if f.default is not None}
         cfg = dict(defaults, steps=n, gamma=[0.0], half_width=10)
         _, blocks = cli.run_diffusion(cfg)
-        step, model, values = map(np.concatenate, zip(*blocks))
+        # each block's model column is one 0-d label cell
+        step, model, values = map(np.concatenate, zip(*(np.broadcast_arrays(*b) for b in blocks)))
         classical = values[model == "classical"]
         assert np.array_equal(step[model == "classical"], np.arange(1, n + 1))
         assert np.array_equal(classical, np.sqrt(np.arange(1, n + 1)))
         binomial = [classical_walk_distribution(i).diffusion_distance()
                     for i in range(1, n + 1)]
         assert np.max(np.abs(classical - binomial)) < 1e-12
+
+    def test_json_encodes_each_label_once_a_block(self, tmp_path, monkeypatch):
+        # steps = one block of rows a curve: each curve's label is one 0-d cell,
+        # which the JSON writer encodes once, not once a row
+        steps = cli._CSV_BLOCK_ROWS
+        argv = ["diffusion", "--gamma", "0", "--steps", str(steps), "--half-width", "10",
+                "--format", "json", "--out", str(tmp_path / "d.json")]
+        encoded, dumps = [], json.dumps
+
+        def counted(value, *args, **kwargs):
+            encoded.append(value)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        assert main(argv) == 0
+        labels = [v for v in encoded if isinstance(v, str)]
+        assert labels == ["classical", "dtqw", "synthetic:0"]
+        rows = json.loads((tmp_path / "d.json").read_text())["rows"]
+        assert [r[1] for r in rows] == [label for label in labels for _ in range(steps)]
 
 
 def _synthetic_rows(text: str, fmt: str) -> list[str]:

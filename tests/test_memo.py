@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqwalk as fw
-from freqwalk import engine, lattice
+from freqwalk import cli, engine, lattice
 
 MEMOS = (engine._grid_blocks, lattice._envelope, lattice._plane_wave,
          engine._direct_kernels, lattice._squared_sites, lattice._packet,
@@ -214,3 +214,31 @@ def test_equal_spins_share_one_packet():
     assert len(keys) == 1
     assert not np.signbit(np.array(keys.pop()[2]).view(float)).any()
 
+
+# the README's report commands, at the benchmark lattice: delta 200 (N = 1801,
+# a Bluestein size) for each
+README_REPORTS = {
+    "h_gate.json": ["gate", "--gate-name", "H", "--delta", "200"],
+    "prep.json": ["prepare", "--phi1", "0.75pi", "--phi2", "0.25pi"],
+    "cnot.json": ["cnot"],
+}
+
+
+def test_readme_reports_cold_and_warm(tmp_path):
+    """A drive's first roundtrip starts from the basis packets' stored
+    q-space rows.  The README reports must have the same bytes from empty
+    memos, each as a fresh process runs it, and after other gates on the
+    same lattice have filled the packet tables."""
+    out = tmp_path / "report.json"
+    cold = {}
+    for name, argv in README_REPORTS.items():
+        clear_memos()
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        cold[name] = out.read_bytes()
+    clear_memos()
+    for argv in (["--gate-name", "X"], ["--gate-name", "Y"],
+                 ["--gate-name", "Rz", "--rz-phi", "0.3pi"]):
+        assert cli.main(["gate", *argv, "--delta", "200", "--out", str(out)]) == 0
+    for name, argv in README_REPORTS.items():
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == cold[name], name
