@@ -121,8 +121,8 @@ class BandGrid:
 
     @property
     def points(self) -> list[BandPoint]:
-        rows = zip(self.q.tolist(), self.eps.tolist(), self.nz.tolist(), self.spinors)
-        return [BandPoint(q, e[0], e[1], n[0], n[1], s[0], s[1]) for q, e, n, s in rows]
+        return list(map(BandPoint, self.q.tolist(), *self.eps.T.tolist(), *self.nz.T.tolist(),
+                        *self.spinors.swapaxes(0, 1)))
 
     def branch(self, sign: str) -> np.ndarray:
         return self.eps[:, BRANCHES.index(check_name("sign", sign, BRANCHES))]

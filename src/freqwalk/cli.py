@@ -196,7 +196,8 @@ def _check_walk_fits(members: int, half_width: int, refusal: str) -> None:
     states whose (2, N) complex amplitudes alone would exceed physical
     memory.  The spectral walk's chunks of roundtrips add at most about
     2 * engine._CHUNK_BYTES to that, or three roundtrips' amplitudes when
-    one roundtrip is larger; `run_diffusion` counts its whole peak."""
+    one roundtrip is larger; `run_evolve` and `run_diffusion` count
+    their whole peak."""
     nbytes = members * 2 * (2 * half_width + 1) * 16
     check_fits(f"{refusal}: the walk's amplitudes", nbytes)
 
@@ -233,10 +234,11 @@ def _fast_size(n: int) -> int:
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per block of band and diffusion: bounds the temporary strings
-# What `_write_rows` holds at most per row of a diffusion block: its cells,
-# template and text, and with the helper a second block's text and the
-# pickles.  Traced at most 630 B (JSON, the helper, 10-digit steps,
-# 33-character labels and 24-character floats).
+# What `_write_rows` holds at most per row of a diffusion block, or of an
+# evolve block (one step's N sites): its cells, template and text, and with
+# the helper a second block's text and the pickles.  Traced at most 630 B
+# (JSON, the helper, 10-digit steps, 33-character labels and 24-character
+# floats).
 _BLOCK_ROW_BYTES = 768
 # Float and text cells from which a block goes to the helper process of
 # _write_rows.  Measured on 2 CPUs, 50-step walks: 1,001 cells a block
@@ -406,9 +408,16 @@ def run_evolve(cfg: dict):
     """The header, and one block of rows (step, m, P(m)) per step, made
     as the walk reaches that step: P(m) is read from the walk's chunk one
     row at a time, so no more than one step's P(m) is held, and a
-    boundary abort at step k raises while block k is asked for."""
+    boundary abort at step k raises while block k is asked for.  Its
+    count of what it holds at once, the walk and one step's rows, is
+    checked before the first array (the direct engine's walk holds less
+    than the spectral walk's chunks while lmax is below N)."""
+    steps, half_width = cfg["steps"], cfg["half_width"]
+    n_sites = 2 * half_width + 1
+    check_fits(f"steps {steps} at half_width {half_width} too large: its walk and one step's rows",
+               _walk_bytes(1, n_sites) + _BLOCK_ROW_BYTES * n_sites)
     state = _origin(cfg)
-    schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), cfg["steps"])
+    schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), steps)
     sites = state.config.sites  # one array for every block: its cells are formatted once
     walk = _monitored_chunks((state,), (schedule,), cfg["engine"])
     blocks = ([np.int64(first + j), sites, _probabilities(amp)]

@@ -25,7 +25,6 @@ from .lattice import (
     WavepacketSpec,
     _packet,
     _packet_key,
-    _packet_q,
     reduce_angle,
     spin_projection_at_q,
 )
@@ -147,31 +146,30 @@ def _drive(
 ) -> tuple[tuple[LatticeState, ...], tuple[LatticeState, ...]]:
     """The Gaussian packets with the given spins at q_star, one lattice
     for all, and the states after their schedules (all of one length),
-    walked in lockstep one roundtrip at a time.  The packets are the
-    read-only `_packet` tables.  Each roundtrip is a walk of its own, as a
-    `step` is.  On either engine a walk hands out read-only complex128
-    views of one buffer, valid until its next chunk; a roundtrip's walk
-    ends after its one chunk, which is never refilled, so its states are
-    views of that chunk, kept uncopied.  On the spectral engine the first roundtrip starts from the
-    packets' stored q-space rows (`_packet_q`, the bits of their ifft), so
-    a drive on packets that an earlier drive built does not transform them
-    again; each later roundtrip transforms its states to q-space and back."""
+    walked in lockstep one roundtrip at a time.  Each packet is read from
+    its one `_packet` table: its state is a view of the amplitudes, and the
+    first roundtrip starts from the stored q-space rows (which the direct
+    engine ignores), so no drive transforms a packet that an earlier drive
+    built.  Each roundtrip is a walk of its own, as a `step` is.  On either
+    engine a walk hands out read-only complex128 views of one buffer, valid
+    until its next chunk; a roundtrip's walk ends after its one chunk,
+    which is never refilled, so its states are views of that chunk, kept
+    uncopied."""
     check_name("engine", engine, ENGINES)
     specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
-    # every packet's (2, N) amplitudes, 9 delta + 3 >= N counted in floats:
-    # inf, not an OverflowError, for a delta near the double range
+    # every packet's (2, 2, N) complex table, 9 delta + 3 >= N counted in
+    # floats: inf, not an OverflowError, for a delta near the double range
     check_fits(f"delta {delta:g} too large: its lattice (half_width 4.5 delta)",
-               len(specs) * 32 * (9 * delta + 3))
+               len(specs) * 64 * (9 * delta + 3))
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     cfg = LatticeConfig(half_width=math.ceil(4.5 * delta))
-    keys = [_packet_key(spec, cfg) for spec in specs]
-    packets = states = tuple(LatticeState(cfg, _packet(*key)) for key in keys)
-    for i, row in enumerate(zip(*schedules, strict=True)):
-        start = None
-        if engine == "spectral" and not i:
-            start = np.stack([_packet_q(*key) for key in keys])
+    tables = [_packet(*_packet_key(spec, cfg)) for spec in specs]
+    packets = states = tuple(LatticeState(cfg, table[0]) for table in tables)
+    start = np.stack([table[1] for table in tables])
+    for row in zip(*schedules, strict=True):
         ((amps, _),) = _chunks(states, [[params] for params in row], engine, start)
         states = tuple(s.with_amp(a) for s, a in zip(states, amps[0]))
+        start = None
     return packets, states
 
 

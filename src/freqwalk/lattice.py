@@ -134,17 +134,18 @@ def make_gaussian(spec: WavepacketSpec, cfg: LatticeConfig) -> LatticeState:
 
     Requires the envelope to be negligible (< 1e-8) at the lattice edge,
     otherwise the truncation would be visible in the state.  The state owns
-    a copy of the `_packet` table of its `_packet_key`.
+    a copy of the amplitudes in the `_packet` table of its `_packet_key`.
     """
-    return LatticeState(cfg, _packet(*_packet_key(spec, cfg)).copy())
+    return LatticeState(cfg, _packet(*_packet_key(spec, cfg))[0].copy())
 
 
 def _packet_key(spec: WavepacketSpec, cfg: LatticeConfig) -> tuple:
-    """(delta, q, spin, half_width), the key of the `_packet` and `_packet_q`
-    tables of a packet: a ConfigurationError if its envelope is not
-    negligible at the lattice edge.  The spin, validated by `spec`, is a
-    pair of Python complex values with -0.0 folded to 0.0, so equal spins
-    given as ints, floats or an array share one table."""
+    """(delta, q, spin, half_width), the key of a packet's one `_packet`
+    table (its amplitudes and their q-space rows): a ConfigurationError if
+    its envelope is not negligible at the lattice edge.  The spin,
+    validated by `spec`, is a pair of Python complex values with -0.0
+    folded to 0.0, so equal spins given as ints, floats or an array share
+    one table."""
     ratio = cfg.half_width / spec.delta
     # a float product past the double range is inf, not an OverflowError
     # as from **, and exp(-inf) is the edge envelope 0 that it stands for
@@ -161,30 +162,20 @@ def _packet_key(spec: WavepacketSpec, cfg: LatticeConfig) -> tuple:
 
 @_table
 def _packet(delta: float, q: float, spin: tuple, half_width: int) -> np.ndarray:
-    """The unit-norm (2, N) amplitudes of a Gaussian packet: its `_envelope`
-    times each spin component.  A gate experiment drives the same two basis
-    spins, H and V, on every packet of one width."""
-    envelope = _envelope(delta, q, half_width)
-    amp = np.array([spin[0] * envelope, spin[1] * envelope])
-    return amp / np.linalg.norm(amp)
-
-
-@_table
-def _packet_q(delta: float, q: float, spin: tuple, half_width: int) -> np.ndarray:
-    """The q-space amplitudes of a `_packet`, its rows' `np.fft.ifft`: the
-    bits that each row has in the transform of any stack of states, so a
-    spectral walk may start from them."""
-    return np.fft.ifft(_packet(delta, q, spin, half_width), axis=-1)
-
-
-@_table
-def _envelope(delta: float, q: float, half_width: int) -> np.ndarray:
-    """exp(-m^2/delta^2) exp(-i q m) on the sites."""
+    """A Gaussian packet's (2, 2, N) table.  [0] holds its unit-norm
+    amplitudes, exp(-m^2/delta^2) exp(-i q m) times each spin component;
+    [1] holds their rows' `np.fft.ifft`, the bits that each row has in the
+    transform of any stack of states, so a spectral walk may start from
+    them.  A gate experiment drives the same two basis spins, H and V, on
+    every packet of one width."""
     m = LatticeConfig(half_width).sites
     # sites too far out for (m/delta)^2 to be a double have envelope
     # exp(-inf) = 0, which is exact
     with np.errstate(over="ignore"):
-        return np.exp(-(m / delta) ** 2) * np.exp(-1j * q * m)
+        envelope = np.exp(-(m / delta) ** 2) * np.exp(-1j * q * m)
+    amp = np.array([spin[0] * envelope, spin[1] * envelope])
+    amp /= np.linalg.norm(amp)
+    return np.stack([amp, np.fft.ifft(amp, axis=-1)])
 
 
 def probability_distribution(state: LatticeState) -> np.ndarray:

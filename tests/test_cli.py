@@ -242,10 +242,11 @@ class TestOversizedInputs:
 
 class TestMemoryRefusal:
     """A walk whose kernel search or amplitudes, a diffusion's table or
-    peak, a band grid, or a gate run whose packets, would not fit in
-    physical memory is refused before any Bessel work, array or packet:
-    the derived lattice by the closed-form bound on the kernel reach.  The
-    host here has 1 MB, set by hand, so the refusals hold on any machine."""
+    peak, an evolve run's peak, a band grid, or a gate run whose packets,
+    would not fit in physical memory is refused before any Bessel work,
+    array or packet: the derived lattice by the closed-form bound on the
+    kernel reach.  The host here has 1 MB, set by hand, so the refusals
+    hold on any machine."""
 
     @pytest.fixture(autouse=True)
     def small_host(self, monkeypatch):
@@ -257,9 +258,8 @@ class TestMemoryRefusal:
 
         monkeypatch.setattr(errors, "physical_memory", lambda: 10**6)
         monkeypatch.setattr(engine, "bessel_j_sequence", forbidden("Bessel work"))
-        # the packet builders of every gate, preparation and register drive
+        # the packet builder of every gate, preparation and register drive
         monkeypatch.setattr(gates, "_packet", forbidden("a packet"))
-        monkeypatch.setattr(gates, "_packet_q", forbidden("a packet"))
 
     @pytest.mark.parametrize(
         "argv,head",
@@ -283,7 +283,10 @@ class TestMemoryRefusal:
           "n_k 100000000000 too large: its (n_k, 2, 2) complex spinors"),
          # its table (72 kB) fits; its DTQW baseline, walk and rows (2.1 MB) do not
          (["diffusion", "--gamma", "0", "--steps", "1000", "--half-width", "10"],
-          "steps 1000 at half_width 10 too large: its baseline, walk and rows")],
+          "steps 1000 at half_width 10 too large: its baseline, walk and rows"),
+         # its amplitudes (64 kB) fit; its walk and one step's rows (2.9 MB) do not
+         (["evolve", "--gamma", "1", "--steps", "1", "--half-width", "1000"],
+          "steps 1 at half_width 1000 too large: its walk and one step's rows")],
     )
     def test_refused_with_one_error_line(self, argv, head, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -681,6 +684,22 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
       for fmt in ("csv", "json")],
 ], ids=["readme", "dtqw-csv", "dtqw-json"])
 def test_diffusion_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
+    _assert_count_covers_the_traced_peak(argv, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    # README evolve (N = 3001, 5 roundtrips a chunk) and its JSON run
+    ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"],
+    ["evolve", "--gamma", "3pi", "--steps", "20", "--half-width", "1500", "--format", "json"],
+    # N = 40001: a roundtrip (1.28 MB) is past the chunk size, so a chunk holds two
+    *[["evolve", "--gamma", "3pi", "--steps", "10", "--half-width", "20000", "--format", fmt]
+      for fmt in ("csv", "json")],
+], ids=["readme-csv", "readme-json", "wide-csv", "wide-json"])
+def test_evolve_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
+    _assert_count_covers_the_traced_peak(argv, tmp_path, monkeypatch)
+
+
+def _assert_count_covers_the_traced_peak(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_VERSION", "test")  # no metadata import in the trace
     cfg = cli.load_config(cli.build_parser().parse_args(argv))
     cli.run(cfg, str(tmp_path / "warm"))  # first-use imports and tables stay out of the trace

@@ -271,8 +271,8 @@ _X = fw.solve_modulation(fw.table_gate("X"))
 )
 def test_bad_library_input_is_a_configuration_error(call):
     # none may reach a memo, where a NaN key would evict a real table
-    memos = (fw.lattice._plane_wave, fw.lattice._envelope, fw.engine._grid_blocks,
-             fw.engine._direct_kernels, fw.lattice._packet, fw.lattice._packet_q)
+    memos = (fw.lattice._plane_wave, fw.engine._grid_blocks, fw.engine._direct_kernels,
+             fw.lattice._packet)
     before = [memo.cache_info() for memo in memos]
     with pytest.raises(fw.ConfigurationError):
         call()
