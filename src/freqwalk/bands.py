@@ -29,6 +29,7 @@ from .engine import ModulationParams, uk_matrix
 from .errors import ConfigurationError, check_fits, check_integer, check_name, check_number
 
 BRANCHES = ("+", "-")
+_POINT_BYTES = 288  # what `band_grid` holds at most a point (counted there)
 
 
 def fold_quasienergy(eps: np.ndarray | float):
@@ -159,9 +160,9 @@ def band_grid(params: ModulationParams, n_k: int) -> BandGrid:
     # the peak is in `_grid`: raw and labeled spinors (64 B a point each) and eigenphases
     # (16 B each), the conjugated previous + spinors (32 B), q and the two overlaps (8 B
     # each), eps and three (n_k, 2) temporaries of nz (16 B each) and the bool swaps: 283 B
-    # a point, counted as 288.  Traced: 281 B at n_k = 8,000 and 273 B at 40,000, where
-    # numpy reuses temporaries.  The closed-form eigensolve traces 273-274 B a point.
-    check_fits(f"n_k {n_k} too large: its (n_k, 2, 2) complex spinors", 288 * n_k)
+    # a point, counted as _POINT_BYTES.  Traced: 281 B at n_k = 8,000 and 273 B at 40,000,
+    # where numpy reuses temporaries.  The closed-form eigensolve traces 273-274 B a point.
+    check_fits(f"n_k {n_k} too large: its (n_k, 2, 2) complex spinors", _POINT_BYTES * n_k)
     qs = -np.pi + 2 * np.pi * np.arange(n_k) / n_k
     phases, spinors = _eig_sorted(params, qs)
     prev, plus, minus = spinors[:-1, 0].conj(), spinors[1:, 0], spinors[1:, 1]

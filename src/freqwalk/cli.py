@@ -234,8 +234,8 @@ def _fast_size(n: int) -> int:
 
 
 _CSV_BLOCK_ROWS = 4096  # rows per block of band and diffusion: bounds the temporary strings
-# What `_write_rows` holds at most per row of a diffusion block, or of an
-# evolve block (one step's N sites): its cells, template and text, and with
+# What `_write_rows` holds at most per row of a band or diffusion block, or
+# of an evolve block (one step's N sites): its cells, template and text, and with
 # the helper a second block's text and the pickles.  Traced at most 630 B
 # (JSON, the helper, 10-digit steps, 33-character labels and 24-character
 # floats).
@@ -394,7 +394,10 @@ def _params(cfg: dict, gamma: float) -> ModulationParams:
 
 
 def run_band(cfg: dict):
-    grid = bands.band_grid(_params(cfg, cfg["gamma"][0]), cfg["n_k"])
+    n_k = cfg["n_k"]
+    grid = bands.band_grid(_params(cfg, cfg["gamma"][0]), n_k)  # checks the grid alone
+    check_fits(f"n_k {n_k} too large: its grid and one block of rows",
+               bands._POINT_BYTES * n_k + _BLOCK_ROW_BYTES * min(n_k, _CSV_BLOCK_ROWS))
     columns = [grid.q, *grid.eps.T, *grid.nz.T]
     return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], _blocks(columns)
 
@@ -409,13 +412,14 @@ def run_evolve(cfg: dict):
     as the walk reaches that step: P(m) is read from the walk's chunk one
     row at a time, so no more than one step's P(m) is held, and a
     boundary abort at step k raises while block k is asked for.  Its
-    count of what it holds at once, the walk and one step's rows, is
-    checked before the first array (the direct engine's walk holds less
-    than the spectral walk's chunks while lmax is below N)."""
+    count of what it holds at once, the walk (its chunk as long as the
+    steps, up to `engine._chunk_rows`) and one step's rows, is checked
+    before the first array (the direct engine's walk holds less than the
+    spectral walk's chunks while lmax is below N)."""
     steps, half_width = cfg["steps"], cfg["half_width"]
     n_sites = 2 * half_width + 1
     check_fits(f"steps {steps} at half_width {half_width} too large: its walk and one step's rows",
-               _walk_bytes(1, n_sites) + _BLOCK_ROW_BYTES * n_sites)
+               _walk_bytes(1, n_sites, steps) + _BLOCK_ROW_BYTES * n_sites)
     state = _origin(cfg)
     schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), steps)
     sites = state.config.sites  # one array for every block: its cells are formatted once
@@ -433,12 +437,14 @@ def run_diffusion(cfg: dict):
     # its step, model and M columns: 8 bytes each a row, n rows a curve
     table = 24 * n * (2 + members)
     check_fits(f"steps {n} too large: its table of M(n)", table)
-    # the DTQW baseline, the walk and the writer run one after another, but
-    # the tables they memoize outlive them: summed.  The direct engine's
-    # walk holds one roundtrip and its convolutions, less than the spectral
-    # walk's chunks while lmax is below N.
-    peak = (table + baselines._dtqw_bytes(n) + _walk_bytes(members, 2 * half_width + 1)
-            + _BLOCK_ROW_BYTES * min(n, _CSV_BLOCK_ROWS))
+    # the DTQW baseline, the walk and the writer run one after another, so
+    # the largest is counted.  The tables they memoize outlive them, within
+    # that count: with the memos cleared, it is 1.06-3.1x the traced peak of
+    # README diffusion, 5,000 DTQW steps and 4,200 steps at N = 10,001.  The
+    # direct engine's walk holds one roundtrip and its convolutions, less
+    # than the spectral walk's chunks while lmax is below N.
+    peak = table + max(baselines._dtqw_bytes(n), _walk_bytes(members, 2 * half_width + 1, n),
+                       _BLOCK_ROW_BYTES * min(n, _CSV_BLOCK_ROWS))
     check_fits(f"steps {n} at half_width {half_width} too large: its baseline, walk and rows",
                peak)
     curves = [

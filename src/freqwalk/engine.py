@@ -433,17 +433,19 @@ def _chunk_rows(roundtrip_bytes: int) -> int:
     return max(2, _CHUNK_BYTES // roundtrip_bytes)
 
 
-def _walk_bytes(members: int, n_sites: int) -> int:
-    """What a spectral walk of `members` states on an n_sites lattice and
-    a read-out of its chunks hold at most at once, as tracemalloc counts
-    it (pocketfft's own buffers are not traced): the chunk buffer, the
+def _walk_bytes(members: int, n_sites: int, roundtrips: int) -> int:
+    """What a spectral walk of `members` states on an n_sites lattice,
+    `roundtrips` long, and a read-out of its chunks hold at most at once,
+    as tracemalloc counts it (pocketfft's own buffers are not traced): the
+    chunk buffer (the walk's roundtrips, at most `_chunk_rows`), the
     states, their q-space start, the scratch row and a table U(q) of two
     rows per member, and the larger of the temporaries `uk_matrix` builds
     a table from (four rows) and a read-out of a chunk (as large as the
-    chunk).  A row is one member's (2, N) amplitudes."""
+    chunk).  A row is one member's (2, N) amplitudes.  Every command's
+    walk is counted here, a gate drive's as one roundtrip."""
     row = 2 * n_sites * 16
     roundtrip = members * row
-    chunk = _chunk_rows(roundtrip) * roundtrip
+    chunk = min(roundtrips, _chunk_rows(roundtrip)) * roundtrip
     return chunk + 4 * roundtrip + row + max(4 * row, chunk)
 
 

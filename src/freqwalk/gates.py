@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BRANCHES
-from .engine import ENGINES, ModulationParams, Schedule, _chunks, uk_matrix
+from .engine import ENGINES, ModulationParams, Schedule, _chunks, _walk_bytes, uk_matrix
 from .errors import ConfigurationError, InfeasibleGateError, check_fits, check_name, check_number
 from .lattice import (
     LatticeConfig,
@@ -154,13 +154,17 @@ def _drive(
     engine a walk hands out read-only complex128 views of one buffer, valid
     until its next chunk; a roundtrip's walk ends after its one chunk,
     which is never refilled, so its states are views of that chunk, kept
-    uncopied."""
+    uncopied.  Before any packet is built, the drive's size check counts
+    the packet tables and one roundtrip's walk, as `engine._walk_bytes`
+    counts every walk."""
     check_name("engine", engine, ENGINES)
     specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
-    # every packet's (2, 2, N) complex table, 9 delta + 3 >= N counted in
-    # floats: inf, not an OverflowError, for a delta near the double range
+    # every packet's (2, 2, N) complex table and a one-roundtrip walk of them,
+    # 9 delta + 3 >= N counted in floats: inf, not an OverflowError, for a
+    # delta near the double range
+    n_sites = 9 * delta + 3
     check_fits(f"delta {delta:g} too large: its lattice (half_width 4.5 delta)",
-               len(specs) * 64 * (9 * delta + 3))
+               len(specs) * 64 * n_sites + _walk_bytes(len(specs), n_sites, 1))
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     cfg = LatticeConfig(half_width=math.ceil(4.5 * delta))
     tables = [_packet(*_packet_key(spec, cfg)) for spec in specs]

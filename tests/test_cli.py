@@ -242,9 +242,10 @@ class TestOversizedInputs:
 
 class TestMemoryRefusal:
     """A walk whose kernel search or amplitudes, a diffusion's table or
-    peak, an evolve run's peak, a band grid, or a gate run whose packets,
-    would not fit in physical memory is refused before any Bessel work,
-    array or packet: the derived lattice by the closed-form bound on the
+    peak, an evolve run's peak, a band grid or the grid and its rows, or a
+    gate run whose packets or packets and walk, would not fit in physical
+    memory is refused before any Bessel work, array or packet (the grid
+    and its rows after the grid): the derived lattice by the closed-form bound on the
     kernel reach.  The host here has 1 MB, set by hand, so the refusals
     hold on any machine."""
 
@@ -281,12 +282,20 @@ class TestMemoryRefusal:
           "steps 100000000000 too large: its table of M(n)"),
          (["band", "--gamma", "1", "--n-k", "100000000000"],
           "n_k 100000000000 too large: its (n_k, 2, 2) complex spinors"),
-         # its table (72 kB) fits; its DTQW baseline, walk and rows (2.1 MB) do not
+         # its table (72 kB) fits; the largest of its DTQW baseline, walk and rows
+         # (1.1 MB) does not
          (["diffusion", "--gamma", "0", "--steps", "1000", "--half-width", "10"],
           "steps 1000 at half_width 10 too large: its baseline, walk and rows"),
-         # its amplitudes (64 kB) fit; its walk and one step's rows (2.9 MB) do not
+         # its amplitudes (64 kB) fit; its walk and one step's rows (2.2 MB) do not
          (["evolve", "--gamma", "1", "--steps", "1", "--half-width", "1000"],
-          "steps 1 at half_width 1000 too large: its walk and one step's rows")],
+          "steps 1 at half_width 1000 too large: its walk and one step's rows"),
+         # its grid (295 kB) fits; the grid and one block of its rows (1.08 MB) do not
+         (["band", "--gamma", "1", "--n-k", "1024"],
+          "n_k 1024 too large: its grid and one block of rows"),
+         # N = 4503: the packets (576 and 288 kB) fit; with their walk (2.7 and
+         # 1.7 MB) they do not
+         *[(argv + ["--delta", "500"], "delta 500 too large: its lattice (half_width 4.5 delta)")
+           for argv in (["gate", "--gate-name", "X"], ["prepare", "--phi1", "0", "--phi2", "0"])]],
     )
     def test_refused_with_one_error_line(self, argv, head, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -676,42 +685,59 @@ def test_long_walk_holds_one_step(tmp_path, monkeypatch):
     assert peak < 2_000_000
 
 
+_README_BAND = ["band", "--gamma", "3pi", "--theta=-0.5pi", "--phi-h", "0", "--phi-v", "0.75pi",
+                "--n-k", "1024"]
+_README_REPORTS = [["gate", "--gate-name", "H", "--delta", "200"],
+                   ["prepare", "--phi1", "0.75pi", "--phi2", "0.25pi"], ["cnot"]]
+
+
 @pytest.mark.parametrize("argv", [
+    # README band (one block of 1,024 rows) and its JSON run; ten blocks of 4,096 rows
+    _README_BAND, _README_BAND + ["--format", "json"],
+    ["band", "--gamma", "3pi", "--n-k", "40000"],
     # README diffusion: the walk's chunks of 2 roundtrips and its 3 tables
     ["diffusion", "--gamma", "0.06pi,1pi,3pi", "--steps", "100", "--half-width", "2500"],
     # the DTQW baseline on 10,003 sites, and blocks of 4,096 rows
     *[["diffusion", "--gamma", "0", "--steps", "5000", "--half-width", "10", "--format", fmt]
       for fmt in ("csv", "json")],
-], ids=["readme", "dtqw-csv", "dtqw-json"])
-def test_diffusion_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
-    _assert_count_covers_the_traced_peak(argv, tmp_path, monkeypatch)
-
-
-@pytest.mark.parametrize("argv", [
     # README evolve (N = 3001, 5 roundtrips a chunk) and its JSON run
     ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"],
     ["evolve", "--gamma", "3pi", "--steps", "20", "--half-width", "1500", "--format", "json"],
     # N = 40001: a roundtrip (1.28 MB) is past the chunk size, so a chunk holds two
     *[["evolve", "--gamma", "3pi", "--steps", "10", "--half-width", "20000", "--format", fmt]
       for fmt in ("csv", "json")],
-], ids=["readme-csv", "readme-json", "wide-csv", "wide-json"])
-def test_evolve_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
-    _assert_count_covers_the_traced_peak(argv, tmp_path, monkeypatch)
-
-
-def _assert_count_covers_the_traced_peak(argv, tmp_path, monkeypatch):
+    # one-step walks: a chunk of one roundtrip, shorter than `engine._chunk_rows`
+    *[["evolve", "--gamma", "3pi", "--steps", "1", "--half-width", "20000", "--format", fmt]
+      for fmt in ("csv", "json")],
+    ["diffusion", "--gamma", "0.06pi,1pi,3pi", "--steps", "1", "--half-width", "2500"],
+    # README gate, prepare and cnot (delta 200: N = 1801), the same at delta 2000
+    # (N = 18001), and gate and cnot on the direct engine
+    *_README_REPORTS, *[argv + ["--delta", "2000"] for argv in _README_REPORTS],
+    *[argv + ["--engine", "direct"] for argv in _README_REPORTS[::2]],
+], ids=["band-readme-csv", "band-readme-json", "band-wide",
+        "diffusion-readme", "diffusion-dtqw-csv", "diffusion-dtqw-json",
+        "evolve-readme-csv", "evolve-readme-json", "evolve-wide-csv", "evolve-wide-json",
+        "evolve-one-step-csv", "evolve-one-step-json", "diffusion-one-step",
+        "gate-readme", "prepare-readme", "cnot-readme",
+        "gate-delta-2000", "prepare-delta-2000", "cnot-delta-2000",
+        "gate-direct", "cnot-direct"])
+def test_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
+    # warm, as a command runs after any other on its lattice: the largest
+    # count that the command checks is at least the peak that tracemalloc
+    # traces, and at most 4 times it
     monkeypatch.setattr(cli, "_VERSION", "test")  # no metadata import in the trace
     cfg = cli.load_config(cli.build_parser().parse_args(argv))
     cli.run(cfg, str(tmp_path / "warm"))  # first-use imports and tables stay out of the trace
     counted = []
-    monkeypatch.setattr(cli, "check_fits", lambda what, nbytes: counted.append(nbytes))
+    for module in (cli, bands, gates):
+        monkeypatch.setattr(module, "check_fits", lambda what, nbytes: counted.append(nbytes))
     tracemalloc.start()
     try:
         cli.run(cfg, str(tmp_path / "x"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(counted) >= peak
+    assert peak <= max(counted) <= 4 * peak
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -925,6 +951,16 @@ class TestLockstepDiffusion:
         # README diffusion at N = 5001: in lockstep a chunk holds 2
         # roundtrips, each Gamma alone 3, and on 2 or more CPUs both are split
         self.check_lockstep(tmp_path, ["0.06pi", "1pi", "3pi"], 100, 2500)
+
+    def test_readme_direct_rows_equal_single_gamma_rows(self, tmp_path):
+        # README diffusion on the direct engine (N = 5001), which steps its
+        # members one after another in one chunk buffer that it refills in place
+        self.check_lockstep(tmp_path, ["0.06pi", "1pi", "3pi"], 100, 2500, engine_name="direct")
+
+    def test_benchmark_lattice_rows_equal_one_walk_rows(self, tmp_path):
+        # N = 2101: three walks in lockstep fill a chunk with 2 roundtrips,
+        # one walk alone with 7
+        self.check_lockstep(tmp_path, ["3pi"] * 3, 100, 1050)
 
     @staticmethod
     def check_lockstep(tmp_path, gammas, steps, half_width, fmt="csv", engine_name="spectral"):
@@ -1150,16 +1186,22 @@ class TestWriteCsv:
 
 
 class TestReadmeEvolveDataset:
+    ARGV = ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"]
+
+    def walk(self, tmp_path, record):
+        """The README evolve dataset's path, its lattice, and the library
+        walk of its config, recording `record`."""
+        out = tmp_path / "evolve.csv"
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        cfg = cli.load_config(cli.build_parser().parse_args(self.ARGV))
+        lattice = fw.LatticeConfig(cfg["half_width"])
+        traj = fw.evolve(fw.make_single_site(0, fw.Polarization.H, lattice),
+                         cli._params(cfg, cfg["gamma"][0]), cfg["steps"], record=record)
+        return out, lattice, traj
+
     def test_matches_per_cell_formatter(self, tmp_path):
         # 153,153 rows in 51 blocks, one per step
-        argv = ["evolve", "--gamma", "3pi", "--steps", "50", "--half-width", "1500"]
-        out = tmp_path / "evolve.csv"
-        assert main(argv + ["--out", str(out)]) == 0
-        cfg = cli.load_config(cli.build_parser().parse_args(argv))
-        lattice = fw.LatticeConfig(cfg["half_width"])
-        params = fw.ModulationParams(cfg["gamma"][0], cfg["phi_h"], cfg["phi_v"], cfg["theta"])
-        traj = fw.evolve(fw.make_single_site(0, fw.Polarization.H, lattice), params,
-                         cfg["steps"], record=("prob",))
+        out, lattice, traj = self.walk(tmp_path, ("prob",))
         columns = [np.repeat(traj.steps, lattice.n_sites),
                    np.tile(lattice.sites, len(traj.records)), traj.series("prob").ravel()]
         *head, body = out.read_text().split("\n", 3)
@@ -1167,6 +1209,18 @@ class TestReadmeEvolveDataset:
         got, want = body.splitlines(), reference_csv_rows(columns).splitlines()
         assert len(got) == len(want)
         # the first differing row, not a diff of 153,153 rows
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None, f"row {bad}: {got[bad]!r} != {want[bad]!r}"
+
+    def test_rows_equal_per_state_read_outs(self, tmp_path):
+        # P(m) is read from the walk's chunks (N = 3001: 5 roundtrips a
+        # chunk); each row has the bits of `probability_distribution` of that
+        # step's state, kept from the library walk, in %.17g as written
+        out, lattice, traj = self.walk(tmp_path, ("state",))
+        got = [row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[3:]]
+        want = ["%.17g" % p for record in traj.records
+                for p in fw.probability_distribution(record["state"]).tolist()]
+        assert len(got) == 51 * lattice.n_sites
         bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
         assert bad is None, f"row {bad}: {got[bad]!r} != {want[bad]!r}"
 

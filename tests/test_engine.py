@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import freqwalk as fw
 from freqwalk import Polarization as P
-from freqwalk import engine, gates, lattice
+from freqwalk import cli, engine, gates, lattice
 from freqwalk.bessel import _miller_start, bessel_j, bessel_j_sequence
 from freqwalk.engine import BOUNDARY_TOL, KERNEL_TOL
 from freqwalk.lattice import EDGE_MARGIN
@@ -705,6 +705,85 @@ class TestEngineAgreement:
         for a, b in zip(spectral.records[1:], direct.records[1:]):
             assert np.max(np.abs(a["state"].amp - b["state"].amp)) < 1e-8
             assert b["state"].meta["norm_leak"] < 1e-12
+
+
+def qspace_diffusion(params, s0, n_sites, steps):
+    """M(t) for t = 1 .. steps of the walk from |0, s0> on an n_sites
+    lattice, from q-space alone.  The walk conserves q, so its q-space state
+    is b_t(q) = U(q)^t s0, with U(q) = D(q) R(theta) and D(q) = diag(e^{i
+    Gamma cos(q + phi_H)}, e^{i Gamma cos(q + phi_V)}), and by Parseval on
+    the walk's N-point q grid M(t)^2 = (1/N) sum_q |d_t(q)|^2, d_t = db_t/dq.
+    Forward mode gives d_{t+1} = D' R b_t + D R d_t and b_{t+1} = D R b_t,
+    d_0 = 0, with D' = D diag(-i Gamma sin(q + phi_H), -i Gamma sin(q + phi_V)).
+    No FFT, lattice, kernel or `uk_matrix`: the closed form of U(q) is
+    written here."""
+    phases = 2 * np.pi * np.arange(n_sites) / n_sites + np.array([[params.phi_h], [params.phi_v]])
+    diag = np.exp(1j * params.gamma * np.cos(phases))
+    diag_prime = diag * (-1j * params.gamma * np.sin(phases))
+    c, s = np.cos(params.theta / 2), np.sin(params.theta / 2)
+    rotate = lambda v: np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    b = np.repeat(np.asarray(s0, dtype=complex)[:, None], n_sites, axis=1)
+    d = np.zeros_like(b)
+    m = []
+    for _ in range(steps):
+        rb = rotate(b)
+        b, d = diag * rb, diag_prime * rb + diag * rotate(d)
+        m.append(np.sqrt((np.abs(d) ** 2).sum() / n_sites))
+    return np.array(m)
+
+
+@st.composite
+def origin_walks(draw, top_gamma):
+    """1-3 Gammas up to `top_gamma` with one set of phases and theta, a
+    unit spin s0 and 1-40 steps, on the lattice `cli._walk_half_width`
+    sizes for them, widened by 0-400 sites (a size that is not a fast FFT
+    size, too)."""
+    angle = st.floats(-np.pi, np.pi)
+    cfg = {"gamma": draw(st.lists(st.floats(0.05, top_gamma), min_size=1, max_size=3)),
+           "phi_h": draw(angle), "phi_v": draw(angle), "theta": draw(angle),
+           "steps": draw(st.integers(1, 40))}
+    polar, azimuth = draw(angle), draw(angle)
+    s0 = (np.cos(polar), np.sin(polar) * np.exp(1j * azimuth))
+    half_width = cli._walk_half_width(cfg, len(cfg["gamma"])) + draw(st.integers(0, 400))
+    return cfg, s0, half_width
+
+
+# README diffusion: N = 5001, 100 steps, from |0, H>
+_README_DIFFUSION = ({"gamma": [0.06 * np.pi, np.pi, 3 * np.pi], "phi_h": 0.0,
+                      "phi_v": 0.75 * np.pi, "theta": -0.5 * np.pi, "steps": 100},
+                     (1.0, 0.0), 2500)
+
+
+class TestQSpaceDiffusion:
+    """Each engine's M(t), at every step of a walk from |0, s0> whose reach
+    stays on the lattice, against `qspace_diffusion`, a third computation
+    that shares only the closed form of U(q) with them."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(walk=origin_walks(10 * np.pi))
+    @example(walk=_README_DIFFUSION)
+    def test_spectral(self, walk):
+        self.check(walk, "spectral", 1e-13)
+
+    @settings(max_examples=12, deadline=None)
+    @given(walk=origin_walks(3 * np.pi))
+    @example(walk=_README_DIFFUSION)
+    def test_direct(self, walk):
+        self.check(walk, "direct", 1e-11)
+
+    @staticmethod
+    def check(walk, engine_name, bound):
+        cfg, s0, half_width = walk
+        lattice = fw.LatticeConfig(half_width)
+        amp = np.zeros((2, lattice.n_sites), dtype=complex)
+        amp[:, lattice.index(0)] = s0
+        state = fw.LatticeState(lattice, amp)
+        for gamma in cfg["gamma"]:
+            params = cli._params(cfg, gamma)
+            walked = fw.evolve(state, params, cfg["steps"], engine=engine_name)
+            exact = qspace_diffusion(params, s0, lattice.n_sites, cfg["steps"])
+            error = np.abs(walked.series("diffusion")[1:] - exact) / exact
+            assert error.max() < bound, f"Gamma {gamma!r}: relative error {error.max():.2e}"
 
 
 PRIME_N = (31, 61, 101, 181, 241)
