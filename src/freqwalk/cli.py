@@ -244,27 +244,53 @@ _BLOCK_ROW_BYTES = 768
 # _write_rows.  Measured on 2 CPUs, 50-step walks: 1,001 cells a block
 # gained nothing, 2,001 cells 15% (the fork costs about 10 ms at 70 MB).
 _HELPER_CELLS = 2000
+# Float and text cells still to come, this block's included, from which a
+# stream forks the helper.  Measured in process on 2 CPUs with a 40 MB pad,
+# medians of 15: `evolve --gamma 3pi --half-width 1500` (3,001 cells a
+# block) with 1, 3, 10 and 50 steps took 16.3, 20.2, 45.1 and 149 ms with
+# the helper against 8.0, 16.8, 48.0 and 235 ms without: the fork costs
+# about 10 ms and repays about 0.6 us a cell to come, so the two meet near
+# 7 blocks of 3,001 cells.  Where the scheduler keeps the writer and the
+# helper on one CPU, the helper repays its fork at no length (ROADMAP).
+_HELPER_STREAM_CELLS = 20_000
 
 
 def _metadata(cfg: dict) -> dict:
     return {"tool": "freqwalk", "version": _version(), "config": cfg}
 
 
-def _blocks(columns: list[np.ndarray]):
-    """The columns as blocks of _CSV_BLOCK_ROWS rows.  The first is 1-D;
-    a 0-d column stands for its value in every row of every block."""
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        yield [c[start : start + _CSV_BLOCK_ROWS] if c.ndim else c for c in columns]
+class _Stream:
+    """The row blocks of a dataset, made as they are read, and `n_blocks`,
+    how many there are (fewer if the run stops early)."""
+
+    def __init__(self, blocks, n_blocks: int):
+        self.blocks, self.n_blocks = blocks, n_blocks
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+
+def _blocks(*tables: list[np.ndarray]) -> _Stream:
+    """The rows of each table, a list of columns, as blocks of
+    _CSV_BLOCK_ROWS rows, table after table.  A table's first column is
+    1-D; a 0-d column stands for its value in every row of every block."""
+    cuts = [(columns, s) for columns in tables for s in range(0, len(columns[0]), _CSV_BLOCK_ROWS)]
+    return _Stream(([c[s : s + _CSV_BLOCK_ROWS] if c.ndim else c for c in columns]
+                    for columns, s in cuts), len(cuts))
 
 
 def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
-                int_format: str) -> bool:
+                int_format: str, n_blocks: int | None) -> bool:
     """The rows of every block joined by `sep`; return whether any were
-    written.  Each block is one %-format (`_block_formats`).
+    written.  Each block is one %-format (`_block_formats`).  `n_blocks`
+    is how many blocks the stream holds (a `_Stream`'s), None if that is
+    not known.
 
     Where this process may run on 2 or more CPUs, once the stream reaches,
     past its first block, a block of at least _HELPER_CELLS float and text
-    cells, every other such block goes to a helper process forked from the
+    cells, and if the blocks still to come, each counted as large as that
+    one, hold at least _HELPER_STREAM_CELLS cells (or `n_blocks` is None),
+    every other such block goes to a helper process forked from the
     writer (`_helper.Formatter`), which formats it while the writer
     computes and formats the next block itself.  The texts are written in
     block order and each is the same %-format in a fork of the same
@@ -285,7 +311,8 @@ def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
             large = len(values) >= _HELPER_CELLS
             if k and large and not decided:
                 decided = True
-                if hasattr(os, "fork") and _cpus() >= 2:
+                repaid = n_blocks is None or (n_blocks - k) * len(values) >= _HELPER_STREAM_CELLS
+                if repaid and hasattr(os, "fork") and _cpus() >= 2:
                     from ._helper import Formatter  # compiled and loaded for this alone
 
                     helper = stack.enter_context(Formatter())  # reaps what `start` forks
@@ -362,7 +389,7 @@ def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
     row = lambda cells: ",".join(cells) + "\n"
-    _write_rows(out, row, "", blocks, "%.17g", "%.17g")
+    _write_rows(out, row, "", blocks, "%.17g", "%.17g", getattr(blocks, "n_blocks", None))
 
 
 def _json_cells(column: np.ndarray) -> np.ndarray:
@@ -382,7 +409,8 @@ def _write_json(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     doc = {"metadata": _metadata(cfg), "columns": header, "rows": []}
     out.write(json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")])  # to "rows": [
     row = lambda cells: "\n  [\n" + ",\n".join("   " + c for c in cells) + "\n  ]"
-    if _write_rows(out, row, ",", ([_json_cells(c) for c in b] for b in blocks), "%s", "%d"):
+    cells = ([_json_cells(c) for c in b] for b in blocks)
+    if _write_rows(out, row, ",", cells, "%s", "%d", getattr(blocks, "n_blocks", None)):
         out.write("\n ")
     out.write("]\n}\n")
 
@@ -423,10 +451,10 @@ def run_evolve(cfg: dict):
     state = _origin(cfg)
     schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), steps)
     sites = state.config.sites  # one array for every block: its cells are formatted once
-    walk = _monitored_chunks((state,), (schedule,), cfg["engine"])
+    walk = _monitored_chunks(state.amp[None], (schedule,), cfg["engine"])
     blocks = ([np.int64(first + j), sites, _probabilities(amp)]
               for first, amps, _ in walk for j, amp in enumerate(amps[:, 0]))
-    return ["step", "m", "prob"], blocks
+    return ["step", "m", "prob"], _Stream(blocks, steps + 1)
 
 
 def run_diffusion(cfg: dict):
@@ -455,15 +483,14 @@ def run_diffusion(cfg: dict):
         ("dtqw", baselines.dtqw_diffusion(n)),
     ]
     schedules = [itertools.repeat(_params(cfg, gamma), n) for gamma in cfg["gamma"]]
-    walk = _monitored_chunks((_origin(cfg),) * len(schedules), schedules, cfg["engine"])
+    walk = _monitored_chunks(np.stack([_origin(cfg).amp] * members), schedules, cfg["engine"])
     table = np.empty((n, len(schedules)))  # M(n) of each Gamma, a row per step past 0
     for first, amps, _ in itertools.islice(walk, 1, None):
         table[first - 1 : first - 1 + len(amps)] = _diffusion_distances(amps)
     curves += [(f"synthetic:{gamma:.17g}", m) for gamma, m in zip(cfg["gamma"], table.T)]
     step = np.arange(1, n + 1, dtype=np.int64)
     # a curve's model column is its one label, a 0-d cell: JSON encodes it once a block
-    blocks = (block for label, values in curves
-              for block in _blocks([step, np.array(label, dtype=object), values]))
+    blocks = _blocks(*([step, np.array(label, dtype=object), values] for label, values in curves))
     return ["step", "model", "M"], blocks
 
 

@@ -21,11 +21,12 @@ hand the second of their two calls to one daemon worker thread
 the worker has not started and never leaves while the worker runs one.
 The two share no numerics and cross-validate each other.
 
-Both engines hand out the walk the same way: `_chunks` refills one
-complex128 chunk buffer, allocated once, and yields read-only views of
-it, each valid until the walk is asked for its next chunk; a caller that
-keeps amplitudes longer keeps a copy.  A walk runs in complex128,
-whatever the dtype of its states.  The boundary monitor and the
+Both engines hand out the walk the same way: `_chunks` takes the (k, 2,
+N) stack of its members' amplitudes, refills one complex128 chunk
+buffer, allocated once, and yields read-only views of it, each valid
+until the walk is asked for its next chunk; a caller that keeps
+amplitudes longer keeps a copy.  A walk runs in complex128, whatever
+the dtype of its stack.  The boundary monitor and the
 read-outs (`lattice._probabilities`, `_diffusion_distances`,
 `_boundary_masses`) read a whole chunk at a time, each row with the bits
 of that state alone.
@@ -342,7 +343,7 @@ def step(
     meta["norm_leak"]; a leak above 1e-6 also raises a warning.  The
     result is complex128, whatever the dtype of `state`.
     """
-    ((amps, leaks),) = _chunks((state,), ([params],), check_name("engine", engine, ENGINES))
+    ((amps, leaks),) = _chunks(state.amp[None], ([params],), check_name("engine", engine, ENGINES))
     return state.with_amp(amps[0, 0].copy(), **_metas(amps, leaks)[0])
 
 
@@ -354,17 +355,19 @@ def _metas(amps: np.ndarray, leaks) -> list[dict]:
     return [{"norm_leak": float(leak)} for leak in leaks[:, 0]]
 
 
-def _chunks(states, schedules, engine: str, start=None):
-    """Step k states on one lattice in lockstep, one schedule (an iterable
-    of ModulationParams) each, all of one length; yield (amps, leaks) per
-    chunk of roundtrips.  `amps` is a read-only (rows, k, 2, N) complex128
-    view of the position-space amplitudes after each roundtrip of the
-    chunk; `leaks` is the direct engine's (rows, k) norm leak, None on the
-    spectral engine.  Both engines refill one buffer, allocated once, so a
-    chunk is valid until the walk is asked for its next chunk: a caller
-    that keeps amplitudes longer keeps a copy.  A walk runs in complex128,
-    whatever the dtype of the states.  Non-finite amplitudes are a
-    ConfigurationError, as for a state, checked once per chunk.
+def _chunks(amps: np.ndarray, schedules, engine: str, start=None):
+    """Step k states on one lattice in lockstep, given as their (k, 2, N)
+    stack of amplitudes `amps`, one schedule (an iterable of
+    ModulationParams) each, all of one length; yield (amps, leaks) per
+    chunk of roundtrips.  The yielded `amps` is a read-only (rows, k, 2, N)
+    complex128 view of the position-space amplitudes after each roundtrip
+    of the chunk; `leaks` is the direct engine's (rows, k) norm leak, None
+    on the spectral engine.  Both engines refill one buffer, allocated
+    once, so a chunk is valid until the walk is asked for its next chunk: a
+    caller that keeps amplitudes longer keeps a copy.  A walk runs in
+    complex128, whatever the dtype of the stack, which it does not write.
+    Non-finite amplitudes are a ConfigurationError, as for a state,
+    checked once per chunk, so a non-finite stack fails its first chunk.
 
     The walk keeps one dict of the current row's tables (the direct taps
     of `_direct_kernels` or the blocks U(q) of `_grid_blocks`), keyed by
@@ -376,7 +379,7 @@ def _chunks(states, schedules, engine: str, start=None):
     roundtrip per chunk, and ignores `start`.  The spectral engine carries
     the members' q-space amplitudes from step to step.  They start from
     `start`, a writable (k, 2, N) complex128 array with the bits of the
-    states' ifft that the walk takes over, if the caller holds one, else
+    stack's ifft that the walk takes over, if the caller holds one, else
     from that ifft.  It propagates up to `_CHUNK_BYTES // start.nbytes`
     roundtrips ahead (at least two) into one chunk, each row from the
     previous one, and transforms the chunk back to position space
@@ -392,13 +395,13 @@ def _chunks(states, schedules, engine: str, start=None):
     hands the worker thread rows only if `_cpus()`, read once when the walk
     starts, is 2 or more.
     """
-    n = states[0].config.n_sites
+    n = amps.shape[-1]
     lookup = _direct_kernels if engine == "direct" else lambda p: _grid_blocks(p, n)
     tables = {}  # the current row's params and their tables
     rows = zip(*schedules, strict=True)
     split = _cpus() >= 2  # read once a walk: whether the worker thread takes rows
     if engine == "direct":
-        buffer = _stacked(states).copy()
+        buffer = amps.astype(complex)[None]  # a copy
         for row in rows:
             tables = {p: tables[p] if p in tables else lookup(p) for p in row}
             leaks = np.array([[_convolve_direct(amp, tables[p], p.theta, amp, split)
@@ -407,7 +410,7 @@ def _chunks(states, schedules, engine: str, start=None):
             yield _read_only(buffer[:]), leaks
         return
     if start is None:
-        start = np.fft.ifft(_stacked(states)[0], axis=-1)
+        start = np.fft.ifft(amps.astype(complex, copy=False), axis=-1)
     steps = _chunk_rows(start.nbytes)
     scratch = np.empty_like(start[0])
     buffer = None
@@ -478,14 +481,6 @@ def _check_finite(chunk: np.ndarray) -> None:
         raise ConfigurationError("non-finite amplitudes")
 
 
-def _stacked(states) -> np.ndarray:
-    """The amplitudes of k states as one complex128 (1, k, 2, N) chunk: a
-    view of one complex128 state's array, else a copy."""
-    if len(states) == 1:
-        return states[0].amp.astype(complex, copy=False)[None, None]
-    return np.stack([s.amp for s in states]).astype(complex, copy=False)[None]
-
-
 def _read_only(amps: np.ndarray) -> np.ndarray:
     """`amps`, flagged read-only: the flag of this view alone."""
     amps.flags.writeable = False
@@ -542,7 +537,7 @@ def evolve(
     check_name("record", record, _RECORDERS, sequence=True)
 
     traj = Trajectory()
-    for first, amps, leaks in _monitored_chunks((state,), (schedule,), engine):
+    for first, amps, leaks in _monitored_chunks(state.amp[None], (schedule,), engine):
         metas = _metas(amps, leaks) if first else [state.meta]
         columns = {key: _RECORDERS[key](amps[:, 0], metas, state) for key in record}
         for j in range(len(amps)):
@@ -550,22 +545,23 @@ def evolve(
     return traj
 
 
-def _monitored_chunks(states, schedules, engine: str):
-    """Yield (step, amps, leaks) per chunk: step 0, the initial states as a
-    one-row chunk with no leaks, then the chunks of `_chunks`, each with the
-    step of its first row.  At the first step where any member's
+def _monitored_chunks(amps: np.ndarray, schedules, engine: str):
+    """Walk the (k, 2, N) stack `amps` as `_chunks` does and yield (step,
+    amps, leaks) per chunk: step 0, the stack's complex128 cast as a
+    one-row chunk with no leaks, then the chunks of `_chunks`, each with
+    the step of its first row.  At the first step where any member's
     `boundary_mass` exceeds BOUNDARY_TOL, the rows before it are yielded as
     a chunk of their own, then BoundaryLeakError is raised with that step
     and the mass of the first such member."""
-    yield 0, _read_only(_stacked(states)), None
+    yield 0, _read_only(amps.astype(complex, copy=False)[None]), None
     first = 1
-    for amps, leaks in _chunks(states, schedules, engine):
-        masses = _boundary_masses(amps)  # (rows, k)
+    for chunk, leaks in _chunks(amps, schedules, engine):
+        masses = _boundary_masses(chunk)  # (rows, k)
         over = masses > BOUNDARY_TOL
         if over.any():
             row, member = np.unravel_index(over.argmax(), over.shape)  # the first, row by row
             if row:
-                yield first, amps[:row], None if leaks is None else leaks[:row]
+                yield first, chunk[:row], None if leaks is None else leaks[:row]
             raise BoundaryLeakError(first + int(row), float(masses[row, member]))
-        yield first, amps, leaks
-        first += len(amps)
+        yield first, chunk, leaks
+        first += len(chunk)

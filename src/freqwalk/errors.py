@@ -105,7 +105,14 @@ def physical_memory() -> int:
 
 def check_fits(what: str, nbytes: float) -> None:
     """A ConfigurationError "`what` would exceed physical memory" unless
-    `nbytes`, the size of `what`, fit in it."""
+    `nbytes`, the size of `what`, fit in it.
+
+    A caller's count covers what its run holds once the modules it uses
+    are imported and their memoized tables exist, as in a warm process.
+    A fresh process's first-use imports and tables are not counted: about
+    0.3 MB, measured as 1.26 MB traced cold against 0.99 MB warm and a
+    1.124 MB count for `diffusion --gamma 0 --steps 1000 --half-width 10`
+    (with `importlib.metadata` imported before the run)."""
     limit = physical_memory()
     if nbytes > limit:
         raise ConfigurationError(

@@ -150,13 +150,14 @@ def _drive(
     its one `_packet` table: its state is a view of the amplitudes, and the
     first roundtrip starts from the stored q-space rows (which the direct
     engine ignores), so no drive transforms a packet that an earlier drive
-    built.  Each roundtrip is a walk of its own, as a `step` is.  On either
+    built.  Each roundtrip is a walk of its own, as a `step` is, of the
+    (k, 2, N) amplitude stack the previous one handed out.  On either
     engine a walk hands out read-only complex128 views of one buffer, valid
     until its next chunk; a roundtrip's walk ends after its one chunk,
-    which is never refilled, so its states are views of that chunk, kept
-    uncopied.  Before any packet is built, the drive's size check counts
-    the packet tables and one roundtrip's walk, as `engine._walk_bytes`
-    counts every walk."""
+    which is never refilled, so the states the drive builds once, after
+    the last roundtrip, are views of that chunk, kept uncopied.  Before
+    any packet is built, the drive's size check counts the packet tables
+    and one roundtrip's walk, as `engine._walk_bytes` counts every walk."""
     check_name("engine", engine, ENGINES)
     specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
     # every packet's (2, 2, N) complex table and a one-roundtrip walk of them,
@@ -168,13 +169,12 @@ def _drive(
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     cfg = LatticeConfig(half_width=math.ceil(4.5 * delta))
     tables = [_packet(*_packet_key(spec, cfg)) for spec in specs]
-    packets = states = tuple(LatticeState(cfg, table[0]) for table in tables)
-    start = np.stack([table[1] for table in tables])
+    amps, start = np.stack(tables, axis=1)  # (k, 2, N) each: a start the walk takes over
     for row in zip(*schedules, strict=True):
-        ((amps, _),) = _chunks(states, [[params] for params in row], engine, start)
-        states = tuple(s.with_amp(a) for s, a in zip(states, amps[0]))
-        start = None
-    return packets, states
+        ((amps, _),) = _chunks(amps, [[params] for params in row], engine, start)
+        amps, start = amps[0], None
+    return (tuple(LatticeState(cfg, table[0]) for table in tables),
+            tuple(LatticeState(cfg, amp) for amp in amps))
 
 
 def _columns(

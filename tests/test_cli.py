@@ -1306,8 +1306,9 @@ def _assert_no_child() -> None:
 
 class TestFormattingHelper:
     """Once a stream reaches, past its first block, a block of at least
-    _HELPER_CELLS cells, every other such block is formatted by a process
-    forked from the writer: the bytes are the serial writer's, and no
+    _HELPER_CELLS cells, and its blocks to come hold _HELPER_STREAM_CELLS
+    cells, every other such block is formatted by a process forked from
+    the writer: the bytes are the serial writer's, and no
     process or file outlives the run."""
 
     @pytest.fixture
@@ -1353,6 +1354,21 @@ class TestFormattingHelper:
         assert len(forks) == 1
         assert capsys.readouterr().err == ""  # the fork warned of nothing
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "e.csv"]
+        _assert_no_child()
+
+    # evolve at N = 3001 writes one block of 3,001 cells a step, and one for step 0
+    @pytest.mark.parametrize("steps", [1, -(-cli._HELPER_STREAM_CELLS // 3001) - 1,
+                                       -(-cli._HELPER_STREAM_CELLS // 3001)])
+    def test_forks_only_for_streams_that_repay_it(self, steps, forks, tmp_path, monkeypatch):
+        argv = ["evolve", "--gamma", "3pi", "--steps", str(steps), "--half-width", "1500"]
+        texts = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            assert main(argv + ["--out", str(tmp_path / "e.csv")]) == 0
+            texts.append((tmp_path / "e.csv").read_bytes())
+        # the fork is decided at block 1, with `steps` blocks of 3,001 cells to come
+        assert len(forks) == (steps * 3001 >= cli._HELPER_STREAM_CELLS)
+        assert texts[0] == texts[1]
         _assert_no_child()
 
     def test_boundary_abort_leaves_no_process(self, forks, tmp_path, capsys):

@@ -567,7 +567,7 @@ class TestDirectWindow:
         assert out.meta["norm_leak"] == pytest.approx(leak, abs=1e-15)
 
         # the walk itself, without the edge abort that `evolve` adds
-        for amps, leaks in engine._chunks((state,), ([params] * n_steps,), "direct"):
+        for amps, leaks in engine._chunks(state.amp[None], ([params] * n_steps,), "direct"):
             assert np.array_equal(amps[0, 0], expected)
             assert leaks[0, 0] == pytest.approx(leak, abs=1e-15)
             expected, leak = whole_lattice_direct(state.with_amp(amps[0, 0]), taps, params.theta)
@@ -707,29 +707,54 @@ class TestEngineAgreement:
             assert b["state"].meta["norm_leak"] < 1e-12
 
 
-def qspace_diffusion(params, s0, n_sites, steps):
-    """M(t) for t = 1 .. steps of the walk from |0, s0> on an n_sites
-    lattice, from q-space alone.  The walk conserves q, so its q-space state
-    is b_t(q) = U(q)^t s0, with U(q) = D(q) R(theta) and D(q) = diag(e^{i
-    Gamma cos(q + phi_H)}, e^{i Gamma cos(q + phi_V)}), and by Parseval on
-    the walk's N-point q grid M(t)^2 = (1/N) sum_q |d_t(q)|^2, d_t = db_t/dq.
-    Forward mode gives d_{t+1} = D' R b_t + D R d_t and b_{t+1} = D R b_t,
-    d_0 = 0, with D' = D diag(-i Gamma sin(q + phi_H), -i Gamma sin(q + phi_V)).
-    No FFT, lattice, kernel or `uk_matrix`: the closed form of U(q) is
-    written here."""
+def qspace_moments(params, b, d, steps):
+    """M(t) and the first moment <m>_t = sum_m m P(m), for t = 1 .. steps,
+    from q-space alone.  The walk conserves q, so its q-space state is
+    b_t(q) = U(q)^t b_0(q) on the walk's N-point q grid, with b_0(q) =
+    sum_m a_m e^{iqm} for its amplitudes a_m at t = 0, U(q) = D(q) R(theta)
+    and D(q) = diag(e^{i Gamma cos(q + phi_H)}, e^{i Gamma cos(q + phi_V)}).
+    With d_t = db_t/dq = sum_m i m a_m(t) e^{iqm}, Parseval on that grid
+    gives M(t)^2 = (1/N) sum_q |d_t(q)|^2 and <m>_t = (1/N) sum_q
+    Im(conj(b_t(q)) d_t(q)).  Forward mode gives d_{t+1} = D' R b_t + D R d_t
+    and b_{t+1} = D R b_t, from the (2, N) arrays b = b_0 and d = d_0, with
+    D' = D diag(-i Gamma sin(q + phi_H), -i Gamma sin(q + phi_V)).  No FFT,
+    lattice, kernel or `uk_matrix`: the closed form of U(q) is written here."""
+    n_sites = b.shape[1]
     phases = 2 * np.pi * np.arange(n_sites) / n_sites + np.array([[params.phi_h], [params.phi_v]])
     diag = np.exp(1j * params.gamma * np.cos(phases))
     diag_prime = diag * (-1j * params.gamma * np.sin(phases))
     c, s = np.cos(params.theta / 2), np.sin(params.theta / 2)
     rotate = lambda v: np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-    b = np.repeat(np.asarray(s0, dtype=complex)[:, None], n_sites, axis=1)
-    d = np.zeros_like(b)
-    m = []
+    m, mean = [], []
     for _ in range(steps):
         rb = rotate(b)
         b, d = diag * rb, diag_prime * rb + diag * rotate(d)
         m.append(np.sqrt((np.abs(d) ** 2).sum() / n_sites))
-    return np.array(m)
+        mean.append(np.vdot(b, d).imag / n_sites)
+    return np.array(m), np.array(mean)
+
+
+def qspace_origin(s0, n_sites):
+    """b_0 and d_0 of `qspace_moments` for |0, s0>: s0 at every q, and 0."""
+    b = np.repeat(np.asarray(s0, dtype=complex)[:, None], n_sites, axis=1)
+    return b, np.zeros_like(b)
+
+
+def qspace_start(state):
+    """b_0 and d_0 of `qspace_moments` for `state`, each a direct sum over
+    its sites (no FFT)."""
+    sites = state.config.sites
+    waves = np.exp(1j * np.outer(sites, 2 * np.pi * np.arange(sites.size) / sites.size))
+    return state.amp @ waves, (1j * sites * state.amp) @ waves
+
+
+def check_centroids(walked, m, mean, bound):
+    """Every step's `centroid` record past step 0 against the q-space
+    first moment, within `bound` * max(1, M(t))."""
+    error = np.abs(walked.series("centroid")[1:] - mean)
+    worst = np.argmax(error / np.maximum(1.0, m))
+    assert error[worst] <= bound * max(1.0, m[worst]), (
+        f"step {worst + 1}: centroid error {error[worst]:.2e} at M(t) = {m[worst]:.1f}")
 
 
 @st.composite
@@ -756,23 +781,25 @@ _README_DIFFUSION = ({"gamma": [0.06 * np.pi, np.pi, 3 * np.pi], "phi_h": 0.0,
 
 class TestQSpaceDiffusion:
     """Each engine's M(t), at every step of a walk from |0, s0> whose reach
-    stays on the lattice, against `qspace_diffusion`, a third computation
-    that shares only the closed form of U(q) with them."""
+    stays on the lattice, against `qspace_moments`, a third computation
+    that shares only the closed form of U(q) with them, and each step's
+    centroid against the first moment; so too the centroids of acceptance
+    criterion 4's eigenstate packets."""
 
     @settings(max_examples=12, deadline=None)
     @given(walk=origin_walks(10 * np.pi))
     @example(walk=_README_DIFFUSION)
     def test_spectral(self, walk):
-        self.check(walk, "spectral", 1e-13)
+        self.check(walk, "spectral", 1e-13, 1e-13)
 
     @settings(max_examples=12, deadline=None)
     @given(walk=origin_walks(3 * np.pi))
     @example(walk=_README_DIFFUSION)
     def test_direct(self, walk):
-        self.check(walk, "direct", 1e-11)
+        self.check(walk, "direct", 1e-11, 1e-10)
 
     @staticmethod
-    def check(walk, engine_name, bound):
+    def check(walk, engine_name, bound, centroid_bound):
         cfg, s0, half_width = walk
         lattice = fw.LatticeConfig(half_width)
         amp = np.zeros((2, lattice.n_sites), dtype=complex)
@@ -780,10 +807,25 @@ class TestQSpaceDiffusion:
         state = fw.LatticeState(lattice, amp)
         for gamma in cfg["gamma"]:
             params = cli._params(cfg, gamma)
-            walked = fw.evolve(state, params, cfg["steps"], engine=engine_name)
-            exact = qspace_diffusion(params, s0, lattice.n_sites, cfg["steps"])
+            walked = fw.evolve(state, params, cfg["steps"], engine=engine_name,
+                               record=("diffusion", "centroid"))
+            exact, mean = qspace_moments(params, *qspace_origin(s0, lattice.n_sites),
+                                         cfg["steps"])
             error = np.abs(walked.series("diffusion")[1:] - exact) / exact
             assert error.max() < bound, f"Gamma {gamma!r}: relative error {error.max():.2e}"
+            check_centroids(walked, exact, mean, centroid_bound)
+
+    @pytest.mark.parametrize("engine_name, bound", [("spectral", 1e-13), ("direct", 1e-10)])
+    def test_packet_centroids(self, engine_name, bound):
+        # acceptance criterion 4: eigenstate packets at delta 25 and q = 0.27 pi
+        # drift at about the group velocity, 30 steps on a 901-site lattice
+        q, lattice = 0.27 * np.pi, fw.LatticeConfig(450)
+        for gamma in (0.06 * np.pi, np.pi, 3 * np.pi):
+            params = fw.ModulationParams(gamma=gamma, **FIG2)
+            spin = fw.eigen_spinor(params, q, "+")
+            packet = fw.make_gaussian(fw.WavepacketSpec(25.0, q, (spin[0], spin[1])), lattice)
+            walked = fw.evolve(packet, params, 30, engine_name, ("centroid",))
+            check_centroids(walked, *qspace_moments(params, *qspace_start(packet), 30), bound)
 
 
 PRIME_N = (31, 61, 101, 181, 241)
@@ -795,7 +837,8 @@ def monitored_bytes(states, schedules, engine_name):
     walk, and the step and mass of its boundary abort (None if none)."""
     steps = []
     try:
-        for _, amps, _ in engine._monitored_chunks(states, schedules, engine_name):
+        for _, amps, _ in engine._monitored_chunks(np.stack([s.amp for s in states]), schedules,
+                                                   engine_name):
             steps.extend([a.tobytes() for a in members] for members in amps)
     except fw.BoundaryLeakError as err:
         return steps, (err.step, err.mass)
@@ -937,7 +980,8 @@ class TestChunkedWalk:
             schedules = [[fw.ModulationParams(gamma=g * np.pi, **FIG2)] * 100
                          for g in (0.06, 1, 3)]
             assert sum(len(amps) for _, amps, _ in
-                       engine._monitored_chunks(states, schedules, "spectral")) == 101
+                       engine._monitored_chunks(np.stack([s.amp for s in states]), schedules,
+                                                "spectral")) == 101
             assert chunks == [2] * 50
             assert calls == halves * 50
 
@@ -957,7 +1001,8 @@ class TestChunkedWalk:
         per_chunk = max(2, engine._CHUNK_BYTES // (k * 2 * cfg.n_sites * 16))
         states = [fw.make_single_site(0, P.H, cfg)] * k
         j = 0
-        for amps, _ in engine._chunks(states, [schedule(m) for m in range(k)], "spectral"):
+        for amps, _ in engine._chunks(np.stack([s.amp for s in states]),
+                                      [schedule(m) for m in range(k)], "spectral"):
             j += len(amps)
             # the rows of the chunk that holds step j, and none past it
             assert pulled == [min(n_steps, -(-j // per_chunk) * per_chunk)] * k
@@ -1165,7 +1210,7 @@ class TestSplitTransform:
         def peak() -> int:
             tracemalloc.start()
             try:
-                for _ in engine._chunks(states, schedules, "direct"):
+                for _ in engine._chunks(np.stack([s.amp for s in states]), schedules, "direct"):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -1205,7 +1250,7 @@ class TestSplitTransform:
         reads = []
         monkeypatch.setattr(engine, "_cpus", lambda: reads.append(1) or 2)
         for name in engine.ENGINES:
-            walk = engine._chunks([fw.make_single_site(0, P.H, cfg)],
+            walk = engine._chunks(np.stack([fw.make_single_site(0, P.H, cfg).amp]),
                                   [[fw.ModulationParams(gamma=1.0, theta=0.3)] * 40], name)
             assert sum(1 for _ in walk) == (40 if name == "direct" else 6)
         assert len(reads) == 2
@@ -1261,7 +1306,7 @@ class TestKeptStates:
         s0 = self.start()
         expected = by_roundtrip_bytes(s0, [self.PARAMS] * self.STEPS)
         kept, raw = [], []
-        for amps, _ in engine._chunks((s0,), ([self.PARAMS] * self.STEPS,), "spectral"):
+        for amps, _ in engine._chunks(s0.amp[None], ([self.PARAMS] * self.STEPS,), "spectral"):
             assert not amps.flags.writeable
             raw.append(amps)
             # every row of the chunk is valid until the next one
@@ -1286,24 +1331,25 @@ class TestKeptStates:
         assert [s.amp.tobytes() for s in states[1:]] == taken
         assert all(s.amp.flags.writeable for s in states)
 
-    def test_gate_drive_keeps_its_states(self):
+    @pytest.mark.parametrize("engine_name", engine.ENGINES)
+    def test_gate_drive_keeps_its_states(self, engine_name):
         spins = [(1.0, 0.0), (0.0, 1.0)]
         schedules = [[self.PARAMS] * 3] * 2
-        packets, outs = gates._drive(spins, schedules, 8.0, 0.3, "spectral")
+        packets, outs = gates._drive(spins, schedules, 8.0, 0.3, engine_name)
         taken = [s.amp.tobytes() for s in outs]
-        gates._drive(spins[::-1], schedules, 8.0, 0.3, "spectral")
+        gates._drive(spins[::-1], schedules, 8.0, 0.3, engine_name)
         assert [s.amp.tobytes() for s in outs] == taken
         # each roundtrip of the drive is a walk of its own, as a `step` is
         for packet, out in zip(packets, outs):
             state = packet
             for params in schedules[0]:
-                state = fw.step(state, params)
+                state = fw.step(state, params, engine_name)
             assert out.amp.tobytes() == state.amp.tobytes()
 
     @pytest.mark.parametrize("engine_name", engine.ENGINES)
     def test_chunks_are_read_only(self, engine_name):
         s0 = self.start()
-        chunks = engine._chunks((s0, s0), ([self.PARAMS] * 5,) * 2, engine_name)
+        chunks = engine._chunks(np.stack([s0.amp, s0.amp]), ([self.PARAMS] * 5,) * 2, engine_name)
         first, _ = next(chunks)
         with pytest.raises(ValueError, match="read-only"):
             first[0, 0, 0, 0] = 0
@@ -1361,8 +1407,16 @@ def test_spectral_walk_refuses_a_non_finite_chunk(monkeypatch):
     monkeypatch.setattr(engine, "_direct_kernels", lambda p: taps if p == params else kernels(p))
     state = fw.make_single_site(0, P.H, cfg)
     for engine_name, clean in (("spectral", 0), ("direct", 1)):
-        walk = engine._chunks((state,), ([engine.IDENTITY, params],), engine_name)
+        walk = engine._chunks(state.amp[None], ([engine.IDENTITY, params],), engine_name)
         for _ in range(clean):
             next(walk)
+        with pytest.raises(fw.ConfigurationError, match="non-finite amplitudes"):
+            next(walk)
+    # a NaN in the input stack itself, which no state could hold: each
+    # engine refuses it at its first chunk
+    amps = np.stack([state.amp] * 2)
+    amps[1, 1, cfg.index(3)] = np.nan
+    for engine_name in engine.ENGINES:
+        walk = engine._chunks(amps, ([engine.IDENTITY] * 2,) * 2, engine_name)
         with pytest.raises(fw.ConfigurationError, match="non-finite amplitudes"):
             next(walk)

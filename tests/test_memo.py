@@ -211,7 +211,8 @@ def test_stored_q_space_rows_are_the_walks_own_transform(count):
     assert start.tobytes() == np.fft.ifft(amps, axis=-1).tobytes()
     states = [fw.LatticeState(cfg, amp) for amp in amps]
     schedules = [[fw.solve_modulation(fw.table_gate("H")).params]] * count
-    walked = [next(engine._chunks(states, schedules, "spectral", begin))[0].tobytes()
+    walked = [next(engine._chunks(np.stack([s.amp for s in states]), schedules, "spectral",
+                                  begin))[0].tobytes()
               for begin in (start, None)]
     assert walked[0] == walked[1]
 
@@ -243,21 +244,23 @@ README_REPORTS = {
 }
 
 
-def test_readme_reports_cold_and_warm(tmp_path):
+@pytest.mark.parametrize("engine_name", engine.ENGINES)
+def test_readme_reports_cold_and_warm(tmp_path, engine_name):
     """A drive's first roundtrip starts from the basis packets' stored
     q-space rows.  The README reports must have the same bytes from empty
     memos, each as a fresh process runs it, and after other gates on the
     same lattice have filled the packet tables."""
     out = tmp_path / "report.json"
+    flags = ["--engine", engine_name, "--out", str(out)]
     cold = {}
     for name, argv in README_REPORTS.items():
         clear_memos()
-        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert cli.main([*argv, *flags]) == 0
         cold[name] = out.read_bytes()
     clear_memos()
     for argv in (["--gate-name", "X"], ["--gate-name", "Y"],
                  ["--gate-name", "Rz", "--rz-phi", "0.3pi"]):
-        assert cli.main(["gate", *argv, "--delta", "200", "--out", str(out)]) == 0
+        assert cli.main(["gate", *argv, "--delta", "200", *flags]) == 0
     for name, argv in README_REPORTS.items():
-        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert cli.main([*argv, *flags]) == 0
         assert out.read_bytes() == cold[name], name
