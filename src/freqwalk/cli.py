@@ -246,53 +246,41 @@ _BLOCK_ROW_BYTES = 768
 _HELPER_CELLS = 2000
 # Float and text cells still to come, this block's included, from which a
 # stream forks the helper.  Measured in process on 2 CPUs with a 40 MB pad,
-# medians of 15: `evolve --gamma 3pi --half-width 1500` (3,001 cells a
-# block) with 1, 3, 10 and 50 steps took 16.3, 20.2, 45.1 and 149 ms with
-# the helper against 8.0, 16.8, 48.0 and 235 ms without: the fork costs
-# about 10 ms and repays about 0.6 us a cell to come, so the two meet near
-# 7 blocks of 3,001 cells.  Where the scheduler keeps the writer and the
-# helper on one CPU, the helper repays its fork at no length (ROADMAP).
-_HELPER_STREAM_CELLS = 20_000
+# median ratios of 15-25 pairs of runs with the helper and without, in 2 to 5
+# rounds: `evolve --gamma 3pi --half-width 1500` (3,001 cells a block) took
+# 0.87-1.28x the writer-alone time at 10 steps, 0.88-1.24x at 20, and
+# 0.75-0.91x at 25 to 100 steps, so the fork (about 10 ms at 70 MB) repays
+# from about 25 blocks of 3,001 cells to come.
+_HELPER_STREAM_CELLS = 75_000
 
 
 def _metadata(cfg: dict) -> dict:
     return {"tool": "freqwalk", "version": _version(), "config": cfg}
 
 
-class _Stream:
-    """The row blocks of a dataset, made as they are read, and `n_blocks`,
-    how many there are (fewer if the run stops early)."""
-
-    def __init__(self, blocks, n_blocks: int):
-        self.blocks, self.n_blocks = blocks, n_blocks
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-
-def _blocks(*tables: list[np.ndarray]) -> _Stream:
+def _blocks(*tables: list[np.ndarray]) -> tuple:
     """The rows of each table, a list of columns, as blocks of
-    _CSV_BLOCK_ROWS rows, table after table.  A table's first column is
-    1-D; a 0-d column stands for its value in every row of every block."""
+    _CSV_BLOCK_ROWS rows, table after table, and how many blocks there
+    are.  A table's first column is 1-D; a 0-d column stands for its value
+    in every row of every block."""
     cuts = [(columns, s) for columns in tables for s in range(0, len(columns[0]), _CSV_BLOCK_ROWS)]
-    return _Stream(([c[s : s + _CSV_BLOCK_ROWS] if c.ndim else c for c in columns]
-                    for columns, s in cuts), len(cuts))
+    return ([c[s : s + _CSV_BLOCK_ROWS] if c.ndim else c for c in columns]
+            for columns, s in cuts), len(cuts)
 
 
 def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
-                int_format: str, n_blocks: int | None) -> bool:
+                int_format: str, n_blocks: int) -> bool:
     """The rows of every block joined by `sep`; return whether any were
     written.  Each block is one %-format (`_block_formats`).  `n_blocks`
-    is how many blocks the stream holds (a `_Stream`'s), None if that is
-    not known.
+    is how many blocks the stream holds (fewer are read if it stops early).
 
     Where this process may run on 2 or more CPUs, once the stream reaches,
     past its first block, a block of at least _HELPER_CELLS float and text
     cells, and if the blocks still to come, each counted as large as that
-    one, hold at least _HELPER_STREAM_CELLS cells (or `n_blocks` is None),
-    every other such block goes to a helper process forked from the
-    writer (`_helper.Formatter`), which formats it while the writer
-    computes and formats the next block itself.  The texts are written in
+    one, hold at least _HELPER_STREAM_CELLS cells, every other such block
+    goes to a helper process forked from the writer (`_helper.Formatter`),
+    which formats it while the writer computes and formats the next block
+    itself.  The texts are written in
     block order and each is the same %-format in a fork of the same
     interpreter, so the bytes do not depend on the path.  At most one
     block is in flight each way, and the helper is reaped before this
@@ -311,7 +299,7 @@ def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
             large = len(values) >= _HELPER_CELLS
             if k and large and not decided:
                 decided = True
-                repaid = n_blocks is None or (n_blocks - k) * len(values) >= _HELPER_STREAM_CELLS
+                repaid = (n_blocks - k) * len(values) >= _HELPER_STREAM_CELLS
                 if repaid and hasattr(os, "fork") and _cpus() >= 2:
                     from ._helper import Formatter  # compiled and loaded for this alone
 
@@ -381,7 +369,7 @@ def _interleave(columns: list[list], n: int) -> tuple:
     return tuple(cells)
 
 
-def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
+def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks, n_blocks: int) -> None:
     """Head lines, then the rows: %.17g per float cell, %s per text cell,
     and '%.17g' % int per integer cell, which gives the bytes of
     format(cell, ".17g") cell by cell."""
@@ -389,7 +377,7 @@ def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
     out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
     row = lambda cells: ",".join(cells) + "\n"
-    _write_rows(out, row, "", blocks, "%.17g", "%.17g", getattr(blocks, "n_blocks", None))
+    _write_rows(out, row, "", blocks, "%.17g", "%.17g", n_blocks)
 
 
 def _json_cells(column: np.ndarray) -> np.ndarray:
@@ -402,15 +390,15 @@ def _json_cells(column: np.ndarray) -> np.ndarray:
     return np.array([json.dumps(v) for v in column.tolist()], dtype=object)
 
 
-def _write_json(out: TextIO, cfg: dict, header: list[str], blocks) -> None:
+def _write_json(out: TextIO, cfg: dict, header: list[str], blocks, n_blocks: int) -> None:
     """The bytes of `json.dump(doc, sort_keys=True, indent=1)` and a
     newline, with the rows (the last key) written from one row template;
     an integer cell is '%d' % int, as `json` writes it."""
     doc = {"metadata": _metadata(cfg), "columns": header, "rows": []}
     out.write(json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")])  # to "rows": [
     row = lambda cells: "\n  [\n" + ",\n".join("   " + c for c in cells) + "\n  ]"
-    cells = ([_json_cells(c) for c in b] for b in blocks)
-    if _write_rows(out, row, ",", cells, "%s", "%d", getattr(blocks, "n_blocks", None)):
+    if _write_rows(out, row, ",", ([_json_cells(c) for c in b] for b in blocks), "%s", "%d",
+                   n_blocks):
         out.write("\n ")
     out.write("]\n}\n")
 
@@ -427,7 +415,7 @@ def run_band(cfg: dict):
     check_fits(f"n_k {n_k} too large: its grid and one block of rows",
                bands._POINT_BYTES * n_k + _BLOCK_ROW_BYTES * min(n_k, _CSV_BLOCK_ROWS))
     columns = [grid.q, *grid.eps.T, *grid.nz.T]
-    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], _blocks(columns)
+    return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], *_blocks(columns)
 
 
 def _origin(cfg: dict) -> LatticeState:
@@ -436,14 +424,14 @@ def _origin(cfg: dict) -> LatticeState:
 
 
 def run_evolve(cfg: dict):
-    """The header, and one block of rows (step, m, P(m)) per step, made
-    as the walk reaches that step: P(m) is read from the walk's chunk one
-    row at a time, so no more than one step's P(m) is held, and a
-    boundary abort at step k raises while block k is asked for.  Its
-    count of what it holds at once, the walk (its chunk as long as the
-    steps, up to `engine._chunk_rows`) and one step's rows, is checked
-    before the first array (the direct engine's walk holds less than the
-    spectral walk's chunks while lmax is below N)."""
+    """The header, one block of rows (step, m, P(m)) per step, and their
+    count.  A block is made as the walk reaches its step: P(m) is read
+    from the walk's chunk one row at a time, so no more than one step's
+    P(m) is held, and a boundary abort at step k raises while block k is
+    asked for.  Its count of what it holds at once, the walk (its chunk as
+    long as the steps, up to `engine._chunk_rows`) and one step's rows, is
+    checked before the first array (the direct engine's walk holds less
+    than the spectral walk's chunks while lmax is below N)."""
     steps, half_width = cfg["steps"], cfg["half_width"]
     n_sites = 2 * half_width + 1
     check_fits(f"steps {steps} at half_width {half_width} too large: its walk and one step's rows",
@@ -454,7 +442,7 @@ def run_evolve(cfg: dict):
     walk = _monitored_chunks(state.amp[None], (schedule,), cfg["engine"])
     blocks = ([np.int64(first + j), sites, _probabilities(amp)]
               for first, amps, _ in walk for j, amp in enumerate(amps[:, 0]))
-    return ["step", "m", "prob"], _Stream(blocks, steps + 1)
+    return ["step", "m", "prob"], blocks, steps + 1
 
 
 def run_diffusion(cfg: dict):
@@ -490,8 +478,8 @@ def run_diffusion(cfg: dict):
     curves += [(f"synthetic:{gamma:.17g}", m) for gamma, m in zip(cfg["gamma"], table.T)]
     step = np.arange(1, n + 1, dtype=np.int64)
     # a curve's model column is its one label, a 0-d cell: JSON encodes it once a block
-    blocks = _blocks(*([step, np.array(label, dtype=object), values] for label, values in curves))
-    return ["step", "model", "M"], blocks
+    return ["step", "model", "M"], *_blocks(
+        *([step, np.array(label, dtype=object), values] for label, values in curves))
 
 
 def _matrix_json(u: np.ndarray) -> dict:

@@ -379,10 +379,11 @@ def _chunks(amps: np.ndarray, schedules, engine: str, start=None):
     roundtrip per chunk, and ignores `start`.  The spectral engine carries
     the members' q-space amplitudes from step to step.  They start from
     `start`, a writable (k, 2, N) complex128 array with the bits of the
-    stack's ifft that the walk takes over, if the caller holds one, else
-    from that ifft.  It propagates up to `_CHUNK_BYTES // start.nbytes`
-    roundtrips ahead (at least two) into one chunk, each row from the
-    previous one, and transforms the chunk back to position space
+    stack's ifft that the walk takes over, if the caller holds one (and
+    then reads `amps` for its shape alone), else from that ifft.  It
+    propagates up to `_CHUNK_BYTES // start.nbytes` roundtrips ahead (at
+    least two) into one chunk, each row from the previous one, and
+    transforms the chunk back to position space
     (`_fft_rows`: one FFT call, or two on two threads).  At least two,
     so that a split chunk hands each thread whole roundtrips: pocketfft
     plans once a call and pairs its rows, so one call of a roundtrip's 2k
@@ -401,7 +402,7 @@ def _chunks(amps: np.ndarray, schedules, engine: str, start=None):
     rows = zip(*schedules, strict=True)
     split = _cpus() >= 2  # read once a walk: whether the worker thread takes rows
     if engine == "direct":
-        buffer = amps.astype(complex)[None]  # a copy
+        buffer = amps.astype(complex, copy=False)[None].copy()
         for row in rows:
             tables = {p: tables[p] if p in tables else lookup(p) for p in row}
             leaks = np.array([[_convolve_direct(amp, tables[p], p.theta, amp, split)

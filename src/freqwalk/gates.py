@@ -148,10 +148,11 @@ def _drive(
     for all, and the states after their schedules (all of one length),
     walked in lockstep one roundtrip at a time.  Each packet is read from
     its one `_packet` table: its state is a view of the amplitudes, and the
-    first roundtrip starts from the stored q-space rows (which the direct
-    engine ignores), so no drive transforms a packet that an earlier drive
-    built.  Each roundtrip is a walk of its own, as a `step` is, of the
-    (k, 2, N) amplitude stack the previous one handed out.  On either
+    first roundtrip starts from the stored q-space rows (the direct engine
+    from the amplitudes), so no drive transforms a packet that an earlier
+    drive built, and only the rows the walk reads are stacked.  Each
+    roundtrip is a walk of its own, as a `step` is, of the (k, 2, N)
+    amplitude stack the previous one handed out.  On either
     engine a walk hands out read-only complex128 views of one buffer, valid
     until its next chunk; a roundtrip's walk ends after its one chunk,
     which is never refilled, so the states the drive builds once, after
@@ -169,12 +170,17 @@ def _drive(
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     cfg = LatticeConfig(half_width=math.ceil(4.5 * delta))
     tables = [_packet(*_packet_key(spec, cfg)) for spec in specs]
-    amps, start = np.stack(tables, axis=1)  # (k, 2, N) each: a start the walk takes over
+    # the spectral walk starts from, and takes over, the packets' q-space
+    # rows (and reads `amps` for its shape alone); the direct walk reads
+    # their amplitudes and ignores `start`
+    start = np.stack([table[1] for table in tables]) if engine == "spectral" else None
+    amps = np.stack([table[0] for table in tables]) if start is None else start
     for row in zip(*schedules, strict=True):
         ((amps, _),) = _chunks(amps, [[params] for params in row], engine, start)
         amps, start = amps[0], None
-    return (tuple(LatticeState(cfg, table[0]) for table in tables),
-            tuple(LatticeState(cfg, amp) for amp in amps))
+    packets = tuple(LatticeState(cfg, table[0]) for table in tables)
+    # no roundtrip leaves the spectral stack in q-space: the packets are the output
+    return packets, packets if start is not None else tuple(LatticeState(cfg, a) for a in amps)
 
 
 def _columns(

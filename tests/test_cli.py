@@ -895,7 +895,7 @@ class TestDiffusionCommand:
         n = 300
         defaults = {key: f.default for key, f in cli.FIELDS.items() if f.default is not None}
         cfg = dict(defaults, steps=n, gamma=[0.0], half_width=10)
-        _, blocks = cli.run_diffusion(cfg)
+        _, blocks, _ = cli.run_diffusion(cfg)
         # each block's model column is one 0-d label cell
         step, model, values = map(np.concatenate, zip(*(np.broadcast_arrays(*b) for b in blocks)))
         classical = values[model == "classical"]
@@ -1162,7 +1162,8 @@ class TestWriteCsv:
     def test_matches_per_cell_formatter(self, columns, cuts):
         header = [f"c{j}" for j in range(len(columns))]
         out = io.StringIO()
-        cli._write_csv(out, {"experiment": "band"}, header, _split(columns, cuts))
+        blocks = _split(columns, cuts)
+        cli._write_csv(out, {"experiment": "band"}, header, blocks, len(blocks))
         *head, body = out.getvalue().split("\n", 3)
         assert head[2] == ",".join(header)
         assert body == reference_csv_rows(columns)
@@ -1172,7 +1173,7 @@ class TestWriteCsv:
     def test_scalar_and_shared_columns(self, table):
         blocks, columns = table
         out = io.StringIO()
-        cli._write_csv(out, {"experiment": "evolve"}, ["a", "b", "c"], blocks)
+        cli._write_csv(out, {"experiment": "evolve"}, ["a", "b", "c"], blocks, len(blocks))
         assert out.getvalue().split("\n", 3)[3] == reference_csv_rows(columns)
 
     @settings(max_examples=100, deadline=None)
@@ -1181,7 +1182,7 @@ class TestWriteCsv:
         blocks, columns = table
         header = [f"c{j}" for j in range(len(columns))]
         out = io.StringIO()
-        cli._write_csv(out, {"experiment": "band"}, header, blocks)
+        cli._write_csv(out, {"experiment": "band"}, header, blocks, len(blocks))
         assert out.getvalue().split("\n", 3)[3] == reference_csv_rows(columns)
 
 
@@ -1238,7 +1239,8 @@ class TestWriteJson:
         header = [f"c{j}" for j in range(len(columns))]
         cfg = {"experiment": "band"}
         out = io.StringIO()
-        cli._write_json(out, cfg, header, _split(columns, cuts))
+        blocks = _split(columns, cuts)
+        cli._write_json(out, cfg, header, blocks, len(blocks))
         assert out.getvalue() == _json_reference(cfg, header, columns)
 
     @settings(max_examples=50, deadline=None)
@@ -1247,7 +1249,7 @@ class TestWriteJson:
         blocks, columns = table
         cfg = {"experiment": "evolve"}
         out = io.StringIO()
-        cli._write_json(out, cfg, ["a", "b", "c"], blocks)
+        cli._write_json(out, cfg, ["a", "b", "c"], blocks, len(blocks))
         assert out.getvalue() == _json_reference(cfg, ["a", "b", "c"], columns)
 
     @settings(max_examples=100, deadline=None)
@@ -1257,7 +1259,7 @@ class TestWriteJson:
         header = [f"c{j}" for j in range(len(columns))]
         cfg = {"experiment": "band"}
         out = io.StringIO()
-        cli._write_json(out, cfg, header, blocks)
+        cli._write_json(out, cfg, header, blocks, len(blocks))
         assert out.getvalue() == _json_reference(cfg, header, columns)
 
     @pytest.mark.parametrize("value", [np.float64("nan"), np.float64("inf"),
@@ -1270,7 +1272,7 @@ class TestWriteJson:
         columns = [np.full(3, value.item(), dtype=value.dtype), np.concatenate(floats)]
         cfg = {"experiment": "evolve"}
         out = io.StringIO()
-        cli._write_json(out, cfg, ["a", "b"], blocks)
+        cli._write_json(out, cfg, ["a", "b"], blocks, len(blocks))
         assert out.getvalue() == _json_reference(cfg, ["a", "b"], columns)
 
 
@@ -1332,11 +1334,13 @@ class TestFormattingHelper:
     def test_same_bytes_as_one_process(self, fmt, forks, monkeypatch):
         blocks, columns = _helper_blocks()
         header, cfg = ["step", "m", "x", "label"], {"experiment": "evolve"}
+        monkeypatch.setattr(cli, "_HELPER_STREAM_CELLS", 0)  # any stream of large blocks forks
         texts = []
         for cpus in (2, 1):
             monkeypatch.setattr(cli, "_cpus", lambda: cpus)
             out = io.StringIO()
-            (cli._write_csv if fmt == "csv" else cli._write_json)(out, cfg, header, blocks)
+            write = cli._write_csv if fmt == "csv" else cli._write_json
+            write(out, cfg, header, blocks, len(blocks))
             texts.append(out.getvalue())
         assert len(forks) == 1
         assert texts[0] == texts[1]
@@ -1385,19 +1389,28 @@ class TestFormattingHelper:
         evolve = cli._TABULAR["evolve"]
 
         def interrupted(cfg):
-            header, stream = evolve(cfg)
+            header, stream, n_blocks = evolve(cfg)
 
             def cut():
                 yield from itertools.islice(stream, blocks)
                 raise KeyboardInterrupt
 
-            return header, cut()
+            return header, cut(), n_blocks
 
         monkeypatch.setitem(cli._TABULAR, "evolve", interrupted)
         assert main(_README_EVOLVE + ["--out", str(tmp_path / "x.csv")]) == 130
         assert len(forks) == 1
         assert capsys.readouterr().err == "error: interrupted\n"
         assert list(tmp_path.iterdir()) == []
+        _assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_helper_runs_on_one_cpu(self):
+        with _helper.Formatter() as helper:
+            helper.start()
+            helper.send("%s", ("x",))
+            assert helper.receive() == "x"  # the helper bound itself before its first job
+            assert os.sched_getaffinity(helper.pid) == {max(os.sched_getaffinity(0))}
         _assert_no_child()
 
     def test_helper_that_exits_is_an_io_error(self, forks, tmp_path, monkeypatch, capsys):

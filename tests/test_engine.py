@@ -1347,6 +1347,13 @@ class TestKeptStates:
             assert out.amp.tobytes() == state.amp.tobytes()
 
     @pytest.mark.parametrize("engine_name", engine.ENGINES)
+    def test_drive_of_no_roundtrip_gives_its_packets(self, engine_name):
+        # the spectral drive stacks only the packets' q-space rows, which
+        # no roundtrip turns back into amplitudes here
+        packets, outs = gates._drive([(1.0, 0.0), (0.0, 1.0)], [[], []], 8.0, 0.3, engine_name)
+        assert [s.amp.tobytes() for s in outs] == [s.amp.tobytes() for s in packets]
+
+    @pytest.mark.parametrize("engine_name", engine.ENGINES)
     def test_chunks_are_read_only(self, engine_name):
         s0 = self.start()
         chunks = engine._chunks(np.stack([s0.amp, s0.amp]), ([self.PARAMS] * 5,) * 2, engine_name)
