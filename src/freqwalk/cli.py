@@ -207,12 +207,12 @@ def _walk_half_width(cfg: dict, members: int) -> int:
     of the widest kernel), rounded up until N = 2 * half_width + 1 has no
     prime factor above 7 (a fast FFT size).  A walk that could not fit in
     memory with the closed-form bound on lmax is refused before any Bessel
-    work."""
+    work, and a walk of no steps runs no kernel search."""
     gammas = [_params(cfg, g).gamma for g in cfg["gamma"]]
     steps = cfg["steps"]
     reach = steps * _kernel_reach(max(gammas)) + EDGE_MARGIN + 1
     _check_walk_fits(members, reach, f"gamma {max(gammas):g} too large for steps {steps}")
-    lmax = max(translation_kernel(g, 0.0).lmax for g in gammas)
+    lmax = max(translation_kernel(g, 0.0).lmax for g in gammas) if steps else 0
     return _fast_size(2 * (steps * lmax + EDGE_MARGIN + 1) + 1) // 2
 
 
@@ -268,10 +268,9 @@ def _blocks(*tables: list[np.ndarray]) -> tuple:
             for columns, s in cuts), len(cuts)
 
 
-def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
-                int_format: str, n_blocks: int) -> bool:
-    """The rows of every block joined by `sep`; return whether any were
-    written.  Each block is one %-format (`_block_formats`).  `n_blocks`
+def _write_rows(out: TextIO, formats, n_blocks: int) -> bool:
+    """Write the text of each (template, values) pair of `formats`
+    (`_block_formats`) in order; return whether there was any.  `n_blocks`
     is how many blocks the stream holds (fewer are read if it stops early).
 
     Where this process may run on 2 or more CPUs, once the stream reaches,
@@ -285,17 +284,10 @@ def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
     interpreter, so the bytes do not depend on the path.  At most one
     block is in flight each way, and the helper is reaped before this
     returns or raises."""
-    written = False
-
-    def write(text: str) -> None:
-        nonlocal written
-        out.write((sep if written else "") + text)
-        written = True
-
+    k = -1
     with ExitStack() as stack:
         helper, decided = None, False
-        for k, (template, values) in enumerate(
-                _block_formats(row, sep, blocks, float_format, int_format)):
+        for k, (template, values) in enumerate(formats):
             large = len(values) >= _HELPER_CELLS
             if k and large and not decided:
                 decided = True
@@ -313,16 +305,18 @@ def _write_rows(out: TextIO, row: Callable, sep: str, blocks, float_format: str,
                 continue
             text = template % values
             if helper is not None and helper.busy:
-                write(helper.receive())
-            write(text)
+                out.write(helper.receive())
+            out.write(text)
         if helper is not None and helper.busy:
-            write(helper.receive())
-    return written
+            out.write(helper.receive())
+    return k >= 0
 
 
 def _block_formats(row: Callable, sep: str, blocks, float_format: str, int_format: str):
-    """Per block with rows, its rows joined by `sep` as one %-format and the
-    tuple of values that fill it.  A block is a list of columns: 1-D
+    """Per block with rows, its rows joined by `sep` as one %-format, led
+    by `sep` from the second such block on, and the tuple of values that
+    fill it: the texts of the blocks, written one after another, are every
+    row joined by `sep`.  A block is a list of columns: 1-D
     arrays of equal length, or a 0-d array (a numpy scalar) that stands
     for its value in every row.  `row(cells)` joins the cells of one row.
     An integer cell is the text `int_format` % value, written into the
@@ -333,13 +327,13 @@ def _block_formats(row: Callable, sep: str, blocks, float_format: str, int_forma
     column of `evolve`, held and compared with `is`); it is kept split at
     its 0-d integer cells (the step of `evolve`), whose texts one join per
     block puts in."""
-    key, kept, parts = None, [], []  # (length, cells), integer arrays, template
+    key, kept, parts, lead = None, [], [], ""  # (length, cells), integer arrays, template, sep
     for block in blocks:
         n = next(len(c) for c in block if c.ndim)
         if not n:
             continue
         cells, arrays, fills, values = [], [], [], []
-        for j, c in enumerate(block):
+        for c in block:
             if c.dtype.kind not in "iu":  # %% to stay a cell of the template
                 cells.append("%" + ("%s" if c.dtype.kind == "O" else float_format))
                 values.append([c.item()] * n if c.ndim == 0 else c.tolist())
@@ -353,10 +347,11 @@ def _block_formats(row: Callable, sep: str, blocks, float_format: str, int_forma
             key, kept = (n, cells), arrays
             texts = [[int_format % v for v in a.tolist()] for a in arrays]
             parts = (sep.join([row(cells)] * n) % _interleave(texts, n)).split("\0")
-        template = [None] * (2 * len(parts) - 1)
-        template[::2] = parts
-        template[1::2] = fills * n
+        template = [lead] * (2 * len(parts))  # its separator, then parts and fills by turns
+        template[1::2] = parts
+        template[2::2] = fills * n
         yield "".join(template), _interleave(values, n)
+        lead = sep
 
 
 def _interleave(columns: list[list], n: int) -> tuple:
@@ -377,7 +372,7 @@ def _write_csv(out: TextIO, cfg: dict, header: list[str], blocks, n_blocks: int)
     out.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
     out.write(",".join(header) + "\n")
     row = lambda cells: ",".join(cells) + "\n"
-    _write_rows(out, row, "", blocks, "%.17g", "%.17g", n_blocks)
+    _write_rows(out, _block_formats(row, "", blocks, "%.17g", "%.17g"), n_blocks)
 
 
 def _json_cells(column: np.ndarray) -> np.ndarray:
@@ -397,8 +392,8 @@ def _write_json(out: TextIO, cfg: dict, header: list[str], blocks, n_blocks: int
     doc = {"metadata": _metadata(cfg), "columns": header, "rows": []}
     out.write(json.dumps(doc, sort_keys=True, indent=1)[: -len("]\n}")])  # to "rows": [
     row = lambda cells: "\n  [\n" + ",\n".join("   " + c for c in cells) + "\n  ]"
-    if _write_rows(out, row, ",", ([_json_cells(c) for c in b] for b in blocks), "%s", "%d",
-                   n_blocks):
+    blocks = ([_json_cells(c) for c in b] for b in blocks)
+    if _write_rows(out, _block_formats(row, ",", blocks, "%s", "%d"), n_blocks):
         out.write("\n ")
     out.write("]\n}\n")
 
@@ -411,9 +406,9 @@ def _params(cfg: dict, gamma: float) -> ModulationParams:
 
 def run_band(cfg: dict):
     n_k = cfg["n_k"]
-    grid = bands.band_grid(_params(cfg, cfg["gamma"][0]), n_k)  # checks the grid alone
     check_fits(f"n_k {n_k} too large: its grid and one block of rows",
                bands._POINT_BYTES * n_k + _BLOCK_ROW_BYTES * min(n_k, _CSV_BLOCK_ROWS))
+    grid = bands.band_grid(_params(cfg, cfg["gamma"][0]), n_k)
     columns = [grid.q, *grid.eps.T, *grid.nz.T]
     return ["q", "eps_plus", "eps_minus", "nz_plus", "nz_minus"], *_blocks(columns)
 

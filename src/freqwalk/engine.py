@@ -267,21 +267,20 @@ def _halves(task, split: bool) -> tuple:
     return first, task(1) if taken else second.result()
 
 
-def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.ndarray,
-                     split: bool) -> float:
+def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, split: bool) -> float:
     """Rotate the (2, N) amplitudes `amp` by R(theta), then convolve each
     polarization row with its row of `taps` (a `_direct_kernels` table),
-    open boundary, into `out`; return the norm pushed past the lattice edge.
+    open boundary, in place; return the norm pushed past the lattice edge.
 
     Only the occupied window is worked on: the sites from 2*lmax before the
     first to 2*lmax after the last nonzero site.  Every output that can be
     nonzero is then the same full-length kernel dot product as over the
     whole lattice, so the result does not depend on the window (up to the
     sign of zero); the cost scales with the occupied sites, not with N.
-    The window is rotated into a copy before `out` is written, so `out` may
-    be `amp` itself.  The H and V rows are the two `_halves` of `split`;
-    the warnings, the copy into `out` and the leak sum (H row first) stay
-    in this thread.
+    The window is rotated into a copy before `amp` is written; amplitudes
+    with no nonzero site are left as they are.  The H and V rows are the
+    two `_halves` of `split`; the warnings, the copy into `amp` and the
+    leak sum (H row first) stay in this thread.
     """
     edge = float(_boundary_masses(amp))
     if edge > 1e-9:
@@ -289,7 +288,6 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     occupied = amp.any(axis=0)
     first = int(occupied.argmax())  # the first True, found without an index array
     if not occupied[first]:
-        out[...] = 0
         return 0.0
     n = amp.shape[1]
     last = n - 1 - int(occupied[::-1].argmax())
@@ -300,11 +298,11 @@ def _convolve_direct(amp: np.ndarray, taps: np.ndarray, theta: float, out: np.nd
     fulls = _halves(lambda p: np.convolve(window[p], taps[p], "full"), split)
     start = a - lmax  # the site of full[0]
     lo, hi = max(0, start), min(n, start + fulls[0].size)
-    out[:, :lo] = 0
-    out[:, hi:] = 0
+    amp[:, :lo] = 0
+    amp[:, hi:] = 0
     leak = 0.0
     for row, full in enumerate(fulls):
-        out[row, lo:hi] = full[lo - start : hi - start]
+        amp[row, lo:hi] = full[lo - start : hi - start]
         dropped = np.concatenate([full[: lo - start], full[hi - start :]])
         leak += float((np.abs(dropped) ** 2).sum())
     if leak > 1e-6:
@@ -405,7 +403,7 @@ def _chunks(amps: np.ndarray, schedules, engine: str, start=None):
         buffer = amps.astype(complex, copy=False)[None].copy()
         for row in rows:
             tables = {p: tables[p] if p in tables else lookup(p) for p in row}
-            leaks = np.array([[_convolve_direct(amp, tables[p], p.theta, amp, split)
+            leaks = np.array([[_convolve_direct(amp, tables[p], p.theta, split)
                                for p, amp in zip(row, buffer[0])]])
             _check_finite(buffer)
             yield _read_only(buffer[:]), leaks

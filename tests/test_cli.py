@@ -244,10 +244,10 @@ class TestMemoryRefusal:
     """A walk whose kernel search or amplitudes, a diffusion's table or
     peak, an evolve run's peak, a band grid or the grid and its rows, or a
     gate run whose packets or packets and walk, would not fit in physical
-    memory is refused before any Bessel work, array or packet (the grid
-    and its rows after the grid): the derived lattice by the closed-form bound on the
-    kernel reach.  The host here has 1 MB, set by hand, so the refusals
-    hold on any machine."""
+    memory is refused before any Bessel work, eigensolve, packet or array
+    it counts: the derived lattice by the closed-form bound on the kernel
+    reach.  The host here has 1 MB, set by hand, so the refusals hold on
+    any machine."""
 
     @pytest.fixture(autouse=True)
     def small_host(self, monkeypatch):
@@ -261,6 +261,7 @@ class TestMemoryRefusal:
         monkeypatch.setattr(engine, "bessel_j_sequence", forbidden("Bessel work"))
         # the packet builder of every gate, preparation and register drive
         monkeypatch.setattr(gates, "_packet", forbidden("a packet"))
+        monkeypatch.setattr(bands, "_eig_sorted", forbidden("an eigensolve"))
 
     @pytest.mark.parametrize(
         "argv,head",
@@ -268,7 +269,8 @@ class TestMemoryRefusal:
           "gamma 10000 too large for steps 10: the walk's amplitudes"),
          (["diffusion", "--gamma", "1,1e9", "--steps", "1"],
           "gamma 1e+09 too large for steps 1: the walk's amplitudes"),
-         (["evolve", "--gamma", "1e5", "--steps", "0"],  # 2e5 orders, 3 arrays: 4.8 MB
+         # 2e5 orders, 3 arrays: 4.8 MB
+         (["evolve", "--engine", "direct", "--gamma", "1e5", "--steps", "1", "--half-width", "10"],
           "gamma 100000 too large: its kernel search"),
          (["evolve", "--gamma", "1", "--steps", "1", "--half-width", "20000"],
           "half_width 20000 too large: the walk's amplitudes"),
@@ -281,7 +283,7 @@ class TestMemoryRefusal:
          (["diffusion", "--gamma", "0", "--steps", "100000000000", "--half-width", "10"],
           "steps 100000000000 too large: its table of M(n)"),
          (["band", "--gamma", "1", "--n-k", "100000000000"],
-          "n_k 100000000000 too large: its (n_k, 2, 2) complex spinors"),
+          "n_k 100000000000 too large: its grid and one block of rows"),
          # its table (72 kB) fits; the largest of its DTQW baseline, walk and rows
          # (1.1 MB) does not
          (["diffusion", "--gamma", "0", "--steps", "1000", "--half-width", "10"],
@@ -803,6 +805,18 @@ class TestDefaultHalfWidth:
     def test_derived_for_walks_only(self, argv, half_width):
         cfg = cli.load_config(cli.build_parser().parse_args(argv))
         assert cfg["half_width"] == half_width
+
+    def test_walk_of_no_steps_runs_no_kernel_search(self, tmp_path, monkeypatch):
+        # the kernel search at gamma 1e8 would take hours
+        def raising(*args):
+            raise AssertionError("Bessel work for a walk of no steps")
+
+        monkeypatch.setattr(engine, "bessel_j_sequence", raising)
+        out = tmp_path / "s0.csv"
+        assert main(["evolve", "--gamma", "1e8", "--steps", "0", "--out", str(out)]) == 0
+        assert _echoed_config(out)["half_width"] == 7
+        assert out.read_text().splitlines()[3:] == [
+            f"0,{m},{1 if m == 0 else 0}" for m in range(-7, 8)]
 
     @settings(max_examples=50, deadline=None)
     @given(gamma=st.lists(st.floats(0, 40), min_size=1, max_size=3),
