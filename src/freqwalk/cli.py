@@ -181,37 +181,26 @@ def load_config(args: argparse.Namespace) -> dict:
         raise ConfigurationError(
             f"{args.command} takes one gamma, got {len(cfg['gamma'])} (a list is for diffusion)"
         )
-    if args.command in ("evolve", "diffusion"):
-        members = len(cfg["gamma"])
-        if "half_width" in given:
-            _check_walk_fits(members, cfg["half_width"], f"half_width {cfg['half_width']} too large")
-        else:
-            cfg["half_width"] = _walk_half_width(cfg, members)
+    if args.command in ("evolve", "diffusion") and "half_width" not in given:
+        cfg["half_width"] = _walk_half_width(cfg)
     cfg["experiment"] = args.command
     return cfg
 
 
-def _check_walk_fits(members: int, half_width: int, refusal: str) -> None:
-    """Refuse, with `refusal` as the message's head, a walk of `members`
-    states whose (2, N) complex amplitudes alone would exceed physical
-    memory.  The spectral walk's chunks of roundtrips add at most about
-    2 * engine._CHUNK_BYTES to that, or three roundtrips' amplitudes when
-    one roundtrip is larger; `run_evolve` and `run_diffusion` count
-    their whole peak."""
-    nbytes = members * 2 * (2 * half_width + 1) * 16
-    check_fits(f"{refusal}: the walk's amplitudes", nbytes)
-
-
-def _walk_half_width(cfg: dict, members: int) -> int:
+def _walk_half_width(cfg: dict) -> int:
     """The default half_width of a walk: steps * lmax + EDGE_MARGIN + 1 (lmax
     of the widest kernel), rounded up until N = 2 * half_width + 1 has no
-    prime factor above 7 (a fast FFT size).  A walk that could not fit in
-    memory with the closed-form bound on lmax is refused before any Bessel
-    work, and a walk of no steps runs no kernel search."""
+    prime factor above 7 (a fast FFT size).  A walk whose (2, N) complex
+    amplitudes, one per Gamma, could not fit in memory on the lattice of
+    the closed-form bound on lmax is refused before any Bessel work: the
+    kernel search comes after, and the run's own count of its walk
+    (`engine._walk_bytes`) after that.  A walk of no steps runs no kernel
+    search."""
     gammas = [_params(cfg, g).gamma for g in cfg["gamma"]]
     steps = cfg["steps"]
     reach = steps * _kernel_reach(max(gammas)) + EDGE_MARGIN + 1
-    _check_walk_fits(members, reach, f"gamma {max(gammas):g} too large for steps {steps}")
+    check_fits(f"gamma {max(gammas):g} too large for steps {steps}: the walk's amplitudes",
+               len(gammas) * 32 * (2 * reach + 1))
     lmax = max(translation_kernel(g, 0.0).lmax for g in gammas) if steps else 0
     return _fast_size(2 * (steps * lmax + EDGE_MARGIN + 1) + 1) // 2
 
@@ -418,21 +407,32 @@ def _origin(cfg: dict) -> LatticeState:
     return make_single_site(0, Polarization.H, LatticeConfig(half_width=cfg["half_width"]))
 
 
+def _walk_count(cfg: dict, params: list[ModulationParams]) -> tuple[str, int]:
+    """The head of a refusal of the walk of `params` in lockstep (its steps
+    and half_width, and on the direct engine, whose count grows with
+    Gamma, the widest Gamma) and what the walk holds, `engine._walk_bytes`."""
+    gamma, engine, half_width = max(p.gamma for p in params), cfg["engine"], cfg["half_width"]
+    by = f" and gamma {gamma:g}" if engine == "direct" else ""
+    return (f"steps {cfg['steps']} at half_width {half_width}{by} too large",
+            _walk_bytes(len(params), 2 * half_width + 1, cfg["steps"], engine, gamma))
+
+
 def run_evolve(cfg: dict):
     """The header, one block of rows (step, m, P(m)) per step, and their
     count.  A block is made as the walk reaches its step: P(m) is read
     from the walk's chunk one row at a time, so no more than one step's
     P(m) is held, and a boundary abort at step k raises while block k is
-    asked for.  Its count of what it holds at once, the walk (its chunk as
-    long as the steps, up to `engine._chunk_rows`) and one step's rows, is
-    checked before the first array (the direct engine's walk holds less
-    than the spectral walk's chunks while lmax is below N)."""
-    steps, half_width = cfg["steps"], cfg["half_width"]
-    n_sites = 2 * half_width + 1
-    check_fits(f"steps {steps} at half_width {half_width} too large: its walk and one step's rows",
-               _walk_bytes(1, n_sites, steps) + _BLOCK_ROW_BYTES * n_sites)
+    asked for.  Its one count of what it holds at once, the walk
+    (`_walk_count`: on the spectral engine its chunk as long as the steps,
+    up to `engine._chunk_rows`; on the direct engine its kernel too) and
+    one step's rows, is checked before the first array, whether the
+    lattice was given or derived."""
+    steps, params = cfg["steps"], _params(cfg, cfg["gamma"][0])
+    head, walk_bytes = _walk_count(cfg, [params])
+    check_fits(f"{head}: its walk and one step's rows",
+               walk_bytes + _BLOCK_ROW_BYTES * (2 * cfg["half_width"] + 1))
     state = _origin(cfg)
-    schedule = itertools.repeat(_params(cfg, cfg["gamma"][0]), steps)
+    schedule = itertools.repeat(params, steps)
     sites = state.config.sites  # one array for every block: its cells are formatted once
     walk = _monitored_chunks(state.amp[None], (schedule,), cfg["engine"])
     blocks = ([np.int64(first + j), sites, _probabilities(amp)]
@@ -443,21 +443,20 @@ def run_evolve(cfg: dict):
 def run_diffusion(cfg: dict):
     """The classical and DTQW baselines, then the diffusion distance of
     each Gamma's walk from |0, H>, all Gammas walked in lockstep: a
-    boundary abort names the first step at which any of them leaks."""
-    n, members, half_width = cfg["steps"], len(cfg["gamma"]), cfg["half_width"]
-    # its step, model and M columns: 8 bytes each a row, n rows a curve
-    table = 24 * n * (2 + members)
-    check_fits(f"steps {n} too large: its table of M(n)", table)
-    # the DTQW baseline, the walk and the writer run one after another, so
-    # the largest is counted.  The tables they memoize outlive them, within
-    # that count: with the memos cleared, it is 1.06-3.1x the traced peak of
-    # README diffusion, 5,000 DTQW steps and 4,200 steps at N = 10,001.  The
-    # direct engine's walk holds one roundtrip and its convolutions, less
-    # than the spectral walk's chunks while lmax is below N.
-    peak = table + max(baselines._dtqw_bytes(n), _walk_bytes(members, 2 * half_width + 1, n),
-                       _BLOCK_ROW_BYTES * min(n, _CSV_BLOCK_ROWS))
-    check_fits(f"steps {n} at half_width {half_width} too large: its baseline, walk and rows",
-               peak)
+    boundary abort names the first step at which any of them leaks.  Its
+    one count, checked before the first array, is its table of M(n) and
+    the largest of the baseline, the walk (`_walk_count`) and one block of
+    rows."""
+    n, params = cfg["steps"], [_params(cfg, gamma) for gamma in cfg["gamma"]]
+    head, walk_bytes = _walk_count(cfg, params)
+    # the table's step, model and M columns: 8 bytes each a row, n rows a
+    # curve.  The DTQW baseline, the walk and the writer run one after
+    # another, so the largest is counted.  The tables they memoize outlive
+    # them, within that count: with the memos cleared, it is 1.06-3.1x the
+    # traced peak of README diffusion, 5,000 DTQW steps and 4,200 steps at
+    # N = 10,001.
+    check_fits(f"{head}: its baseline, walk and rows", 24 * n * (2 + len(params)) + max(
+        baselines._dtqw_bytes(n), walk_bytes, _BLOCK_ROW_BYTES * min(n, _CSV_BLOCK_ROWS)))
     curves = [
         # M(n) = sqrt(n) exactly for the unbiased classical walk; the
         # binomial baseline (baselines.classical_walk_distribution) is
@@ -465,8 +464,8 @@ def run_diffusion(cfg: dict):
         ("classical", np.sqrt(np.arange(1, n + 1))),
         ("dtqw", baselines.dtqw_diffusion(n)),
     ]
-    schedules = [itertools.repeat(_params(cfg, gamma), n) for gamma in cfg["gamma"]]
-    walk = _monitored_chunks(np.stack([_origin(cfg).amp] * members), schedules, cfg["engine"])
+    schedules = [itertools.repeat(p, n) for p in params]
+    walk = _monitored_chunks(np.stack([_origin(cfg).amp] * len(params)), schedules, cfg["engine"])
     table = np.empty((n, len(schedules)))  # M(n) of each Gamma, a row per step past 0
     for first, amps, _ in itertools.islice(walk, 1, None):
         table[first - 1 : first - 1 + len(amps)] = _diffusion_distances(amps)

@@ -435,18 +435,34 @@ def _chunk_rows(roundtrip_bytes: int) -> int:
     return max(2, _CHUNK_BYTES // roundtrip_bytes)
 
 
-def _walk_bytes(members: int, n_sites: int, roundtrips: int) -> int:
-    """What a spectral walk of `members` states on an n_sites lattice,
-    `roundtrips` long, and a read-out of its chunks hold at most at once,
-    as tracemalloc counts it (pocketfft's own buffers are not traced): the
-    chunk buffer (the walk's roundtrips, at most `_chunk_rows`), the
-    states, their q-space start, the scratch row and a table U(q) of two
-    rows per member, and the larger of the temporaries `uk_matrix` builds
-    a table from (four rows) and a read-out of a chunk (as large as the
-    chunk).  A row is one member's (2, N) amplitudes.  Every command's
-    walk is counted here, a gate drive's as one roundtrip."""
+def _walk_bytes(members: int, n_sites: int, roundtrips: int, engine: str, gamma: float) -> int:
+    """What a walk of `members` states on an n_sites lattice, `roundtrips`
+    long, on `engine`, and a read-out of its chunks hold at most at once,
+    as tracemalloc counts it (pocketfft's own buffers are not traced).  A
+    row is one member's (2, N) amplitudes.  Every command's walk is
+    counted here, a gate drive's as one roundtrip.
+
+    A spectral walk holds the chunk buffer (the walk's roundtrips, at most
+    `_chunk_rows`), the states, their q-space start, the scratch row and a
+    table U(q) of two rows per member, and the larger of the temporaries
+    `uk_matrix` builds a table from (four rows) and a read-out of a chunk
+    (as large as the chunk).
+
+    A direct walk holds the states, its one-roundtrip buffer and a
+    `_direct_kernels` table per member (2 L + 1 orders of two complex
+    taps, L = lmax + 8), and the largest of one member's convolution (its
+    window rotated, two rows, then its two outputs of N + 2 L sites, the
+    part past the edge and its squares: 64 bytes a site), the build of a
+    table (96 bytes an order; the kernel search traced 93 at Gamma = 1e2
+    to 1e5) and a read-out of the buffer.  lmax is bounded by
+    `_kernel_reach` of `gamma`, the widest Gamma of the walk, so the count
+    needs no Bessel work: it grows with Gamma even on a small lattice."""
     row = 2 * n_sites * 16
     roundtrip = members * row
+    if engine == "direct":  # orders in floats: inf, not an OverflowError, near the double range
+        orders = 2 * (_kernel_reach(gamma) + 8.0) + 1
+        convolution = 2 * row + 64 * (n_sites + orders)
+        return 2 * roundtrip + members * 32 * orders + max(convolution, 96 * orders, roundtrip)
     chunk = min(roundtrips, _chunk_rows(roundtrip)) * roundtrip
     return chunk + 4 * roundtrip + row + max(4 * row, chunk)
 

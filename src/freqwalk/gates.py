@@ -158,15 +158,19 @@ def _drive(
     which is never refilled, so the states the drive builds once, after
     the last roundtrip, are views of that chunk, kept uncopied.  Before
     any packet is built, the drive's size check counts the packet tables
-    and one roundtrip's walk, as `engine._walk_bytes` counts every walk."""
+    and one roundtrip's walk, as `engine._walk_bytes` counts every walk;
+    on the direct engine that walk grows with Gamma too, and the refusal
+    names the widest."""
     check_name("engine", engine, ENGINES)
     specs = [WavepacketSpec(delta=delta, q=q_star, spin=spin) for spin in spins]
+    gamma = max((params.gamma for schedule in schedules for params in schedule), default=0.0)
     # every packet's (2, 2, N) complex table and a one-roundtrip walk of them,
     # 9 delta + 3 >= N counted in floats: inf, not an OverflowError, for a
     # delta near the double range
     n_sites = 9 * delta + 3
-    check_fits(f"delta {delta:g} too large: its lattice (half_width 4.5 delta)",
-               len(specs) * 64 * n_sites + _walk_bytes(len(specs), n_sites, 1))
+    by = f" and gamma {gamma:g}" if engine == "direct" else ""
+    check_fits(f"delta {delta:g}{by} too large: its lattice (half_width 4.5 delta)",
+               len(specs) * 64 * n_sites + _walk_bytes(len(specs), n_sites, 1, engine, gamma))
     # edge envelope < 1e-8 needs half_width > ~4.3*delta
     cfg = LatticeConfig(half_width=math.ceil(4.5 * delta))
     tables = [_packet(*_packet_key(spec, cfg)) for spec in specs]

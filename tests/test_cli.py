@@ -194,8 +194,9 @@ class TestConfigHandling:
 
 class TestOversizedInputs:
     """Sizes past what memory can hold end in one `error:` line.  Nothing
-    here allocates: the exit-1 lattices are refused as configs, before any
-    array exists, and the exit-2 case raises its MemoryError by hand."""
+    here allocates: the exit-1 lattices are refused by their command's
+    count, before any array exists, and the exit-2 case raises its
+    MemoryError by hand."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -206,8 +207,10 @@ class TestOversizedInputs:
     def test_unaddressable_lattice_exits_1(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        given = "delta" if argv[0] == "gate" else "half_width"  # the field the user set
-        assert err.startswith(f"error: {given} ") and err.count("\n") == 1
+        head = {"evolve": f"steps 1 at half_width {2**60} too large: its walk and one step's rows",
+                "diffusion": f"steps 1 at half_width {2**62} too large: its baseline, walk and rows",
+                "gate": "delta 1e+300 too large: its lattice (half_width 4.5 delta)"}[argv[0]]
+        assert err.startswith(f"error: {head} would exceed the ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("delta", ["1e17", "1e300", "1e308"])
     @pytest.mark.parametrize(
@@ -229,6 +232,19 @@ class TestOversizedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: gamma 1e+30 too large") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,head", [
+        (["gate", "--gate-name", "X", "--delta", "1"],
+         "delta 1 and gamma 1.7e+308 too large: its lattice (half_width 4.5 delta)"),
+        (["evolve", "--steps", "1", "--half-width", "10"],
+         "steps 1 at half_width 10 and gamma 1.7e+308 too large: its walk and one step's rows")])
+    def test_unaddressable_direct_kernel_names_gamma(self, argv, head, tmp_path, capsys):
+        # the direct walk's kernel, of about 3.4e308 orders, is counted past the
+        # double range: refused, not an OverflowError
+        argv = argv + ["--engine", "direct", "--gamma", "1.7e308", "--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {head} would exceed the ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("message", ["", "Unable to allocate 5.82 TiB"])
     def test_memory_error_exits_2(self, message, monkeypatch, tmp_path, capsys):
         def exhausted(*args):
@@ -241,11 +257,13 @@ class TestOversizedInputs:
 
 
 class TestMemoryRefusal:
-    """A walk whose kernel search or amplitudes, a diffusion's table or
-    peak, an evolve run's peak, a band grid or the grid and its rows, or a
-    gate run whose packets or packets and walk, would not fit in physical
-    memory is refused before any Bessel work, eigensolve, packet or array
-    it counts: the derived lattice by the closed-form bound on the kernel
+    """A walk whose derived lattice's amplitudes, an evolve or diffusion
+    run whose one count (its walk, on the direct engine with its kernel,
+    and its rows and table), a band grid or the grid and its rows, or a
+    gate run whose packets or packets and walk (on the direct engine with
+    its kernel), would not fit in physical memory is refused before any
+    Bessel work, eigensolve, packet or array it counts: the derived
+    lattice and the direct kernel by the closed-form bound on the kernel
     reach.  The host here has 1 MB, set by hand, so the refusals hold on
     any machine."""
 
@@ -269,11 +287,12 @@ class TestMemoryRefusal:
           "gamma 10000 too large for steps 10: the walk's amplitudes"),
          (["diffusion", "--gamma", "1,1e9", "--steps", "1"],
           "gamma 1e+09 too large for steps 1: the walk's amplitudes"),
-         # 2e5 orders, 3 arrays: 4.8 MB
+         # lmax ~ 1e5 on 21 sites: its taps alone are 6.4 MB
          (["evolve", "--engine", "direct", "--gamma", "1e5", "--steps", "1", "--half-width", "10"],
-          "gamma 100000 too large: its kernel search"),
+          "steps 1 at half_width 10 and gamma 100000 too large: its walk and one step's rows"),
+         # its amplitudes (1.28 MB) do not fit
          (["evolve", "--gamma", "1", "--steps", "1", "--half-width", "20000"],
-          "half_width 20000 too large: the walk's amplitudes"),
+          "steps 1 at half_width 20000 too large: its walk and one step's rows"),
          # N = 90001: one packet is 2.9 MB
          *[(argv + ["--delta", "10000"],
             "delta 10000 too large: its lattice (half_width 4.5 delta)")
@@ -281,7 +300,7 @@ class TestMemoryRefusal:
                         ["prepare", "--phi1", "0", "--phi2", "0"], ["cnot"])],
          # 3 curves of 10^11 rows; the walk of 21 sites fits
          (["diffusion", "--gamma", "0", "--steps", "100000000000", "--half-width", "10"],
-          "steps 100000000000 too large: its table of M(n)"),
+          "steps 100000000000 at half_width 10 too large: its baseline, walk and rows"),
          (["band", "--gamma", "1", "--n-k", "100000000000"],
           "n_k 100000000000 too large: its grid and one block of rows"),
          # its table (72 kB) fits; the largest of its DTQW baseline, walk and rows
@@ -297,7 +316,16 @@ class TestMemoryRefusal:
          # N = 4503: the packets (576 and 288 kB) fit; with their walk (2.7 and
          # 1.7 MB) they do not
          *[(argv + ["--delta", "500"], "delta 500 too large: its lattice (half_width 4.5 delta)")
-           for argv in (["gate", "--gate-name", "X"], ["prepare", "--phi1", "0", "--phi2", "0"])]],
+           for argv in (["gate", "--gate-name", "X"], ["prepare", "--phi1", "0", "--phi2", "0"])],
+         # lmax ~ 1e4 on 21 sites: traced 2.07 MB (evolve), 1.95 MB (diffusion) and 2.08 MB
+         # (gate), its taps built in the run; counted 2.61, 2.59 and 3.24 MB
+         (["evolve", "--engine", "direct", "--gamma", "1e4", "--steps", "1", "--half-width", "10"],
+          "steps 1 at half_width 10 and gamma 10000 too large: its walk and one step's rows"),
+         (["diffusion", "--engine", "direct", "--gamma", "1e4", "--steps", "1", "--half-width",
+           "10"],
+          "steps 1 at half_width 10 and gamma 10000 too large: its baseline, walk and rows"),
+         (["gate", "--engine", "direct", "--gate-name", "X", "--gamma", "1e4", "--delta", "1"],
+          "delta 1 and gamma 10000 too large: its lattice (half_width 4.5 delta)")],
     )
     def test_refused_with_one_error_line(self, argv, head, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -305,12 +333,15 @@ class TestMemoryRefusal:
             f"error: {head} would exceed the 0.001 GB of physical memory\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_counts_every_walk_of_a_diffusion(self):
-        # one (2, 20001) complex state is 640 KB, two are 1.28 MB
-        argv = ["diffusion", "--steps", "1", "--half-width", "10000", "--gamma"]
-        assert cli.load_config(cli.build_parser().parse_args(argv + ["1"]))["half_width"] == 10000
-        with pytest.raises(fw.ConfigurationError, match="^half_width 10000 too large"):
-            cli.load_config(cli.build_parser().parse_args(argv + ["1,1"]))
+    def test_counts_every_walk_of_a_diffusion(self, tmp_path, capsys):
+        # at N = 2401 the walk of one Gamma counts 0.77 MB, of two 1.15 MB
+        argv = ["diffusion", "--steps", "1", "--half-width", "1200", "--gamma"]
+        assert main(argv + ["1", "--out", str(tmp_path / "one.csv")]) == 0
+        assert main(argv + ["1,1", "--out", str(tmp_path / "two.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: steps 1 at half_width 1200 too large: its baseline, walk and rows"
+            " would exceed the 0.001 GB of physical memory\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["one.csv"]
 
 
 @pytest.mark.parametrize("unknown", ["missing", "-1"])
@@ -716,13 +747,18 @@ _README_REPORTS = [["gate", "--gate-name", "H", "--delta", "200"],
     # (N = 18001), and gate and cnot on the direct engine
     *_README_REPORTS, *[argv + ["--delta", "2000"] for argv in _README_REPORTS],
     *[argv + ["--engine", "direct"] for argv in _README_REPORTS[::2]],
+    # the direct kernel (lmax ~ 3,100 and 1e4) reaches far past the lattice (N = 181 and 11),
+    # and the engine warns of the leak
+    *[pytest.param(["gate", "--gate-name", "X", "--engine", "direct", "--gamma", gamma,
+                    "--delta", delta], marks=pytest.mark.filterwarnings("ignore::UserWarning"))
+      for gamma, delta in (("3e3", "20"), ("1e4", "1"))],
 ], ids=["band-readme-csv", "band-readme-json", "band-wide",
         "diffusion-readme", "diffusion-dtqw-csv", "diffusion-dtqw-json",
         "evolve-readme-csv", "evolve-readme-json", "evolve-wide-csv", "evolve-wide-json",
         "evolve-one-step-csv", "evolve-one-step-json", "diffusion-one-step",
         "gate-readme", "prepare-readme", "cnot-readme",
         "gate-delta-2000", "prepare-delta-2000", "cnot-delta-2000",
-        "gate-direct", "cnot-direct"])
+        "gate-direct", "cnot-direct", "gate-direct-wide-kernel", "gate-direct-wider-kernel"])
 def test_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
     # warm, as a command runs after any other on its lattice: the largest
     # count that the command checks is at least the peak that tracemalloc
@@ -736,6 +772,35 @@ def test_size_check_counts_the_traced_peak(argv, tmp_path, monkeypatch):
     tracemalloc.start()
     try:
         cli.run(cfg, str(tmp_path / "x"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(counted) <= 4 * peak
+
+
+@pytest.mark.parametrize("argv", [
+    # the direct kernel (lmax ~ 1e4 and 3,100) reaches far past the lattice (N = 21
+    # and 201): the walk leaks past the edge at its first step and aborts there
+    *[[command, "--engine", "direct", "--gamma", "1e4", "--steps", "1", "--half-width", "10"]
+      for command in ("evolve", "diffusion")],
+    ["evolve", "--engine", "direct", "--gamma", "3e3", "--steps", "2", "--half-width", "100"],
+    ["diffusion", "--engine", "direct", "--gamma", "1e3,3e3", "--steps", "1", "--half-width",
+     "10"],
+], ids=["evolve", "diffusion", "evolve-wider-lattice", "diffusion-two-kernels"])
+@pytest.mark.filterwarnings("ignore::UserWarning")  # the engine warns of the leak
+def test_size_check_counts_the_traced_peak_of_a_leaking_direct_walk(argv, tmp_path,
+                                                                      monkeypatch):
+    # as test_size_check_counts_the_traced_peak, up to the boundary abort
+    monkeypatch.setattr(cli, "_VERSION", "test")
+    cfg = cli.load_config(cli.build_parser().parse_args(argv))
+    with pytest.raises(fw.BoundaryLeakError, match="at step 1$"):
+        cli.run(cfg, str(tmp_path / "warm"))
+    counted = []
+    monkeypatch.setattr(cli, "check_fits", lambda what, nbytes: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        with pytest.raises(fw.BoundaryLeakError, match="at step 1$"):
+            cli.run(cfg, str(tmp_path / "x"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
